@@ -217,6 +217,10 @@ class RowSketchStore:
     def from_matrix(cls, transform: SketchTransform, values, **kwargs) -> "RowSketchStore":
         """Sketch every row of a dense matrix (test and bench convenience)."""
         values = np.asarray(values, dtype=np.float64)
+        bad = np.argwhere(~np.isfinite(values))
+        if bad.size:
+            i, j = bad[0]
+            raise ValueError(f"non-finite value {values[i, j]} at cell ({i}, {j})")
         store = cls(transform, values.shape[0], **kwargs)
         for i in range(store.n):
             store.rows[:, i, :] = transform.sketch_vector(values[i])
@@ -231,6 +235,8 @@ class RowSketchStore:
             raise SketchStateError("store already standardized; no further updates")
         if not (0 <= u.i < self.n and 0 <= u.j < self.p):
             raise IndexError(f"update ({u.i}, {u.j}) out of range for {self.n}x{self.p}")
+        if not math.isfinite(u.alpha):
+            raise ValueError(f"non-finite value {u.alpha} at cell ({u.i}, {u.j})")
         t = self.transform
         self.rows[t._rows_idx, u.i, t.bucket_of[:, u.j]] += u.alpha * t.sign_of[:, u.j]
         self.totals[u.i] += u.alpha

@@ -12,11 +12,13 @@ One repetition works on a standardized row-sketch store:
      emit the decoded index pair (``recovery_step``).
 
 Repetitions with fresh groupings vote; pairs kept by at least half the
-repetitions survive. The heavy lifting in step 2 is batched: per sketch
-row, one (n x b) @ (b x 2 pi) matrix product yields every row-vs-group
-inner product, and the per-bit masked group sums reduce to cheap
-contractions of that product. The multiply is injectable so a different
-kernel can be swapped in.
+repetitions survive. The heavy lifting in step 2 is batched. With
+singleton groups (pi >= n), the elementwise median over sketch rows of
+the Gram matrices r_t r_t^T is computed once per query and each
+repetition only indexes it. Otherwise, per sketch row, one (n x b) @
+(b x 2 pi) matrix product yields every row-vs-group inner product, and
+the per-bit masked group sums reduce to contractions of that product.
+The multiply is injectable so a different kernel can be swapped in.
 """
 
 from __future__ import annotations
@@ -193,6 +195,8 @@ def _signed_masks(cart: CartesianTransform, cb: Codebook, n: int):
     Returns (W1, W2) of shape (pi, block, codeword_len): W1[h, r, l] is
     bit l of the codeword of the r-th index in row-group h, times s1.
     """
+    if cb.n < n:
+        raise ValueError(f"codebook addresses {cb.n} indices, store has {n}")
     bits = np.zeros((cart.n_padded, cb.codeword_len))
     bits[:n] = cb.bit_matrix()[:n]
     w1 = (bits * cart.s1[:, None])[cart.order1].reshape(
@@ -210,9 +214,7 @@ def _cross_products(store: RowSketchStore, cart: CartesianTransform, multiply=No
     Returns (cross_right, cross_left), each (depth, n_padded, pi):
     cross_right[t][i, g] = <r_t^(i), right-group g of sketch row t> and
     cross_left[t][j, h] = <r_t^(j), left-group h>. Matrix products go
-    through ``multiply`` (numpy kernel by default). Singleton groups
-    (pi = n_padded) need no group sums: one symmetric product per sketch
-    row serves both sides, with signs applied to its columns.
+    through ``multiply`` (numpy kernel by default).
     """
     if multiply is None:
         multiply = np.matmul
@@ -222,18 +224,6 @@ def _cross_products(store: RowSketchStore, cart: CartesianTransform, multiply=No
     cross_right = np.empty((depth, n_pad, pi))
     cross_left = np.empty((depth, n_pad, pi))
     buf = np.zeros((n_pad, width)) if n_pad != n else None
-    if cart.block == 1:
-        scale1 = cart.s1[cart.order1][None, :]
-        scale2 = cart.s2[cart.order2][None, :]
-        for t in range(depth):
-            rt = store.rows[t]
-            if buf is not None:
-                buf[:n] = rt
-                rt = buf
-            gram = multiply(rt, rt.T)
-            np.multiply(gram[:, cart.order2], scale2, out=cross_right[t])
-            np.multiply(gram[:, cart.order1], scale1, out=cross_left[t])
-        return cross_right, cross_left
     s1o = cart.s1[cart.order1, None]
     s2o = cart.s2[cart.order2, None]
     for t in range(depth):
@@ -246,6 +236,36 @@ def _cross_products(store: RowSketchStore, cart: CartesianTransform, multiply=No
         cross_right[t] = multiply(rt, right.T)
         cross_left[t] = multiply(rt, left.T)
     return cross_right, cross_left
+
+
+def _median_gram(store: RowSketchStore, multiply=None) -> np.ndarray:
+    """Elementwise median over sketch rows of r_t r_t^T, (n, n).
+
+    Products go through ``multiply`` (numpy kernel by default). Depth is
+    odd, so the median is the middle order statistic.
+    """
+    multiply = np.matmul if multiply is None else multiply
+    grams = np.stack([multiply(rt, rt.T) for rt in store.rows])
+    mid = len(grams) // 2
+    grams.partition(mid, axis=0)
+    return grams[mid].copy()  # a view would keep the whole stack alive
+
+
+def _singleton_buckets(med: np.ndarray, cart: CartesianTransform, cb: Codebook):
+    """Masked buckets for singleton groups (block == 1), by indexing.
+
+    Bucket (h, g) holds the one index pair i = order1[h], j = order2[g]:
+    row_masked[l][h, g] = bit_l(i) s1(i) s2(j) med[i, j] and col_masked
+    uses bit_l(j) and med[j, i]. These equal the median of the per-row
+    products exactly, because the weights are in {0, +1, -1}.
+    """
+    n = len(med)
+    gram = np.zeros((cart.n_padded, cart.n_padded))
+    gram[:n, :n] = med
+    w1, w2 = _signed_masks(cart, cb, n)
+    right = gram[np.ix_(cart.order1, cart.order2)] * cart.s2[cart.order2]
+    left = gram[np.ix_(cart.order2, cart.order1)].T * cart.s1[cart.order1, None]
+    return MaskedBucketSet(w1[:, 0, :].T[:, :, None] * right, w2[:, 0, :].T[:, None, :] * left)
 
 
 def approximate(
@@ -268,8 +288,8 @@ def approximate(
         raise SketchStateError("approximate requires a standardized store")
     if cart.n < store.n:
         raise ValueError(f"grouping covers {cart.n} indices, store has {store.n}")
-    if cb.n < store.n:
-        raise ValueError(f"codebook addresses {cb.n} indices, store has {store.n}")
+    if cart.block == 1:
+        return _singleton_buckets(_median_gram(store, multiply), cart, cb)
     cross_right, cross_left = _cross_products(store, cart, multiply)
     w1, w2 = _signed_masks(cart, cb, store.n)
     depth, pi = store.transform.depth, cart.pi
@@ -403,11 +423,14 @@ def recover(
         raise SketchStateError("recover requires a standardized store")
     draws = seed_stream(seed)
     rep_seeds = [next(draws) for _ in range(params.reps)]
+    gram = _median_gram(store) if params.groups >= store.n else None
 
     def run_rep(idx: int):
         t0 = time.perf_counter()
         cart = CartesianTransform(store.n, params.groups, rep_seeds[idx])
-        buckets = approximate(store, cart, cb)
+        buckets = (
+            approximate(store, cart, cb) if gram is None else _singleton_buckets(gram, cart, cb)
+        )
         pairs, failures = _recovery_step_counted(buckets, cart, cb, params.phi)
         elapsed = (time.perf_counter() - t0) * 1000.0
         return pairs, RepetitionDiagnostics(idx, failures, len(pairs), elapsed)
@@ -463,16 +486,16 @@ def recover_diff(
         raise SketchStateError("recover_diff requires standardized stores")
     draws = seed_stream(seed)
     rep_seeds = [next(draws) for _ in range(params.reps)]
+    gram = _median_gram(store_a) - _median_gram(store_b) if params.groups >= store_a.n else None
 
     def run_rep(idx: int):
         t0 = time.perf_counter()
         cart = CartesianTransform(store_a.n, params.groups, rep_seeds[idx])
-        buckets_a = approximate(store_a, cart, cb)
-        buckets_b = approximate(store_b, cart, cb)
-        diff = MaskedBucketSet(
-            buckets_a.row_masked - buckets_b.row_masked,
-            buckets_a.col_masked - buckets_b.col_masked,
-        )
+        if gram is not None:
+            diff = _singleton_buckets(gram, cart, cb)
+        else:
+            a, b = approximate(store_a, cart, cb), approximate(store_b, cart, cb)
+            diff = MaskedBucketSet(a.row_masked - b.row_masked, a.col_masked - b.col_masked)
         pairs, failures = _recovery_step_counted(
             diff, cart, cb, params.phi, subtract_baseline=False
         )

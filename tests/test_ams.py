@@ -56,6 +56,23 @@ def test_updates_cancel():
     assert store.totals[0] == 0.0
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_apply_refuses_non_finite_value(bad):
+    # a NaN update would poison its row without flagging it degenerate
+    store = RowSketchStore(SketchTransform(16, 8, 7, seed=1), 4)
+    with pytest.raises(ValueError, match=r"non-finite value .* at cell \(2, 5\)"):
+        store.apply(StreamUpdate(bad, 2, 5))
+    assert not np.any(store.rows) and not np.any(store.totals)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_from_matrix_refuses_non_finite_value(bad):
+    values = np.ones((4, 16))
+    values[2, 5] = bad
+    with pytest.raises(ValueError, match=r"non-finite value .* at cell \(2, 5\)"):
+        RowSketchStore.from_matrix(SketchTransform(16, 8, 7, seed=1), values)
+
+
 def test_rps_replay_matches_dense_sketch_bit_exact(rng):
     values = rng.standard_normal((8, 16))
     t = SketchTransform(16, 8, 5, seed=3)

@@ -1,4 +1,6 @@
+import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -193,11 +195,12 @@ def test_approximate_median_of_per_row(rng):
     store = build_store(rng.standard_normal((n, p)), epsilon=0.5, delta=0.3)
     store.standardize()
     cb = ecc.for_index_space(n)
-    cart = CartesianTransform(n, 4, seed=9)
-    buckets = approximate(store, cart, cb)
-    rows_l, rows_r = approximate_per_row(store, cart, cb)
-    assert np.allclose(buckets.row_masked, np.median(rows_l, axis=1), atol=1e-12)
-    assert np.allclose(buckets.col_masked, np.median(rows_r, axis=1), atol=1e-12)
+    for pi in (4, n, 11):  # grouped, singleton, singleton with phantom indices
+        cart = CartesianTransform(n, pi, seed=9)
+        buckets = approximate(store, cart, cb)
+        rows_l, rows_r = approximate_per_row(store, cart, cb)
+        assert np.allclose(buckets.row_masked, np.median(rows_l, axis=1), atol=1e-12)
+        assert np.allclose(buckets.col_masked, np.median(rows_r, axis=1), atol=1e-12)
 
 
 def test_approximate_custom_multiply_kernel(rng):
@@ -407,6 +410,52 @@ def test_verify_candidates_accepts_planted_rejects_noise():
     assert acc and abs(est - truth[0][2]) <= 0.08
     assert not by_pair[(5, 40)][1]  # background pair fails the threshold
     assert not by_pair[(7, 7)][1]  # diagonal rejected outright
+
+
+# -- singleton groups: one median Gram per query ------------------------------
+
+
+def _public_votes(n, params, cb, seed, buckets_of, **step_kw):
+    """Reference loop over the public pieces: votes and majority pairs."""
+    draws = seed_stream(seed)
+    votes = Counter()
+    for _ in range(params.reps):
+        cart = CartesianTransform(n, params.groups, next(draws))
+        votes.update(recovery_step(buckets_of(cart), cart, cb, params.phi, **step_kw))
+    quota = math.ceil(params.reps / 2.0)
+    return votes, {(min(i, j), max(i, j)) for (i, j), c in votes.items() if c >= quota}
+
+
+@pytest.mark.parametrize("extra", [0, 3])  # pi = n, and pi > n with phantom indices
+def test_singleton_recover_matches_public_loop(extra):
+    store, _ = _planted_store(n=32, p=512)
+    cb = ecc.for_index_space(store.n)
+    params = practical(store.n, 0.8, cb, groups=32 + extra, reps=5, transform=store.transform)
+    votes, expect = _public_votes(
+        store.n, params, cb, 29, lambda cart: approximate(store, cart, cb)
+    )
+    assert (3, 17) in expect
+    for threads in (1, 2):
+        counts = {}
+        assert recover(store, params, cb, seed=29, threads=threads, counts=counts) == expect
+        assert counts == dict(votes)
+
+
+@pytest.mark.parametrize("extra", [0, 3])
+def test_singleton_recover_diff_matches_public_loop(extra):
+    before, after, pair = _diff_stores()
+    cb = ecc.for_index_space(before.n)
+    params = practical(before.n, 0.7, cb, groups=32 + extra, reps=5, transform=before.transform)
+
+    for first, second in ((after, before), (before, after)):
+        def diff(cart):
+            a, b = approximate(first, cart, cb), approximate(second, cart, cb)
+            return MaskedBucketSet(a.row_masked - b.row_masked, a.col_masked - b.col_masked)
+
+        _, expect = _public_votes(before.n, params, cb, 31, diff, subtract_baseline=False)
+        assert pair in expect
+        for threads in (1, 2):
+            assert recover_diff(first, second, params, cb, seed=31, threads=threads) == expect
 
 
 # -- recover_diff -------------------------------------------------------------
