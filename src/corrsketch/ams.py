@@ -9,11 +9,17 @@ and d = 8*ln(1/delta), per the usual median-of-means constants.
 The RowSketchStore keeps one sketch per row of the observation matrix plus
 running totals, supports turnstile updates in O(d) time, and standardizes
 in place at query time so that inner products estimate correlations.
+
+The (d, p) bucket and sign tables are built on the first update (or the
+store's all-ones fold) and cached on the transform. A query reads only the
+row sketches, so loading a snapshot and querying it never builds them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 import struct
 import numpy as np
 
@@ -61,12 +67,24 @@ def seed_stream(seed: int):
         yield out
 
 
-def _poly_values(coeffs, x: np.ndarray) -> np.ndarray:
-    """Evaluate a degree-3 polynomial over GF(2^31 - 1) at integer points."""
-    acc = np.full(x.shape, coeffs[3], dtype=np.uint64)
-    xs = x.astype(np.uint64) % _MERSENNE
+def _field_points(count: int) -> np.ndarray:
+    """The points 0..count-1 reduced into GF(2^31 - 1), as _poly_values takes them."""
+    return np.arange(count, dtype=np.uint64) % _MERSENNE
+
+
+def _poly_values(coeffs, xs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Evaluate a degree-3 polynomial over GF(2^31 - 1) at reduced points.
+
+    Horner's rule in place in ``out`` (a uint64 array shaped like ``xs``,
+    allocated when omitted). Every intermediate stays below 2^62, so the
+    uint64 arithmetic never wraps.
+    """
+    acc = np.empty(xs.shape, dtype=np.uint64) if out is None else out
+    acc.fill(coeffs[3])
     for c in (coeffs[2], coeffs[1], coeffs[0]):
-        acc = (acc * xs + np.uint64(c)) % _MERSENNE
+        np.multiply(acc, xs, out=acc)
+        np.add(acc, np.uint64(c), out=acc)
+        np.remainder(acc, _MERSENNE, out=acc)
     return acc
 
 
@@ -104,22 +122,40 @@ class SketchTransform:
         self.depth = int(depth)
         self.seed = int(seed) & _MASK64
         self.exact = bool(exact)
-        x = np.arange(self.p, dtype=np.uint64)
-        if exact:
-            self.bucket_of = np.tile(np.arange(self.p, dtype=np.int64), (depth, 1))
-            self.sign_of = np.ones((depth, p), dtype=np.float64)
-        else:
-            draws = seed_stream(self.seed)
-            buckets = np.empty((depth, p), dtype=np.int64)
-            signs = np.empty((depth, p), dtype=np.float64)
-            for t in range(depth):
-                hc = [next(draws) % int(_MERSENNE) for _ in range(4)]
-                gc = [next(draws) % int(_MERSENNE) for _ in range(4)]
-                buckets[t] = (_poly_values(hc, x) % np.uint64(self.width)).astype(np.int64)
-                signs[t] = 1.0 - 2.0 * (_poly_values(gc, x) & np.uint64(1)).astype(np.float64)
-            self.bucket_of = buckets
-            self.sign_of = signs
         self._rows_idx = np.arange(depth)
+
+    @functools.cached_property
+    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (depth, p) bucket and sign tables, built on first use.
+
+        Only folding updates in reads them; a query works on the row
+        sketches alone, so loading a snapshot never builds them.
+        """
+        depth, p = self.depth, self.p
+        if self.exact:
+            return np.tile(np.arange(p, dtype=np.int64), (depth, 1)), np.ones((depth, p))
+        draws = seed_stream(self.seed)
+        buckets = np.empty((depth, p), dtype=np.int64)
+        signs = np.empty((depth, p), dtype=np.float64)
+        xs = _field_points(p)
+        acc = np.empty(p, dtype=np.uint64)
+        for t in range(depth):
+            hc = [next(draws) % int(_MERSENNE) for _ in range(4)]
+            gc = [next(draws) % int(_MERSENNE) for _ in range(4)]
+            np.remainder(_poly_values(hc, xs, acc), np.uint64(self.width), out=acc)
+            buckets[t] = acc
+            np.bitwise_and(_poly_values(gc, xs, acc), np.uint64(1), out=acc)
+            np.multiply(acc, -2.0, out=signs[t])
+            signs[t] += 1.0
+        return buckets, signs
+
+    @property
+    def bucket_of(self) -> np.ndarray:
+        return self._tables[0]
+
+    @property
+    def sign_of(self) -> np.ndarray:
+        return self._tables[1]
 
     @classmethod
     def from_accuracy(cls, p: int, epsilon: float, delta: float, seed: int) -> "SketchTransform":
@@ -338,63 +374,83 @@ class RowSketchStore:
             flags,
             self.ones_built,
         )
-        per_row = np.ascontiguousarray(self.rows.transpose(1, 0, 2), dtype="<f8")
         with open(path, "wb") as fh:
             fh.write(header)
-            fh.write(per_row.tobytes())
-            fh.write(self.totals.astype("<f8").tobytes())
-            fh.write(self.ones_sketch.astype("<f8").tobytes())
+            block = np.empty((t.depth, t.width), dtype="<f8")
+            for i in range(self.n):
+                block[...] = self.rows[:, i, :]
+                fh.write(block)
+            fh.write(np.ascontiguousarray(self.totals, dtype="<f8"))
+            fh.write(np.ascontiguousarray(self.ones_sketch, dtype="<f8"))
             if self.square_totals is not None:
-                fh.write(self.square_totals.astype("<f8").tobytes())
+                fh.write(np.ascontiguousarray(self.square_totals, dtype="<f8"))
 
     @classmethod
     def load(cls, path) -> "RowSketchStore":
+        """Read a snapshot; refuse a malformed header, size or non-finite value.
+
+        The header and the file size are checked before anything is
+        allocated, so a corrupt header cannot ask for a huge array. Row
+        blocks are read one at a time straight into place.
+        """
         with open(path, "rb") as fh:
-            raw = fh.read()
-        if len(raw) < _HEADER.size:
-            raise SnapshotFormatError("snapshot truncated before header")
-        magic, version, n, p, width, depth, seed, flags, ones_built = _HEADER.unpack_from(raw)
-        if magic != SNAPSHOT_MAGIC:
-            raise SnapshotFormatError(f"bad magic {magic!r}")
-        if version != SNAPSHOT_VERSION:
-            raise SnapshotFormatError(f"unsupported snapshot version {version}")
-        track = bool(flags & _FLAG_TRACK_SQUARES)
-        if flags & _FLAG_EXACT:
-            transform = SketchTransform.identity(p)
-            if (width, depth) != (p, 1):
+            head = fh.read(_HEADER.size)
+            if len(head) < _HEADER.size:
+                raise SnapshotFormatError("snapshot truncated before header")
+            magic, version, n, p, width, depth, seed, flags, ones_built = _HEADER.unpack(head)
+            if magic != SNAPSHOT_MAGIC:
+                raise SnapshotFormatError(f"bad magic {magic!r}")
+            if version != SNAPSHOT_VERSION:
+                raise SnapshotFormatError(f"unsupported snapshot version {version}")
+            exact = bool(flags & _FLAG_EXACT)
+            if exact and (width, depth) != (p, 1):
                 raise SnapshotFormatError("exact-transform snapshot with mismatched shape")
-        else:
-            transform = SketchTransform(p, width, depth, seed)
-        cells = n * depth * width
-        expect = _HEADER.size + 8 * (cells + n + depth * width + (n if track else 0))
-        if len(raw) != expect:
-            raise SnapshotFormatError(f"snapshot is {len(raw)} bytes, expected {expect}")
-        store = cls.__new__(cls)
-        store.transform = transform
-        store.n = n
-        store.p = p
-        off = _HEADER.size
-        per_row = np.frombuffer(raw, dtype="<f8", count=cells, offset=off).reshape(n, depth, width)
-        store.rows = np.ascontiguousarray(per_row.transpose(1, 0, 2))
-        off += 8 * cells
-        store.totals = np.frombuffer(raw, dtype="<f8", count=n, offset=off).copy()
-        off += 8 * n
-        store.ones_sketch = (
-            np.frombuffer(raw, dtype="<f8", count=depth * width, offset=off)
-            .reshape(depth, width)
-            .copy()
-        )
-        off += 8 * depth * width
-        store.square_totals = (
-            np.frombuffer(raw, dtype="<f8", count=n, offset=off).copy() if track else None
-        )
-        store.ones_built = ones_built
-        store.standardized = bool(flags & _FLAG_STANDARDIZED)
-        if store.standardized:
-            store.degenerate = ~np.any(store.rows != 0.0, axis=(0, 2))
-        else:
+            track = bool(flags & _FLAG_TRACK_SQUARES)
+            cells = n * depth * width + n + depth * width + (n if track else 0)
+            expect = _HEADER.size + 8 * cells
+            size = os.fstat(fh.fileno()).st_size
+            if size != expect:
+                raise SnapshotFormatError(f"snapshot is {size} bytes, expected {expect}")
+            if n < 1:
+                raise SnapshotFormatError("snapshot has no rows")
+            if ones_built > p:
+                raise SnapshotFormatError(f"ones_built={ones_built} exceeds p={p}")
+            try:
+                transform = (
+                    SketchTransform.identity(p) if exact else SketchTransform(p, width, depth, seed)
+                )
+            except ValueError as err:
+                raise SnapshotFormatError(f"bad sketch shape in header: {err}") from None
+            store = cls.__new__(cls)
+            store.transform = transform
+            store.n = n
+            store.p = p
+            store.standardized = bool(flags & _FLAG_STANDARDIZED)
             store.degenerate = np.zeros(n, dtype=bool)
+            store.rows = np.empty((depth, n, width))
+            block = np.empty((depth, width), dtype="<f8")
+            for i in range(n):
+                store.rows[:, i, :] = _read_finite(fh, block, f"row {i}")
+                if store.standardized:
+                    store.degenerate[i] = not block.any()
+            store.totals = _read_finite(fh, np.empty(n, dtype="<f8"), "totals")
+            store.ones_sketch = _read_finite(
+                fh, np.empty((depth, width), dtype="<f8"), "ones_sketch"
+            )
+            store.square_totals = (
+                _read_finite(fh, np.empty(n, dtype="<f8"), "square_totals") if track else None
+            )
+        store.ones_built = ones_built
         return store
+
+
+def _read_finite(fh, out: np.ndarray, what: str) -> np.ndarray:
+    """Fill ``out`` from the file; refuse a short read or a NaN/inf value."""
+    if fh.readinto(out) != out.nbytes:
+        raise SnapshotFormatError(f"snapshot truncated in {what}")
+    if not np.isfinite(out).all():
+        raise SnapshotFormatError(f"non-finite value in {what}")
+    return out
 
 
 def sketch_basis_update(store: RowSketchStore, u: StreamUpdate):

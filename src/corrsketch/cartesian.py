@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ams import _poly_values, seed_stream
+from .ams import _field_points, _poly_values, seed_stream
 from .ecc import Codebook
 
 
@@ -45,7 +45,7 @@ class CartesianTransform:
         self.p2 = np.empty(self.n_padded, dtype=np.int64)
         self.p1[perm1] = np.arange(self.n_padded) // self.block
         self.p2[perm2] = np.arange(self.n_padded) // self.block
-        x = np.arange(self.n_padded, dtype=np.uint64)
+        x = _field_points(self.n_padded)
         coeffs1 = [next(draws) % ((1 << 31) - 1) for _ in range(4)]
         coeffs2 = [next(draws) % ((1 << 31) - 1) for _ in range(4)]
         self.s1 = 1.0 - 2.0 * (_poly_values(coeffs1, x) & np.uint64(1)).astype(np.float64)

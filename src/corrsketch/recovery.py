@@ -448,10 +448,20 @@ def recover(
 def verify_candidates(
     store: RowSketchStore, pairs, phi: float
 ) -> list[tuple[int, int, float, bool]]:
-    """Direct estimate for each candidate; accept when |est| >= phi - 4 eps."""
+    """Direct estimate for each candidate; accept when |est| >= phi - 4 eps.
+
+    Warns when phi - 4 eps <= 0: that threshold accepts every candidate.
+    """
     if not store.standardized:
         raise SketchStateError("verification requires a standardized store")
-    threshold = phi - 4.0 * store.transform.epsilon
+    eps = store.transform.epsilon
+    threshold = phi - 4.0 * eps
+    if threshold <= 0:
+        warnings.warn(
+            f"verification is vacuous: phi={phi:g} and eps={eps:g} give phi - 4*eps <= 0, "
+            "so every candidate passes",
+            stacklevel=2,
+        )
     out = []
     for i, j in sorted(pairs):
         if i == j:

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,9 +11,11 @@ from corrsketch.ams import (
     SketchStateError,
     SketchTransform,
     SnapshotFormatError,
+    _poly_values,
     accuracy_depth,
     accuracy_width,
     inner_product,
+    seed_stream,
 )
 from corrsketch.stream import DenseMatrix, StreamUpdate, matrix_to_updates
 
@@ -35,6 +39,42 @@ def test_transform_determinism_and_shape():
     assert a.bucket_of.min() >= 0 and a.bucket_of.max() < 32
     with pytest.raises(ValueError):
         SketchTransform(64, 32, 4, seed=9)  # even depth
+
+
+_M = (1 << 31) - 1
+
+
+def _direct_poly(coeffs, x):
+    """Reference: one fresh evaluation per polynomial, reducing x each time."""
+    acc = np.full(x.shape, coeffs[3], dtype=np.uint64)
+    xs = x.astype(np.uint64) % np.uint64(_M)
+    for c in (coeffs[2], coeffs[1], coeffs[0]):
+        acc = (acc * xs + np.uint64(c)) % np.uint64(_M)
+    return acc
+
+
+@pytest.mark.parametrize("p,width,depth", [(1000, 37, 5), (777, 101, 3), (97, 13, 7)])
+@pytest.mark.parametrize("seed", [0, 9, 2**63 + 11])
+def test_tables_match_direct_poly_evaluation(p, width, depth, seed):
+    t = SketchTransform(p, width, depth, seed)
+    x = np.arange(p, dtype=np.uint64)
+    draws = seed_stream(seed)
+    for row in range(depth):
+        hc = [next(draws) % _M for _ in range(4)]
+        gc = [next(draws) % _M for _ in range(4)]
+        expect_b = (_direct_poly(hc, x) % np.uint64(width)).astype(np.int64)
+        expect_s = 1.0 - 2.0 * (_direct_poly(gc, x) & np.uint64(1)).astype(np.float64)
+        assert np.array_equal(t.bucket_of[row], expect_b)
+        assert np.array_equal(t.sign_of[row], expect_s)
+
+
+def test_poly_values_matches_integer_arithmetic():
+    coeffs = [_M - 1, 12345, _M - 2, 987654321]
+    points = [0, 1, 2, _M - 1, _M, _M + 5, 2**40 + 3, 2**63 - 1]
+    xs = np.array(points, dtype=np.uint64) % np.uint64(_M)
+    got = _poly_values(coeffs, xs, np.empty(len(points), dtype=np.uint64))
+    expect = [sum(c * x**k for k, c in enumerate(coeffs)) % _M for x in points]
+    assert got.tolist() == expect
 
 
 def test_basis_update_touches_one_bucket_per_row():
@@ -255,6 +295,7 @@ def test_snapshot_roundtrip_identity_transform(tmp_path, rng):
     store.save(path)
     back = RowSketchStore.load(path)
     assert back.transform.exact and back.transform == t
+    assert "_tables" not in vars(back.transform)  # built on first update only
     assert np.array_equal(back.rows, store.rows)
 
 
@@ -270,6 +311,70 @@ def test_snapshot_rejects_malformed(tmp_path):
     (tmp_path / "trunc.snap").write_bytes(raw[:-16])
     with pytest.raises(SnapshotFormatError):
         RowSketchStore.load(tmp_path / "trunc.snap")
+
+
+_HEADER_FORMAT = "<8sI5QBQ"
+
+
+@pytest.mark.parametrize(
+    "section,index,bad,name",
+    [
+        ("rows", 3 * 5 * 16 + 7, np.nan, "row 3"),  # row-major (n, depth, width) blocks
+        ("totals", 2, np.inf, "totals"),
+        ("ones", 4, -np.inf, "ones_sketch"),
+        ("squares", 0, np.nan, "square_totals"),
+    ],
+)
+def test_load_refuses_non_finite_payload(tmp_path, section, index, bad, name):
+    t = SketchTransform(32, 16, 5, seed=4)
+    store = RowSketchStore.from_matrix(t, np.arange(6 * 32.0).reshape(6, 32), track_squares=True)
+    path = tmp_path / "nan.snap"
+    store.save(path)
+    start = {"rows": 0, "totals": 6 * 5 * 16, "ones": 6 * 5 * 16 + 6,
+             "squares": 6 * 5 * 16 + 6 + 5 * 16}[section]
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<d", raw, struct.calcsize(_HEADER_FORMAT) + 8 * (start + index), bad)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(SnapshotFormatError, match=f"non-finite value in {name}"):
+        RowSketchStore.load(path)
+
+
+# header field -> (position in the struct, modulus of its integer type)
+_HEADER_FIELDS = {"version": (1, 2**32), "n": (2, 2**64), "p": (3, 2**64), "width": (4, 2**64),
+                  "depth": (5, 2**64), "seed": (6, 2**64), "flags": (7, 2**8),
+                  "ones_built": (8, 2**64)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    fields=st.dictionaries(
+        st.sampled_from(sorted(_HEADER_FIELDS)),
+        st.one_of(st.integers(0, 64), st.integers(0, 2**64 - 1)),
+        min_size=1,
+        max_size=3,
+    ),
+    resize=st.integers(-200, 200),
+    fill=st.binary(min_size=200, max_size=200),
+)
+def test_load_corrupt_header_refused_or_valid(tmp_path_factory, fields, resize, fill):
+    # any header fields and payload length: a valid store or SnapshotFormatError,
+    # never a MemoryError or a huge allocation from an unchecked header
+    store = RowSketchStore.from_matrix(SketchTransform(8, 4, 3, seed=1), np.eye(3, 8))
+    path = tmp_path_factory.mktemp("fuzz") / "s.snap"
+    store.save(path)
+    raw = path.read_bytes()
+    size = struct.calcsize(_HEADER_FORMAT)
+    parts = list(struct.unpack_from(_HEADER_FORMAT, raw))
+    for name, value in fields.items():
+        pos, modulus = _HEADER_FIELDS[name]
+        parts[pos] = value % modulus
+    raw = struct.pack(_HEADER_FORMAT, *parts) + raw[size:]
+    path.write_bytes(raw[: len(raw) + resize] if resize < 0 else raw + fill[:resize])
+    try:
+        back = RowSketchStore.load(path)
+    except SnapshotFormatError:
+        return
+    assert back.rows.shape == (back.transform.depth, back.n, back.transform.width)
 
 
 def test_identity_transform_is_exact(rng):

@@ -412,6 +412,39 @@ def test_verify_candidates_accepts_planted_rejects_noise():
     assert not by_pair[(7, 7)][1]  # diagonal rejected outright
 
 
+def test_verify_candidates_warns_when_vacuous():
+    # width 16 gives eps = 0.5, so phi - 4 eps < 0 and every candidate passes
+    store = RowSketchStore.from_matrix(
+        SketchTransform(32, 16, 5, seed=2), np.random.default_rng(1).standard_normal((6, 32))
+    )
+    store.standardize()
+    with pytest.warns(UserWarning, match=r"phi=0\.8 and eps=0\.5"):
+        annotated = verify_candidates(store, [(0, 1), (2, 5)], phi=0.8)
+    assert all(ok for _, _, _, ok in annotated)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verify_candidates(store, [(0, 1)], phi=2.1)
+
+
+def test_query_never_builds_hash_tables(tmp_path):
+    m, _ = oracle.plant_dataset(oracle.PlantedSpec(64, 1024, [(3, 17, 0.9)], seed=21))
+    built = RowSketchStore.from_matrix(SketchTransform.from_accuracy(1024, 0.05, 0.1, 22), m.values)
+    path = tmp_path / "s.snap"
+    built.save(path)
+    loaded = RowSketchStore.load(path)
+    store = loaded.standardized_copy()
+    other = RowSketchStore.load(path).standardized_copy()
+    cb = ecc.for_index_space(store.n)
+    params = practical(store.n, 0.8, cb, groups=32, reps=2, transform=store.transform)
+    recover(store, params, cb, seed=5, verify=True, threads=2)
+    verify_candidates(store, [(3, 17)], 0.8)
+    recover_diff(store, other, params, cb, seed=5)
+    for s in (loaded, store, other):
+        assert "_tables" not in vars(s.transform)
+    assert np.array_equal(loaded.transform.bucket_of, built.transform.bucket_of)
+    assert np.array_equal(loaded.transform.sign_of, built.transform.sign_of)
+
+
 # -- singleton groups: one median Gram per query ------------------------------
 
 
