@@ -13,9 +13,8 @@ from .ams import (
     SketchTransform,
     SnapshotFormatError,
     inner_product,
-    sketch_vector,
 )
-from .cartesian import CartesianTransform, cart_exact, cart_masked_diag, new_cartesian
+from .cartesian import CartesianTransform, cart_exact
 from .ecc import Codebook, for_index_space
 from .oracle import (
     CorrelationMatrix,

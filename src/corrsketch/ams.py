@@ -8,11 +8,13 @@ and d = 8*ln(1/delta), per the usual median-of-means constants.
 
 The RowSketchStore keeps one sketch per row of the observation matrix plus
 running totals, supports turnstile updates in O(d) time, and standardizes
-in place at query time so that inner products estimate correlations.
+in place at query time so that inner products estimate correlations. The
+all-ones sketch that standardization subtracts is a fixed function of the
+transform, so the store's constructor builds it whole.
 
-The (d, p) bucket and sign tables are built on the first update (or the
-store's all-ones fold) and cached on the transform. A query reads only the
-row sketches, so loading a snapshot and querying it never builds them.
+The (d, p) bucket and sign tables are built when a store is constructed
+(for its all-ones sketch) and cached on the transform. A query reads only
+the row sketches, so loading a snapshot and querying it never builds them.
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ SNAPSHOT_VERSION = 1
 _FLAG_STANDARDIZED = 1
 _FLAG_TRACK_SQUARES = 2
 _FLAG_EXACT = 4
-# magic, version, n, p, width, depth, seed, flags, ones_built
+# magic, version, n, p, width, depth, seed, flags, ones_built; ones_built
+# (columns folded into the all-ones sketch) is always p
 _HEADER = struct.Struct("<8sI5QBQ")
 
 
@@ -128,8 +131,8 @@ class SketchTransform:
     def _tables(self) -> tuple[np.ndarray, np.ndarray]:
         """The (depth, p) bucket and sign tables, built on first use.
 
-        Only folding updates in reads them; a query works on the row
-        sketches alone, so loading a snapshot never builds them.
+        Only a store's constructor and its updates read them; a query works
+        on the row sketches alone, so loading a snapshot never builds them.
         """
         depth, p = self.depth, self.p
         if self.exact:
@@ -205,10 +208,6 @@ class SketchTransform:
         return out
 
 
-def sketch_vector(transform: SketchTransform, v) -> np.ndarray:
-    return transform.sketch_vector(v)
-
-
 def inner_product(a: np.ndarray, b: np.ndarray) -> float:
     """Median over sketch rows of the per-row dot product."""
     a = np.asarray(a, dtype=np.float64)
@@ -226,14 +225,7 @@ class RowSketchStore:
     ``row_sketch(i)`` returns the d x b view of row i.
     """
 
-    def __init__(
-        self,
-        transform: SketchTransform,
-        n: int,
-        *,
-        eager_ones: bool = True,
-        track_squares: bool = False,
-    ):
+    def __init__(self, transform: SketchTransform, n: int, *, track_squares: bool = False):
         if n < 1:
             raise ValueError("store needs at least one row")
         self.transform = transform
@@ -242,12 +234,15 @@ class RowSketchStore:
         self.rows = np.zeros((transform.depth, n, transform.width))
         self.totals = np.zeros(n)
         self.square_totals = np.zeros(n) if track_squares else None
-        self.ones_sketch = transform.zero_sketch()
-        self.ones_built = 0
+        # one bincount per sketch row; sums of +-1 are exact in any order
+        self.ones_sketch = np.stack(
+            [
+                np.bincount(buckets, weights=signs, minlength=transform.width)
+                for buckets, signs in zip(transform.bucket_of, transform.sign_of)
+            ]
+        )
         self.standardized = False
         self.degenerate = np.zeros(n, dtype=bool)
-        if eager_ones:
-            self.finalize_ones()
 
     @classmethod
     def from_matrix(cls, transform: SketchTransform, values, **kwargs) -> "RowSketchStore":
@@ -278,32 +273,15 @@ class RowSketchStore:
         self.totals[u.i] += u.alpha
         if self.square_totals is not None:
             self.square_totals[u.i] += u.alpha * u.alpha
-        if self.ones_built < self.p:
-            k = self.ones_built
-            self.ones_sketch[t._rows_idx, t.bucket_of[:, k]] += t.sign_of[:, k]
-            self.ones_built = k + 1
 
     def finalize_ones(self):
-        """Fold the remaining basis vectors into the all-ones sketch.
-
-        Idempotent; folds in ascending column order so an interleaved
-        build matches the eager build bit for bit.
-        """
-        t = self.transform
-        start = self.ones_built
-        if start >= self.p:
-            return
-        for row in range(t.depth):
-            np.add.at(self.ones_sketch[row], t.bucket_of[row, start:], t.sign_of[row, start:])
-        self.ones_built = self.p
+        """No-op: the constructor already built the whole all-ones sketch."""
 
     def row_sketch(self, i: int) -> np.ndarray:
         return self.rows[:, i, :]
 
     def inner(self, i: int, j: int) -> float:
-        return float(
-            np.median(np.einsum("tb,tb->t", self.rows[:, i, :], self.rows[:, j, :]))
-        )
+        return inner_product(self.rows[:, i, :], self.rows[:, j, :])
 
     def standardize(self, *, exact: bool = False):
         """Shift every sketch to zero row-mean and rescale to unit norm.
@@ -316,8 +294,6 @@ class RowSketchStore:
         """
         if self.standardized:
             raise SketchStateError("store already standardized")
-        if self.ones_built < self.p:
-            raise SketchStateError("all-ones sketch incomplete; call finalize_ones first")
         if exact and self.square_totals is None:
             raise SketchStateError("exact rescaling requires a store built with track_squares")
         means = self.totals / self.p
@@ -347,7 +323,6 @@ class RowSketchStore:
         out.totals = self.totals.copy()
         out.square_totals = None if self.square_totals is None else self.square_totals.copy()
         out.ones_sketch = self.ones_sketch.copy()
-        out.ones_built = self.ones_built
         out.standardized = self.standardized
         out.degenerate = self.degenerate.copy()
         return out
@@ -372,7 +347,7 @@ class RowSketchStore:
             t.depth,
             t.seed,
             flags,
-            self.ones_built,
+            self.p,
         )
         with open(path, "wb") as fh:
             fh.write(header)
@@ -413,8 +388,8 @@ class RowSketchStore:
                 raise SnapshotFormatError(f"snapshot is {size} bytes, expected {expect}")
             if n < 1:
                 raise SnapshotFormatError("snapshot has no rows")
-            if ones_built > p:
-                raise SnapshotFormatError(f"ones_built={ones_built} exceeds p={p}")
+            if ones_built != p:
+                raise SnapshotFormatError(f"ones_built={ones_built} differs from p={p}")
             try:
                 transform = (
                     SketchTransform.identity(p) if exact else SketchTransform(p, width, depth, seed)
@@ -440,7 +415,6 @@ class RowSketchStore:
             store.square_totals = (
                 _read_finite(fh, np.empty(n, dtype="<f8"), "square_totals") if track else None
             )
-        store.ones_built = ones_built
         return store
 
 
@@ -451,15 +425,3 @@ def _read_finite(fh, out: np.ndarray, what: str) -> np.ndarray:
     if not np.isfinite(out).all():
         raise SnapshotFormatError(f"non-finite value in {what}")
     return out
-
-
-def sketch_basis_update(store: RowSketchStore, u: StreamUpdate):
-    store.apply(u)
-
-
-def standardize(store: RowSketchStore, *, exact: bool = False):
-    store.standardize(exact=exact)
-
-
-def finalize_ones(store: RowSketchStore):
-    store.finalize_ones()

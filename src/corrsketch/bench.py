@@ -117,11 +117,25 @@ def run_bench(grid: BenchGrid) -> BenchResult:
     return BenchResult(rows, query_exp, bytes_exp)
 
 
+# grid key -> (BenchGrid field, value parser)
+_GRID_KEYS = {
+    "n": ("n_values", lambda v: [int(x) for x in v.split(",")]),
+    "p": ("p", int),
+    "phi": ("phi", float),
+    "k": ("k", int),
+    "R": ("residual_bound", float),
+    "r": ("residual_bound", float),
+    "theta": ("theta", float),
+    "epsilon": ("epsilon", float),
+    "delta": ("delta", float),
+    "gamma": ("reps", int),
+    "seed": ("seed", int),
+}
+
+
 def parse_grid(spec: str) -> BenchGrid:
     """Parse 'n=256,512,1024;p=256;phi=0.8;...' into a BenchGrid."""
     grid = BenchGrid()
-    if not spec:
-        return grid
     for part in spec.split(";"):
         part = part.strip()
         if not part:
@@ -130,26 +144,8 @@ def parse_grid(spec: str) -> BenchGrid:
             raise ValueError(f"grid entries must be key=value, got {part!r}")
         key, value = part.split("=", 1)
         key = key.strip()
-        if key == "n":
-            grid.n_values = [int(v) for v in value.split(",")]
-        elif key == "p":
-            grid.p = int(value)
-        elif key == "phi":
-            grid.phi = float(value)
-        elif key == "k":
-            grid.k = int(value)
-        elif key in ("R", "r"):
-            grid.residual_bound = float(value)
-        elif key == "theta":
-            grid.theta = float(value)
-        elif key == "epsilon":
-            grid.epsilon = float(value)
-        elif key == "delta":
-            grid.delta = float(value)
-        elif key == "gamma":
-            grid.reps = int(value)
-        elif key == "seed":
-            grid.seed = int(value)
-        else:
+        if key not in _GRID_KEYS:
             raise ValueError(f"unknown grid key {key!r}")
+        name, parse = _GRID_KEYS[key]
+        setattr(grid, name, parse(value))
     return grid

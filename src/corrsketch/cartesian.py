@@ -55,10 +55,6 @@ class CartesianTransform:
         self.order2 = np.argsort(self.p2, kind="stable")
 
 
-def new_cartesian(n: int, pi: int, seed: int) -> CartesianTransform:
-    return CartesianTransform(n, pi, seed)
-
-
 def cart_exact(t: CartesianTransform, a: np.ndarray) -> np.ndarray:
     """Exact pi x pi sketch of a dense n x n matrix. Test oracle; O(n^2)."""
     a = np.asarray(a, dtype=np.float64)
@@ -72,22 +68,10 @@ def cart_exact(t: CartesianTransform, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def cart_masked_diag(t: CartesianTransform, cb: Codebook, l: int) -> np.ndarray:
-    """Exact sketch of the diagonal 0/1 mask for codeword bit l, in O(n)."""
-    if not 0 <= l < cb.codeword_len:
-        raise IndexError(f"bit position {l} out of range [0, {cb.codeword_len})")
-    bits = cb.bit_matrix()[: t.n, l].astype(np.float64)
-    out = np.zeros((t.pi, t.pi))
-    np.add.at(out, (t.p1[: t.n], t.p2[: t.n]), t.s1[: t.n] * t.s2[: t.n] * bits)
-    return out
-
-
 def masked_diag_stack(t: CartesianTransform, cb: Codebook) -> np.ndarray:
-    """All codeword-bit baselines at once: (codeword_len, pi, pi)."""
+    """Exact sketches of the diagonal 0/1 masks, one per codeword bit: (codeword_len, pi, pi)."""
     bits = cb.bit_matrix()[: t.n].astype(np.float64)  # (n, codeword_len)
     signed = bits * (t.s1[: t.n] * t.s2[: t.n])[:, None]
     out = np.zeros((cb.codeword_len, t.pi, t.pi))
-    idx = (t.p1[: t.n], t.p2[: t.n])
-    for l in range(cb.codeword_len):
-        np.add.at(out[l], idx, signed[:, l])
+    np.add.at(out, (slice(None), t.p1[: t.n], t.p2[: t.n]), signed.T)
     return out

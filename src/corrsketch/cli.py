@@ -68,74 +68,56 @@ def cmd_ingest(args) -> int:
 def cmd_query(args) -> int:
     seed, generated = _resolve_seed(args.seed)
     store = RowSketchStore.load(args.snapshot)
-    if args.phi > 1.0:
-        # no correlation can exceed 1; the report is trivially empty
-        header = {"seed": seed, "phi": args.phi, "pairs": 0}
-        print(json.dumps({"type": "run", **header}) if args.json
-              else "# " + " ".join(f"{k}={v}" for k, v in header.items()))
-        return 0
-    qstore = store if store.standardized else store.standardized_copy()
-    cb = ecc.for_index_space(store.n)
-    if args.mode == "strict":
+    header = {"seed": seed, "phi": args.phi}
+    rows = []
+    # no correlation can exceed 1; above it the report is trivially empty
+    if args.phi <= 1.0:
+        if not store.standardized:
+            store.standardize()
+        cb = ecc.for_index_space(store.n)
+        overrides = {}
+        if args.mode == "practical":
+            overrides = dict(
+                groups=args.pi,
+                reps=args.gamma,
+                epsilon=store.transform.epsilon,
+                delta=store.transform.delta,
+            )
         params = recovery.select_parameters(
-            store.n, args.phi, args.k, args.R, args.theta, cb, "strict"
+            store.n, args.phi, args.k, args.R, args.theta, cb, args.mode, **overrides
         )
-        if store.transform.epsilon > params.epsilon or store.transform.delta > params.delta:
+        if args.mode == "strict" and (
+            store.transform.epsilon > params.epsilon or store.transform.delta > params.delta
+        ):
             print(
                 f"warning: snapshot sketch (epsilon={store.transform.epsilon:.3g}, "
                 f"delta={store.transform.delta:.3g}) is coarser than strict requires "
                 f"(epsilon={params.epsilon:.3g}, delta={params.delta:.3g})",
                 file=sys.stderr,
             )
-    else:
-        params = recovery.select_parameters(
-            store.n,
-            args.phi,
-            args.k,
-            args.R,
-            args.theta,
-            cb,
-            "practical",
-            groups=args.pi,
-            reps=args.gamma,
-            epsilon=store.transform.epsilon,
-            delta=store.transform.delta,
+        diagnostics: list = []
+        counts: dict = {}
+        result = recovery.recover(
+            store, params, cb, seed, threads=args.threads, diagnostics=diagnostics, counts=counts
         )
-    diagnostics: list = []
-    counts: dict = {}
-    result = recovery.recover(
-        qstore,
-        params,
-        cb,
-        seed,
-        verify=args.verify,
-        threads=args.threads,
-        diagnostics=diagnostics,
-        counts=counts,
-    )
-    annotated = recovery.verify_candidates(qstore, result, args.phi)
-    annotated.sort(key=lambda r: (-abs(r[2]), r[0], r[1]))
-    for diag in diagnostics:
-        print(diag, file=sys.stderr)
-    if generated:
-        print(f"seed={seed}", file=sys.stderr)
-    header = {
-        "seed": seed,
-        "phi": args.phi,
-        "pi": params.groups,
-        "gamma": params.reps,
-        "mode": params.mode,
-        "pairs": len(annotated),
-    }
+        for i, j, est, accepted in recovery.verify_candidates(store, result, args.phi):
+            if accepted or not args.verify:
+                rows.append((i, j, est, max(counts.get((i, j), 0), counts.get((j, i), 0))))
+        rows.sort(key=lambda r: (-abs(r[2]), r[0], r[1]))
+        for diag in diagnostics:
+            print(diag, file=sys.stderr)
+        if generated:
+            print(f"seed={seed}", file=sys.stderr)
+        header.update(pi=params.groups, gamma=params.reps, mode=params.mode)
+    header["pairs"] = len(rows)
     if args.json:
         print(json.dumps({"type": "run", **header}))
-        for i, j, est, _ in annotated:
-            count = max(counts.get((i, j), 0), counts.get((j, i), 0))
-            print(json.dumps({"type": "pair", "i": i, "j": j, "estimate": est, "count": count}))
     else:
         print("# " + " ".join(f"{k}={v}" for k, v in header.items()))
-        for i, j, est, _ in annotated:
-            count = max(counts.get((i, j), 0), counts.get((j, i), 0))
+    for i, j, est, count in rows:
+        if args.json:
+            print(json.dumps({"type": "pair", "i": i, "j": j, "estimate": est, "count": count}))
+        else:
             print(f"{i} {j} {est:.6f} {count}")
     return 0
 

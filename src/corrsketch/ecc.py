@@ -268,23 +268,17 @@ class Codebook:
                 m += 1
                 continue
             coef = field.mul(d, field.inv(b))
+            T = C[:]
+            C.extend([0] * (len(B) + m - len(C)))  # no-op when C is long enough
+            for i, Bi in enumerate(B):
+                if Bi:
+                    C[i + m] ^= field.mul(coef, Bi)
             if 2 * L <= step:
-                T = C[:]
-                if len(B) + m > len(C):
-                    C = C + [0] * (len(B) + m - len(C))
-                for i, Bi in enumerate(B):
-                    if Bi:
-                        C[i + m] ^= field.mul(coef, Bi)
                 L = step + 1 - L
                 B = T
                 b = d
                 m = 1
             else:
-                if len(B) + m > len(C):
-                    C = C + [0] * (len(B) + m - len(C))
-                for i, Bi in enumerate(B):
-                    if Bi:
-                        C[i + m] ^= field.mul(coef, Bi)
                 m += 1
         return C, L
 

@@ -23,6 +23,7 @@ The multiply is injectable so a different kernel can be swapped in.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 import warnings
@@ -379,24 +380,44 @@ def recovery_step(
     return pairs
 
 
-def _vote(run_rep, n_reps: int, threads: int, diagnostics):
-    counts: Counter = Counter()
-    diags = []
+def _vote(
+    n: int, buckets_of, params: QueryParams, cb: Codebook, seed: int, threads: int,
+    diagnostics: list | None, counts: dict | None = None, *, subtract_baseline: bool = True,
+) -> set[tuple[int, int]]:
+    """Vote over ``params.reps`` repetitions; keep pairs with a majority.
+
+    Repetition k draws its grouping from the k-th seed-stream value,
+    takes the masked buckets from ``buckets_of(cart)``, thresholds and
+    decodes them. Ordered pairs are counted separately and majority
+    survivors are canonicalized to i < j. Threads change only the
+    schedule: results are merged in repetition order.
+    """
+    draws = seed_stream(seed)
+    rep_seeds = [next(draws) for _ in range(params.reps)]
+
+    def run_rep(idx: int):
+        t0 = time.perf_counter()
+        cart = CartesianTransform(n, params.groups, rep_seeds[idx])
+        pairs, failures = _recovery_step_counted(
+            buckets_of(cart), cart, cb, params.phi, subtract_baseline=subtract_baseline
+        )
+        elapsed = (time.perf_counter() - t0) * 1000.0
+        return pairs, RepetitionDiagnostics(idx, failures, len(pairs), elapsed)
+
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            for pairs, diag in pool.map(run_rep, range(n_reps)):
-                counts.update(pairs)
-                diags.append(diag)
+            results = list(pool.map(run_rep, range(params.reps)))
     else:
-        for idx in range(n_reps):
-            pairs, diag = run_rep(idx)
-            counts.update(pairs)
-            diags.append(diag)
-    if diagnostics is not None:
-        diagnostics.extend(sorted(diags, key=lambda d: d.index))
-    quota = math.ceil(n_reps / 2.0)
-    survivors = {pair for pair, c in counts.items() if c >= quota}
-    return {(min(i, j), max(i, j)) for i, j in survivors}, counts
+        results = map(run_rep, range(params.reps))
+    votes: Counter = Counter()
+    for pairs, diag in results:
+        votes.update(pairs)
+        if diagnostics is not None:
+            diagnostics.append(diag)
+    if counts is not None:
+        counts.update(votes)
+    quota = math.ceil(params.reps / 2.0)
+    return {(min(i, j), max(i, j)) for (i, j), c in votes.items() if c >= quota}
 
 
 def recover(
@@ -413,31 +434,18 @@ def recover(
     """Full query: vote over ``params.reps`` independent repetitions.
 
     Each repetition draws a fresh grouping from the seed sequence; the
-    sketch transform and codebook stay fixed. Ordered pairs are counted
-    separately across repetitions, majority survivors are canonicalized
-    to i < j, and (optionally) re-checked against the direct pairwise
-    sketch estimate. ``counts``, when given, is filled with the ordered
-    per-pair vote counts.
+    sketch transform and codebook stay fixed. Majority survivors are
+    (optionally) re-checked against the direct pairwise sketch estimate.
+    ``counts``, when given, is filled with the ordered per-pair vote
+    counts.
     """
     if not store.standardized:
         raise SketchStateError("recover requires a standardized store")
-    draws = seed_stream(seed)
-    rep_seeds = [next(draws) for _ in range(params.reps)]
-    gram = _median_gram(store) if params.groups >= store.n else None
-
-    def run_rep(idx: int):
-        t0 = time.perf_counter()
-        cart = CartesianTransform(store.n, params.groups, rep_seeds[idx])
-        buckets = (
-            approximate(store, cart, cb) if gram is None else _singleton_buckets(gram, cart, cb)
-        )
-        pairs, failures = _recovery_step_counted(buckets, cart, cb, params.phi)
-        elapsed = (time.perf_counter() - t0) * 1000.0
-        return pairs, RepetitionDiagnostics(idx, failures, len(pairs), elapsed)
-
-    result, vote_counts = _vote(run_rep, params.reps, threads, diagnostics)
-    if counts is not None:
-        counts.update(vote_counts)
+    if params.groups >= store.n:
+        buckets_of = functools.partial(_singleton_buckets, _median_gram(store), cb=cb)
+    else:
+        buckets_of = functools.partial(approximate, store, cb=cb)
+    result = _vote(store.n, buckets_of, params, cb, seed, threads, diagnostics, counts)
     if verify:
         result = {
             (i, j) for i, j, _, accepted in verify_candidates(store, result, params.phi) if accepted
@@ -494,23 +502,13 @@ def recover_diff(
         raise ValueError("snapshot stores have different row counts")
     if not (store_a.standardized and store_b.standardized):
         raise SketchStateError("recover_diff requires standardized stores")
-    draws = seed_stream(seed)
-    rep_seeds = [next(draws) for _ in range(params.reps)]
-    gram = _median_gram(store_a) - _median_gram(store_b) if params.groups >= store_a.n else None
-
-    def run_rep(idx: int):
-        t0 = time.perf_counter()
-        cart = CartesianTransform(store_a.n, params.groups, rep_seeds[idx])
-        if gram is not None:
-            diff = _singleton_buckets(gram, cart, cb)
-        else:
+    if params.groups >= store_a.n:
+        gram = _median_gram(store_a) - _median_gram(store_b)
+        buckets_of = functools.partial(_singleton_buckets, gram, cb=cb)
+    else:
+        def buckets_of(cart):
             a, b = approximate(store_a, cart, cb), approximate(store_b, cart, cb)
-            diff = MaskedBucketSet(a.row_masked - b.row_masked, a.col_masked - b.col_masked)
-        pairs, failures = _recovery_step_counted(
-            diff, cart, cb, params.phi, subtract_baseline=False
-        )
-        elapsed = (time.perf_counter() - t0) * 1000.0
-        return pairs, RepetitionDiagnostics(idx, failures, len(pairs), elapsed)
-
-    result, _ = _vote(run_rep, params.reps, threads, diagnostics)
-    return result
+            return MaskedBucketSet(a.row_masked - b.row_masked, a.col_masked - b.col_masked)
+    return _vote(
+        store_a.n, buckets_of, params, cb, seed, threads, diagnostics, subtract_baseline=False
+    )

@@ -137,20 +137,13 @@ def test_sketch_vector_zero_and_basis():
 
 def test_ones_sketch_fold_equivalence():
     t = SketchTransform(64, 16, 5, seed=8)
-    eager = RowSketchStore(t, 1)
-    assert np.array_equal(eager.ones_sketch, t.sketch_vector(np.ones(64)))
-
-    lazy = RowSketchStore(t, 1, eager_ones=False)
-    assert lazy.ones_built == 0
-    for j in range(5):  # interleaved: a few updates fold a few basis vectors
-        lazy.apply(StreamUpdate(0.5, 0, j))
-    assert lazy.ones_built == 5
-    lazy.finalize_ones()
-    assert lazy.ones_built == 64
-    assert np.array_equal(lazy.ones_sketch, eager.ones_sketch)
-    before = lazy.ones_sketch.copy()
-    lazy.finalize_ones()  # idempotent
-    assert np.array_equal(lazy.ones_sketch, before)
+    store = RowSketchStore(t, 1)
+    assert np.array_equal(store.ones_sketch, t.sketch_vector(np.ones(64)))
+    before = store.ones_sketch.copy()
+    for j in range(5):  # updates never touch the all-ones sketch
+        store.apply(StreamUpdate(0.5, 0, j))
+    store.finalize_ones()  # a no-op: the constructor built it whole
+    assert np.array_equal(store.ones_sketch, before)
 
 
 def test_inner_product_examples():
@@ -207,16 +200,6 @@ def test_no_updates_after_standardize(rng):
         store.apply(StreamUpdate(1.0, 0, 0))
     with pytest.raises(SketchStateError):
         store.standardize()
-
-
-def test_standardize_requires_complete_ones(rng):
-    t = SketchTransform(32, 16, 5, seed=2)
-    store = RowSketchStore(t, 2, eager_ones=False)
-    store.apply(StreamUpdate(1.0, 0, 3))
-    with pytest.raises(SketchStateError):
-        store.standardize()
-    store.finalize_ones()
-    store.standardize()
 
 
 def test_exact_rescaling_matches_true_norm(rng):
@@ -276,7 +259,7 @@ def test_snapshot_roundtrip_bit_exact(tmp_path, rng):
     assert np.array_equal(back.totals, store.totals)
     assert np.array_equal(back.square_totals, store.square_totals)
     assert np.array_equal(back.ones_sketch, store.ones_sketch)
-    assert back.ones_built == store.ones_built and not back.standardized
+    assert not back.standardized
 
     store.standardize()
     spath = tmp_path / "std.snap"
@@ -336,6 +319,21 @@ def test_load_refuses_non_finite_payload(tmp_path, section, index, bad, name):
     struct.pack_into("<d", raw, struct.calcsize(_HEADER_FORMAT) + 8 * (start + index), bad)
     path.write_bytes(bytes(raw))
     with pytest.raises(SnapshotFormatError, match=f"non-finite value in {name}"):
+        RowSketchStore.load(path)
+
+
+@pytest.mark.parametrize("ones_built", [31, 0])
+def test_load_refuses_incomplete_ones_sketch(tmp_path, ones_built):
+    # the header's ones_built field must equal p: a store has no partly built all-ones sketch
+    path = tmp_path / "s.snap"
+    RowSketchStore.from_matrix(SketchTransform(32, 16, 5, seed=4), np.eye(3, 32)).save(path)
+    raw = bytearray(path.read_bytes())
+    parts = list(struct.unpack_from(_HEADER_FORMAT, raw))
+    assert parts[3] == parts[8] == 32  # p, ones_built
+    parts[8] = ones_built
+    struct.pack_into(_HEADER_FORMAT, raw, 0, *parts)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(SnapshotFormatError, match="ones_built"):
         RowSketchStore.load(path)
 
 

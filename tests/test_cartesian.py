@@ -4,16 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrsketch import ecc
-from corrsketch.cartesian import (
-    cart_exact,
-    cart_masked_diag,
-    masked_diag_stack,
-    new_cartesian,
-)
+from corrsketch.cartesian import CartesianTransform, cart_exact, masked_diag_stack
 
 
 def test_single_group_collapses_everything():
-    t = new_cartesian(8, 1, seed=1)
+    t = CartesianTransform(8, 1, seed=1)
     assert np.all(t.p1 == 0) and np.all(t.p2 == 0)
     rng = np.random.default_rng(2)
     a = rng.standard_normal((8, 8))
@@ -24,34 +19,34 @@ def test_single_group_collapses_everything():
 
 
 def test_full_groups_are_permutations():
-    t = new_cartesian(16, 16, seed=3)
+    t = CartesianTransform(16, 16, seed=3)
     assert sorted(t.p1) == list(range(16))
     assert sorted(t.p2) == list(range(16))
 
 
 def test_partitions_balanced_many_seeds():
     for seed in range(100):
-        t = new_cartesian(64, 8, seed=seed)
+        t = CartesianTransform(64, 8, seed=seed)
         for part in (t.p1, t.p2):
             counts = np.bincount(part, minlength=8)
             assert np.all(counts == 8)
 
 
 def test_padding_keeps_groups_balanced():
-    t = new_cartesian(10, 4, seed=5)
+    t = CartesianTransform(10, 4, seed=5)
     assert t.n_padded == 12 and t.block == 3
     assert np.all(np.bincount(t.p1) == 3)
 
 
 def test_invalid_parameters():
     with pytest.raises(ValueError):
-        new_cartesian(8, 0, seed=1)
+        CartesianTransform(8, 0, seed=1)
     with pytest.raises(ValueError):
-        new_cartesian(0, 2, seed=1)
+        CartesianTransform(0, 2, seed=1)
 
 
 def test_cart_exact_zero_matrix():
-    t = new_cartesian(6, 3, seed=7)
+    t = CartesianTransform(6, 3, seed=7)
     assert not np.any(cart_exact(t, np.zeros((6, 6))))
     with pytest.raises(ValueError):
         cart_exact(t, np.zeros((5, 5)))
@@ -59,7 +54,7 @@ def test_cart_exact_zero_matrix():
 
 def test_cart_exact_against_double_loop(rng):
     n, pi = 16, 4
-    t = new_cartesian(n, pi, seed=11)
+    t = CartesianTransform(n, pi, seed=11)
     a = rng.standard_normal((n, n))
     got = cart_exact(t, a)
     expect = np.zeros((pi, pi))
@@ -70,7 +65,7 @@ def test_cart_exact_against_double_loop(rng):
 
 
 def test_cart_linearity(rng):
-    t = new_cartesian(12, 3, seed=13)
+    t = CartesianTransform(12, 3, seed=13)
     a = rng.standard_normal((12, 12))
     b = rng.standard_normal((12, 12))
     assert np.allclose(cart_exact(t, a + b), cart_exact(t, a) + cart_exact(t, b))
@@ -82,44 +77,41 @@ def test_masked_diag_zero_bit_column():
     cb = ecc.for_index_space(4)
     zero_cols = np.nonzero(~np.any(cb.bit_matrix(), axis=0))[0]
     assert zero_cols.size > 0
-    t = new_cartesian(4, 2, seed=17)
-    assert not np.any(cart_masked_diag(t, cb, int(zero_cols[0])))
+    t = CartesianTransform(4, 2, seed=17)
+    assert not np.any(masked_diag_stack(t, cb)[zero_cols])
 
 
 def test_masked_diag_singleton_groups():
     cb = ecc.for_index_space(8)
-    t = new_cartesian(8, 8, seed=19)
-    for l in (0, 3, cb.blocklen - 1):
-        got = cart_masked_diag(t, cb, l)
-        for i in range(8):
-            expect = t.s1[i] * t.s2[i] * cb.mask_bit(l, i)
-            assert got[t.p1[i], t.p2[i]] == expect
-
-
-def test_masked_diag_matches_dense_oracle(rng):
-    n, pi = 64, 8
-    cb = ecc.for_index_space(n)
-    t = new_cartesian(n, pi, seed=23)
-    for l in rng.choice(cb.blocklen, size=6, replace=False):
-        diag = np.diag([cb.mask_bit(int(l), i) for i in range(n)]).astype(float)
-        assert np.allclose(cart_masked_diag(t, cb, int(l)), cart_exact(t, diag), atol=1e-12)
+    t = CartesianTransform(8, 8, seed=19)
     stack = masked_diag_stack(t, cb)
     for l in range(cb.blocklen):
-        assert np.array_equal(stack[l], cart_masked_diag(t, cb, l))
-    with pytest.raises(IndexError):
-        cart_masked_diag(t, cb, cb.blocklen)
+        for i in range(8):
+            expect = t.s1[i] * t.s2[i] * cb.mask_bit(l, i)
+            assert stack[l, t.p1[i], t.p2[i]] == expect
+
+
+def test_masked_diag_matches_dense_oracle():
+    for n, pi in ((64, 8), (37, 5)):  # pi | n, and phantom padding
+        cb = ecc.for_index_space(n)
+        t = CartesianTransform(n, pi, seed=23)
+        stack = masked_diag_stack(t, cb)
+        assert stack.shape == (cb.blocklen, pi, pi)
+        for l in range(cb.blocklen):
+            diag = np.diag(cb.bit_matrix()[:, l]).astype(float)
+            assert np.allclose(stack[l], cart_exact(t, diag), atol=1e-12)
 
 
 def test_transform_determinism():
-    a = new_cartesian(32, 4, seed=99)
-    b = new_cartesian(32, 4, seed=99)
+    a = CartesianTransform(32, 4, seed=99)
+    b = CartesianTransform(32, 4, seed=99)
     assert np.array_equal(a.p1, b.p1) and np.array_equal(a.s2, b.s2)
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_signs_are_plus_minus_one(seed):
-    t = new_cartesian(24, 6, seed=seed)
+    t = CartesianTransform(24, 6, seed=seed)
     assert set(np.unique(t.s1)) <= {-1.0, 1.0}
     assert set(np.unique(t.s2)) <= {-1.0, 1.0}
 
@@ -129,6 +121,6 @@ def test_variance_bound_smoke(rng):
     n, pi = 16, 4
     a = rng.standard_normal((n, n))
     np.fill_diagonal(a, 0.0)
-    samples = np.stack([cart_exact(new_cartesian(n, pi, seed=s), a) for s in range(300)])
+    samples = np.stack([cart_exact(CartesianTransform(n, pi, seed=s), a) for s in range(300)])
     bound = (a * a).sum() / pi**2
     assert samples.var(axis=0, ddof=1).max() <= 1.5 * bound

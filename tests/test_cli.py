@@ -1,10 +1,12 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from corrsketch import cli, oracle
 from corrsketch.ams import RowSketchStore
+from corrsketch.bench import BenchGrid, parse_grid
 from corrsketch.stream import DenseMatrix, StreamModel, matrix_to_updates, write_stream_file
 
 
@@ -185,6 +187,30 @@ def test_query_above_one_threshold_is_empty(tmp_path, capsys, planted_stream):
     assert [l for l in out.splitlines() if not l.startswith("#")] == []
 
 
+def test_query_verifies_once(tmp_path, capsys, planted_stream):
+    # eps = 0.5 makes verification vacuous at phi = 0.8: the warning names it
+    # once per query, and --verify then keeps every survivor
+    stream, _ = planted_stream
+    snap = tmp_path / "p.snap"
+    run_cli(
+        capsys, "ingest", "--model", "rps", "--input", str(stream), "--out", str(snap),
+        "--epsilon", "0.5", "--delta", "0.3", "--seed", "2",
+    )
+    outs = []
+    for flag in ("--verify", "--no-verify"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, _ = run_cli(
+                capsys, "query", "--snapshot", str(snap), "--phi", "0.8", "--k", "1",
+                "--R", "0", "--pi", "24", "--gamma", "3", "--seed", "3", flag,
+            )
+        assert code == 0
+        assert sum("verification is vacuous" in str(w.message) for w in caught) == 1
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert outs[0].splitlines()[1].startswith("2 9 ")
+
+
 def test_query_malformed_snapshot(tmp_path, capsys):
     bad = tmp_path / "bad.snap"
     bad.write_bytes(b"garbage")
@@ -283,3 +309,19 @@ def test_bench_smoke(tmp_path, capsys):
     assert lines[0] == "n,p,pi,sketch_bytes,ingest_s,query_s"
     assert len(lines) == 3
     assert "query_time_exponent" in out and "sketch_bytes_exponent" in out
+
+
+def test_parse_grid_sets_every_key():
+    grid = parse_grid(
+        " n=8,16 ;p=32;phi=0.7;k=3;R=0.25;theta=0.5;epsilon=0.2;delta=0.3;gamma=5;seed=9;"
+    )
+    assert grid == BenchGrid(
+        n_values=[8, 16], p=32, phi=0.7, k=3, residual_bound=0.25, theta=0.5,
+        epsilon=0.2, delta=0.3, reps=5, seed=9,
+    )
+    assert parse_grid("r=0.125").residual_bound == 0.125
+    assert parse_grid("") == BenchGrid()
+    with pytest.raises(ValueError, match="unknown grid key 'q'"):
+        parse_grid("p=8;q=1")
+    with pytest.raises(ValueError, match="key=value"):
+        parse_grid("p=8;n")

@@ -1,5 +1,9 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrsketch import ecc
 
@@ -142,3 +146,37 @@ def test_zero_word_decodes_to_index_zero(cb16):
     # index 0 encodes to the zero codeword; recovery drops the (0, 0) diagonal
     assert not np.any(cb16.encode(0))
     assert cb16.decode(np.zeros(cb16.blocklen, dtype=np.uint8)) == 0
+
+
+@lru_cache(maxsize=None)
+def _design_codebook(m, t):
+    """The design's codebook over as many indices as it addresses, at most 4096."""
+    return ecc.Codebook(min(1 << ecc.Codebook(2, m, t).msg_bits, 4096), m, t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    design=st.sampled_from(ecc._DESIGNS),
+    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6),
+)
+def test_decode_design_properties(design, seeds):
+    # a batch of random codewords, each with 0..2t+1 random flips
+    cb = _design_codebook(*design)
+    t = cb.n_correctable
+    batch, truth, nflips = [], [], []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        i, k = int(rng.integers(cb.n)), int(rng.integers(0, 2 * t + 2))
+        w = cb.encode(i)
+        w[rng.choice(cb.blocklen, size=k, replace=False)] ^= 1
+        batch.append(w)
+        truth.append(i)
+        nflips.append(k)
+    decoded = cb.decode_words(np.stack(batch))
+    for w, i, k, r in zip(batch, truth, nflips, decoded):
+        if k <= t:
+            assert r == i  # within the radius: always the sent index
+        if r >= 0:  # any success lies within the radius of its codeword
+            assert int(np.sum(w != cb.encode(int(r)))) <= t
+        scalar = cb.decode(w)
+        assert (-1 if scalar is None else scalar) == r

@@ -337,14 +337,24 @@ def test_recover_anticorrelated_pair():
     assert recover(store, params, cb, seed=55, verify=True) == {(9, 40)}
 
 
+def _diag_key(diags):
+    """Diagnostics without the wall-clock field."""
+    return [(d.index, d.decode_failures, d.candidates) for d in diags]
+
+
 def test_recover_deterministic_and_thread_invariant():
     store, _ = _planted_store()
     cb = ecc.for_index_space(store.n)
-    params = practical(store.n, 0.8, cb, groups=32, reps=6, transform=store.transform)
-    a = recover(store, params, cb, seed=5)
-    b = recover(store, params, cb, seed=5)
-    c = recover(store, params, cb, seed=5, threads=2)
-    assert a == b == c
+    for groups in (32, 64):  # grouped, and singleton groups (median Gram)
+        params = practical(store.n, 0.8, cb, groups=groups, reps=6, transform=store.transform)
+        runs = []
+        for threads in (1, 1, 2):
+            diags, counts = [], {}
+            pairs = recover(store, params, cb, seed=5, threads=threads, diagnostics=diags,
+                            counts=counts)
+            runs.append((pairs, counts, _diag_key(diags)))
+        assert runs[0] == runs[1] == runs[2]
+        assert [i for i, _, _ in runs[0][2]] == list(range(6))
 
 
 def test_recover_majority_monotone_under_nested_seeds():
@@ -544,6 +554,21 @@ def test_recover_diff_reordered_stream_is_empty(rng):
     cb = ecc.for_index_space(16)
     params = practical(16, 0.5, cb, groups=8, reps=4, transform=t)
     assert recover_diff(a, b, params, cb, seed=19) == set()
+
+
+@pytest.mark.parametrize("groups", [16, 32])  # pi < n, and singleton groups
+def test_recover_diff_thread_invariant(groups):
+    before, after, pair = _diff_stores()
+    cb = ecc.for_index_space(before.n)
+    params = practical(before.n, 0.7, cb, groups=groups, reps=5, transform=before.transform)
+    runs = []
+    for threads in (1, 2):
+        diags = []
+        pairs = recover_diff(after, before, params, cb, seed=13, threads=threads, diagnostics=diags)
+        runs.append((pairs, _diag_key(diags)))
+    assert runs[0] == runs[1]
+    assert pair in runs[0][0]
+    assert [i for i, _, _ in runs[0][1]] == list(range(5))
 
 
 def test_recover_diff_rejects_mismatched_transforms(rng):
