@@ -7,10 +7,12 @@ vectors (median over the d rows), with error eps*|x|*|y| where b = 4/eps^2
 and d = 8*ln(1/delta), per the usual median-of-means constants.
 
 The RowSketchStore keeps one sketch per row of the observation matrix plus
-running totals, supports turnstile updates in O(d) time, and standardizes
-in place at query time so that inner products estimate correlations. The
-all-ones sketch that standardization subtracts is a fixed function of the
-transform, so the store's constructor builds it whole.
+the row totals. Both are linear in the stream, so turnstile updates (O(d)
+time each) may arrive in any order, split or cancelled. At query time the
+store standardizes in place so that inner products estimate correlations.
+The all-ones sketch that standardization subtracts is a fixed function of
+the transform, so the store's constructor builds it whole. The rows sit in
+memory in snapshot order, so save and load move each section in one call.
 
 The (d, p) bucket and sign tables are built when a store is constructed
 (for its all-ones sketch) and cached on the transform. A query reads only
@@ -19,6 +21,7 @@ the row sketches, so loading a snapshot and querying it never builds them.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 import os
@@ -38,7 +41,6 @@ NORM_TOLERANCE = 1e-12  # squared-norm floor (times p) below which a row is dege
 SNAPSHOT_MAGIC = b"CSKSNAP1"
 SNAPSHOT_VERSION = 1
 _FLAG_STANDARDIZED = 1
-_FLAG_TRACK_SQUARES = 2
 _FLAG_EXACT = 4
 # magic, version, n, p, width, depth, seed, flags, ones_built; ones_built
 # (columns folded into the all-ones sketch) is always p
@@ -188,9 +190,6 @@ class SketchTransform:
             == (other.p, other.width, other.depth, other.seed, other.exact)
         )
 
-    def zero_sketch(self) -> np.ndarray:
-        return np.zeros((self.depth, self.width))
-
     def sketch_vector(self, v) -> np.ndarray:
         """Sketch a dense length-p vector (the sum of its basis updates).
 
@@ -220,20 +219,21 @@ def inner_product(a: np.ndarray, b: np.ndarray) -> float:
 class RowSketchStore:
     """Per-row AMS sketches r^(i), totals t^(i), and the all-ones sketch.
 
-    Layout note: sketches live in one (depth, n, width) array so the query
-    path can slice a contiguous n x width matrix per sketch row;
-    ``row_sketch(i)`` returns the d x b view of row i.
+    Layout note: ``rows`` is indexed (depth, n, width), so ``rows[t]`` is
+    the n x width matrix of sketch row t that the query multiplies. Its
+    memory is row-major (n, depth, width), the order a snapshot stores it,
+    so ``row_sketch(i)`` is one contiguous d x b block and save and load
+    move all rows in one call.
     """
 
-    def __init__(self, transform: SketchTransform, n: int, *, track_squares: bool = False):
+    def __init__(self, transform: SketchTransform, n: int):
         if n < 1:
             raise ValueError("store needs at least one row")
         self.transform = transform
         self.n = int(n)
         self.p = transform.p
-        self.rows = np.zeros((transform.depth, n, transform.width))
+        self.rows = np.zeros((n, transform.depth, transform.width)).transpose(1, 0, 2)
         self.totals = np.zeros(n)
-        self.square_totals = np.zeros(n) if track_squares else None
         # one bincount per sketch row; sums of +-1 are exact in any order
         self.ones_sketch = np.stack(
             [
@@ -245,19 +245,17 @@ class RowSketchStore:
         self.degenerate = np.zeros(n, dtype=bool)
 
     @classmethod
-    def from_matrix(cls, transform: SketchTransform, values, **kwargs) -> "RowSketchStore":
+    def from_matrix(cls, transform: SketchTransform, values) -> "RowSketchStore":
         """Sketch every row of a dense matrix (test and bench convenience)."""
         values = np.asarray(values, dtype=np.float64)
         bad = np.argwhere(~np.isfinite(values))
         if bad.size:
             i, j = bad[0]
             raise ValueError(f"non-finite value {values[i, j]} at cell ({i}, {j})")
-        store = cls(transform, values.shape[0], **kwargs)
+        store = cls(transform, values.shape[0])
         for i in range(store.n):
             store.rows[:, i, :] = transform.sketch_vector(values[i])
         store.totals[:] = values.sum(axis=1)
-        if store.square_totals is not None:
-            store.square_totals[:] = (values * values).sum(axis=1)
         return store
 
     def apply(self, u: StreamUpdate):
@@ -271,8 +269,6 @@ class RowSketchStore:
         t = self.transform
         self.rows[t._rows_idx, u.i, t.bucket_of[:, u.j]] += u.alpha * t.sign_of[:, u.j]
         self.totals[u.i] += u.alpha
-        if self.square_totals is not None:
-            self.square_totals[u.i] += u.alpha * u.alpha
 
     def finalize_ones(self):
         """No-op: the constructor already built the whole all-ones sketch."""
@@ -283,48 +279,33 @@ class RowSketchStore:
     def inner(self, i: int, j: int) -> float:
         return inner_product(self.rows[:, i, :], self.rows[:, j, :])
 
-    def standardize(self, *, exact: bool = False):
+    def standardize(self):
         """Shift every sketch to zero row-mean and rescale to unit norm.
 
         The shift uses the exact total; the scale divides by the sketch's
-        own norm estimate (or the exact running-sum factor when the store
-        tracked squared updates and ``exact`` is set). Rows whose squared
-        norm falls below 1e-12 * p are flagged degenerate and zeroed so
-        they drop out of recovery. Destructive; see standardized_copy.
+        own norm estimate, the median over sketch rows of its squared norm.
+        Rows whose squared norm falls below 1e-12 * p are flagged
+        degenerate and zeroed so they drop out of recovery. Destructive;
+        see standardized_copy.
         """
         if self.standardized:
             raise SketchStateError("store already standardized")
-        if exact and self.square_totals is None:
-            raise SketchStateError("exact rescaling requires a store built with track_squares")
         means = self.totals / self.p
         for t in range(self.transform.depth):
             self.rows[t] -= np.outer(means, self.ones_sketch[t])
-        if exact:
-            norm_sq = self.square_totals - self.totals**2 / self.p
-        else:
-            norm_sq = np.median(np.einsum("tib,tib->ti", self.rows, self.rows), axis=0)
+        norm_sq = np.median(np.einsum("tib,tib->ti", self.rows, self.rows), axis=0)
         self.degenerate = norm_sq <= NORM_TOLERANCE * self.p
         safe = np.where(self.degenerate, 1.0, norm_sq)
         scale = np.where(self.degenerate, 0.0, 1.0 / np.sqrt(safe))
         self.rows *= scale[None, :, None]
         self.standardized = True
 
-    def standardized_copy(self, *, exact: bool = False) -> "RowSketchStore":
-        out = self.copy()
-        out.standardize(exact=exact)
-        return out
-
-    def copy(self) -> "RowSketchStore":
-        out = RowSketchStore.__new__(RowSketchStore)
-        out.transform = self.transform
-        out.n = self.n
-        out.p = self.p
-        out.rows = self.rows.copy()
+    def standardized_copy(self) -> "RowSketchStore":
+        """A standardized copy in the same memory order; this store is unchanged."""
+        out = copy.copy(self)
+        out.rows = self.rows.copy(order="K")
         out.totals = self.totals.copy()
-        out.square_totals = None if self.square_totals is None else self.square_totals.copy()
-        out.ones_sketch = self.ones_sketch.copy()
-        out.standardized = self.standardized
-        out.degenerate = self.degenerate.copy()
+        out.standardize()
         return out
 
     # -- snapshot io ---------------------------------------------------
@@ -333,8 +314,6 @@ class RowSketchStore:
         flags = 0
         if self.standardized:
             flags |= _FLAG_STANDARDIZED
-        if self.square_totals is not None:
-            flags |= _FLAG_TRACK_SQUARES
         if self.transform.exact:
             flags |= _FLAG_EXACT
         t = self.transform
@@ -349,24 +328,20 @@ class RowSketchStore:
             flags,
             self.p,
         )
+        # keep the files buffered: buffered write and readinto loop past the
+        # 2 GiB at which one raw call may stop
         with open(path, "wb") as fh:
             fh.write(header)
-            block = np.empty((t.depth, t.width), dtype="<f8")
-            for i in range(self.n):
-                block[...] = self.rows[:, i, :]
-                fh.write(block)
-            fh.write(np.ascontiguousarray(self.totals, dtype="<f8"))
-            fh.write(np.ascontiguousarray(self.ones_sketch, dtype="<f8"))
-            if self.square_totals is not None:
-                fh.write(np.ascontiguousarray(self.square_totals, dtype="<f8"))
+            for section in (self.rows.transpose(1, 0, 2), self.totals, self.ones_sketch):
+                fh.write(np.ascontiguousarray(section, dtype="<f8"))
 
     @classmethod
     def load(cls, path) -> "RowSketchStore":
         """Read a snapshot; refuse a malformed header, size or non-finite value.
 
         The header and the file size are checked before anything is
-        allocated, so a corrupt header cannot ask for a huge array. Row
-        blocks are read one at a time straight into place.
+        allocated, so a corrupt header cannot ask for a huge array. Each
+        section is then read in one call straight into place.
         """
         with open(path, "rb") as fh:
             head = fh.read(_HEADER.size)
@@ -377,12 +352,12 @@ class RowSketchStore:
                 raise SnapshotFormatError(f"bad magic {magic!r}")
             if version != SNAPSHOT_VERSION:
                 raise SnapshotFormatError(f"unsupported snapshot version {version}")
+            if flags & ~(_FLAG_STANDARDIZED | _FLAG_EXACT):
+                raise SnapshotFormatError(f"unknown snapshot flags {flags:#x}")
             exact = bool(flags & _FLAG_EXACT)
             if exact and (width, depth) != (p, 1):
                 raise SnapshotFormatError("exact-transform snapshot with mismatched shape")
-            track = bool(flags & _FLAG_TRACK_SQUARES)
-            cells = n * depth * width + n + depth * width + (n if track else 0)
-            expect = _HEADER.size + 8 * cells
+            expect = _HEADER.size + 8 * (n * depth * width + n + depth * width)
             size = os.fstat(fh.fileno()).st_size
             if size != expect:
                 raise SnapshotFormatError(f"snapshot is {size} bytes, expected {expect}")
@@ -400,21 +375,17 @@ class RowSketchStore:
             store.transform = transform
             store.n = n
             store.p = p
-            store.standardized = bool(flags & _FLAG_STANDARDIZED)
-            store.degenerate = np.zeros(n, dtype=bool)
-            store.rows = np.empty((depth, n, width))
-            block = np.empty((depth, width), dtype="<f8")
-            for i in range(n):
-                store.rows[:, i, :] = _read_finite(fh, block, f"row {i}")
-                if store.standardized:
-                    store.degenerate[i] = not block.any()
+            rows = _read_finite(fh, np.empty((n, depth, width), dtype="<f8"), "rows")
+            store.rows = rows.transpose(1, 0, 2)
             store.totals = _read_finite(fh, np.empty(n, dtype="<f8"), "totals")
             store.ones_sketch = _read_finite(
                 fh, np.empty((depth, width), dtype="<f8"), "ones_sketch"
             )
-            store.square_totals = (
-                _read_finite(fh, np.empty(n, dtype="<f8"), "square_totals") if track else None
-            )
+        store.standardized = bool(flags & _FLAG_STANDARDIZED)
+        # a standardized snapshot zeroed its degenerate rows
+        store.degenerate = (
+            ~rows.any(axis=(1, 2)) if store.standardized else np.zeros(n, dtype=bool)
+        )
         return store
 
 
@@ -422,6 +393,9 @@ def _read_finite(fh, out: np.ndarray, what: str) -> np.ndarray:
     """Fill ``out`` from the file; refuse a short read or a NaN/inf value."""
     if fh.readinto(out) != out.nbytes:
         raise SnapshotFormatError(f"snapshot truncated in {what}")
-    if not np.isfinite(out).all():
+    # min and max propagate NaN and reach any infinity, with no temporary array
+    if not (np.isfinite(out.min()) and np.isfinite(out.max())):
+        if what == "rows":  # name the first row that holds a bad value
+            what = f"row {np.argwhere(~np.isfinite(out))[0, 0]}"
         raise SnapshotFormatError(f"non-finite value in {what}")
     return out

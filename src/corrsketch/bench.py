@@ -76,7 +76,6 @@ def run_point(grid: BenchGrid, n: int) -> BenchRow:
         row = values[i]
         for j in range(grid.p):
             store.apply(StreamUpdate(row[j], i, j))
-    store.finalize_ones()
     ingest_s = time.perf_counter() - t0
     sketch_bytes = store.rows.nbytes + store.totals.nbytes + store.ones_sketch.nbytes
     store.standardize()

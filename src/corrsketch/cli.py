@@ -45,15 +45,14 @@ def cmd_ingest(args) -> int:
     seed, generated = _resolve_seed(args.seed)
     with open(args.input, "r", encoding="utf-8") as fh:
         model, updates = iter_stream(fh)
-        transform = SketchTransform.from_accuracy(model.p, args.epsilon, args.delta, seed)
-        store = RowSketchStore(transform, model.n)
         if args.model != model.variant:
             raise StreamFormatError(
                 f"--model {args.model} but stream header says {model.variant}"
             )
+        transform = SketchTransform.from_accuracy(model.p, args.epsilon, args.delta, seed)
+        store = RowSketchStore(transform, model.n)
         for u in updates:
             store.apply(u)
-    store.finalize_ones()
     store.save(args.out)
     size = os.path.getsize(args.out)
     if generated:

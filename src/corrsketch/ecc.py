@@ -157,11 +157,6 @@ class Codebook:
         """Fraction of codeword bits the decoder is guaranteed to correct."""
         return self.n_correctable / self.blocklen
 
-    @property
-    def expansion(self) -> float:
-        """Codeword length relative to the index bit width."""
-        return self.blocklen / self.bits
-
     def encode(self, i: int) -> np.ndarray:
         if not 0 <= i < self.n:
             raise IndexError(f"index {i} out of range [0, {self.n})")

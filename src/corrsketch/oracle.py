@@ -86,7 +86,6 @@ class PlantedSpec:
     n: int
     p: int
     planted: list[tuple[int, int, float]] = field(default_factory=list)
-    noise_scale: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -116,7 +115,7 @@ def plant_dataset(spec: PlantedSpec) -> tuple[DenseMatrix, list[tuple[int, int, 
     noise draw (norm too small to orthogonalize) is retried a few times.
     """
     rng = np.random.default_rng(spec.seed)
-    x = rng.standard_normal((spec.n, spec.p)) * spec.noise_scale
+    x = rng.standard_normal((spec.n, spec.p))
     truth = []
     for i, j, rho in spec.planted:
         base = x[i] - x[i].mean()
@@ -134,7 +133,7 @@ def plant_dataset(spec: PlantedSpec) -> tuple[DenseMatrix, list[tuple[int, int, 
         else:
             raise GenerationError(f"could not draw noise orthogonal to row {i}")
         v = g / g_norm
-        x[j] = (rho * u + np.sqrt(1.0 - rho * rho) * v) * spec.noise_scale
+        x[j] = rho * u + np.sqrt(1.0 - rho * rho) * v
         realized = float(
             np.corrcoef(np.stack([x[i], x[j]]))[0, 1]
         )

@@ -153,8 +153,10 @@ def select_parameters(
 
     if mode != "practical":
         raise ParameterError(f"unknown mode {mode!r}")
+    for name, value in (("groups (pi)", groups), ("reps (gamma)", reps)):
+        if value is not None and value < 1:
+            raise ParameterError(f"{name} must be at least 1, got {value}")
     pi = groups if groups is not None else min_group_count(n, phi, k, residual_bound, lam, theta)
-    pi = max(1, pi)
     gamma = reps if reps is not None else 16
     eps = 0.0 if epsilon is None else epsilon
     dlt = 0.0 if delta is None else delta
@@ -392,6 +394,8 @@ def _vote(
     survivors are canonicalized to i < j. Threads change only the
     schedule: results are merged in repetition order.
     """
+    if threads < 1:
+        raise ParameterError(f"threads must be at least 1, got {threads}")
     draws = seed_stream(seed)
     rep_seeds = [next(draws) for _ in range(params.reps)]
 

@@ -92,6 +92,22 @@ def test_ingest_model_mismatch_and_parse_error(tmp_path, capsys):
     assert code == 2 and "line 2" in err
 
 
+def test_ingest_checks_model_before_building_store(tmp_path, capsys, monkeypatch):
+    # a mismatched --model is refused before the transform tables or the store are built
+    def refuse(*args, **kwargs):
+        raise AssertionError("store built before the model check")
+
+    monkeypatch.setattr(RowSketchStore, "__init__", refuse)
+    stream = tmp_path / "m.stream"
+    stream.write_text("ts 4 4\n1.0 0 0\n")
+    code, _, err = run_cli(
+        capsys, "ingest", "--model", "cps", "--input", str(stream), "--out",
+        str(tmp_path / "x.snap"), "--epsilon", "0.5", "--delta", "0.5", "--seed", "1",
+    )
+    assert code == 2 and "--model cps but stream header says ts" in err
+    assert not (tmp_path / "x.snap").exists()
+
+
 def test_gen_ingest_query_oracle_pipeline(tmp_path, capsys):
     stream = tmp_path / "gen.stream"
     code, out, _ = run_cli(
@@ -276,6 +292,26 @@ def test_query_threads_flag_reproducible(tmp_path, capsys, planted_stream):
     _, out1, _ = run_cli(capsys, *base, "--threads", "1")
     _, out2, _ = run_cli(capsys, *base, "--threads", "2")
     assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [("--threads", "0", "threads"), ("--threads", "-3", "threads"),
+     ("--pi", "0", "groups (pi)"), ("--gamma", "0", "reps (gamma)")],
+)
+def test_query_refuses_settings_below_one(tmp_path, capsys, planted_stream, flag, value, message):
+    stream, _ = planted_stream
+    snap = tmp_path / "p.snap"
+    run_cli(
+        capsys, "ingest", "--model", "rps", "--input", str(stream), "--out", str(snap),
+        "--epsilon", "0.2", "--delta", "0.2", "--seed", "8",
+    )
+    code, out, err = run_cli(
+        capsys, "query", "--snapshot", str(snap), "--phi", "0.7", "--k", "2", "--R", "0",
+        "--seed", "3", flag, value,
+    )
+    assert code == 2 and out == ""
+    assert f"error: {message} must be at least 1, got {value}" in err
 
 
 def test_oracle_size_guard(tmp_path, capsys):

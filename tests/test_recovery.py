@@ -122,6 +122,15 @@ def test_select_parameters_validation():
         select_parameters(64, 0.5, 1, 0.0, 0.0, cb, "fancy")
 
 
+@pytest.mark.parametrize("field", ["groups", "reps"])
+@pytest.mark.parametrize("value", [0, -3])
+def test_select_parameters_refuses_counts_below_one(field, value):
+    # no clamp: zero groups or zero repetitions would vote on nothing
+    cb = ecc.for_index_space(64)
+    with pytest.raises(ParameterError, match=f"{field}.*got {value}"):
+        select_parameters(64, 0.5, 1, 0.0, 0.0, cb, "practical", **{field: value})
+
+
 # -- approximate -------------------------------------------------------------
 
 
@@ -521,6 +530,17 @@ def _diff_stores(seed=71, n=32, p=512, rho=0.9):
     before.standardize()
     after.standardize()
     return before, after, (i, j)
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_recover_refuses_threads_below_one(threads):
+    store, _ = _planted_store()
+    cb = ecc.for_index_space(store.n)
+    params = practical(store.n, 0.7, cb, groups=16, reps=2, transform=store.transform)
+    with pytest.raises(ParameterError, match=f"threads must be at least 1, got {threads}"):
+        recover(store, params, cb, seed=9, threads=threads)
+    with pytest.raises(ParameterError, match=f"threads must be at least 1, got {threads}"):
+        recover_diff(store, store, params, cb, seed=9, threads=threads)
 
 
 def test_recover_diff_identical_stores_empty():
