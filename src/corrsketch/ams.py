@@ -7,16 +7,20 @@ vectors (median over the d rows), with error eps*|x|*|y| where b = 4/eps^2
 and d = 8*ln(1/delta), per the usual median-of-means constants.
 
 The RowSketchStore keeps one sketch per row of the observation matrix plus
-the row totals. Both are linear in the stream, so turnstile updates (O(d)
-time each) may arrive in any order, split or cancelled. At query time the
-store standardizes in place so that inner products estimate correlations.
-The all-ones sketch that standardization subtracts is a fixed function of
-the transform, so the store's constructor builds it whole. The rows sit in
+the row totals. Both are linear in the stream, so turnstile updates may
+arrive in any order, split or cancelled. At query time the store
+standardizes in place so that inner products estimate correlations. The
+all-ones sketch that standardization subtracts is a fixed function of the
+transform, so the store's constructor builds it whole. The rows sit in
 memory in snapshot order, so save and load move each section in one call.
 
-The (d, p) bucket and sign tables are built when a store is constructed
-(for its all-ones sketch) and cached on the transform. A query reads only
-the row sketches, so loading a snapshot and querying it never builds them.
+Bucket and sign functions are seeded polynomials, evaluated on demand for
+a chunk of columns at a time (SketchTransform.hash_columns); no (d, p)
+table is ever held. The constructor folds the all-ones sketch over column
+chunks, and ``apply`` buffers checked updates and adds each full buffer
+with one np.add.at in stream order, so every cell sums its increments in
+the same order as one update at a time would, bit for bit. A query reads
+only the row sketches and never hashes.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 import copy
 import functools
 import math
+import operator
 import os
 import struct
 import numpy as np
@@ -35,6 +40,10 @@ from .stream import StreamUpdate
 # estimator needs, and evaluate vectorized in uint64 without overflow.
 _MERSENNE = np.uint64((1 << 31) - 1)
 _MASK64 = (1 << 64) - 1
+
+# columns hashed, or updates buffered, per vectorized step; bounds ingest's
+# working memory at a few times 16 * depth * _CHUNK bytes
+_CHUNK = 1 << 15
 
 NORM_TOLERANCE = 1e-12  # squared-norm floor (times p) below which a row is degenerate
 
@@ -78,14 +87,17 @@ def _field_points(count: int) -> np.ndarray:
 
 
 def _poly_values(coeffs, xs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Evaluate a degree-3 polynomial over GF(2^31 - 1) at reduced points.
+    """Evaluate degree-3 polynomials over GF(2^31 - 1) at reduced points.
 
-    Horner's rule in place in ``out`` (a uint64 array shaped like ``xs``,
+    ``coeffs[k]`` is the degree-k coefficient: a scalar, or an array that
+    broadcasts against ``xs`` to evaluate many polynomials at once. Horner's
+    rule runs in place in ``out`` (a uint64 array of the broadcast shape,
     allocated when omitted). Every intermediate stays below 2^62, so the
     uint64 arithmetic never wraps.
     """
-    acc = np.empty(xs.shape, dtype=np.uint64) if out is None else out
-    acc.fill(coeffs[3])
+    shape = np.broadcast_shapes(np.shape(coeffs[3]), xs.shape)
+    acc = np.empty(shape, dtype=np.uint64) if out is None else out
+    acc[...] = coeffs[3]
     for c in (coeffs[2], coeffs[1], coeffs[0]):
         np.multiply(acc, xs, out=acc)
         np.add(acc, np.uint64(c), out=acc)
@@ -127,40 +139,31 @@ class SketchTransform:
         self.depth = int(depth)
         self.seed = int(seed) & _MASK64
         self.exact = bool(exact)
-        self._rows_idx = np.arange(depth)
 
     @functools.cached_property
-    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """The (depth, p) bucket and sign tables, built on first use.
-
-        Only a store's constructor and its updates read them; a query works
-        on the row sketches alone, so loading a snapshot never builds them.
+    def _coeffs(self) -> np.ndarray:
+        """Per sketch row, four bucket (h) then four sign (g) coefficients
+        drawn from the seed stream, stored (degree, h|g, row, 1) so that one
+        Horner pass evaluates all 2 * depth polynomials over a column chunk.
+        Drawn on first use, so loading and querying a snapshot never draw them.
         """
-        depth, p = self.depth, self.p
-        if self.exact:
-            return np.tile(np.arange(p, dtype=np.int64), (depth, 1)), np.ones((depth, p))
         draws = seed_stream(self.seed)
-        buckets = np.empty((depth, p), dtype=np.int64)
-        signs = np.empty((depth, p), dtype=np.float64)
-        xs = _field_points(p)
-        acc = np.empty(p, dtype=np.uint64)
-        for t in range(depth):
-            hc = [next(draws) % int(_MERSENNE) for _ in range(4)]
-            gc = [next(draws) % int(_MERSENNE) for _ in range(4)]
-            np.remainder(_poly_values(hc, xs, acc), np.uint64(self.width), out=acc)
-            buckets[t] = acc
-            np.bitwise_and(_poly_values(gc, xs, acc), np.uint64(1), out=acc)
-            np.multiply(acc, -2.0, out=signs[t])
-            signs[t] += 1.0
+        coeffs = [next(draws) % int(_MERSENNE) for _ in range(8 * self.depth)]
+        return np.array(coeffs, dtype=np.uint64).reshape(self.depth, 2, 4).T[..., None]
+
+    def hash_columns(self, cols) -> tuple[np.ndarray, np.ndarray]:
+        """Bucket and sign of each column in ``cols`` under every sketch row.
+
+        Returns fresh (depth, k) arrays: int64 buckets in [0, width) and
+        float64 signs of +-1.
+        """
+        cols = np.asarray(cols, dtype=np.int64)
+        if self.exact:
+            return cols.reshape(1, -1).copy(), np.ones((1, cols.size))
+        values = _poly_values(self._coeffs, cols.astype(np.uint64) % _MERSENNE)
+        buckets = np.remainder(values[0], np.uint64(self.width), out=values[0]).view(np.int64)
+        signs = 1.0 - 2.0 * (values[1] & np.uint64(1))
         return buckets, signs
-
-    @property
-    def bucket_of(self) -> np.ndarray:
-        return self._tables[0]
-
-    @property
-    def sign_of(self) -> np.ndarray:
-        return self._tables[1]
 
     @classmethod
     def from_accuracy(cls, p: int, epsilon: float, delta: float, seed: int) -> "SketchTransform":
@@ -191,20 +194,42 @@ class SketchTransform:
         )
 
     def sketch_vector(self, v) -> np.ndarray:
-        """Sketch a dense length-p vector (the sum of its basis updates).
-
-        bincount scans its input in index order, so this accumulates per
-        bucket in exactly the same order as column-by-column updates.
-        """
+        """Sketch a dense length-p vector (the sum of its basis updates)."""
         v = np.asarray(v, dtype=np.float64)
         if v.shape != (self.p,):
             raise ValueError(f"expected vector of length {self.p}, got shape {v.shape}")
-        out = np.empty((self.depth, self.width))
-        for t in range(self.depth):
-            out[t] = np.bincount(
-                self.bucket_of[t], weights=v * self.sign_of[t], minlength=self.width
-            )
-        return out
+        out = np.zeros((1, self.depth, self.width))
+        _sketch_matrix(self, v[None, :], out)
+        return out[0]
+
+
+def _scatter(t: SketchTransform, out: np.ndarray, rows, cols: np.ndarray, alpha):
+    """Add ``alpha * sign_s(col)`` to ``out[row, s, bucket_s(col)]`` for every sketch row s.
+
+    ``cols`` is 1-D; ``rows`` and ``alpha`` broadcast against it, and ``out``
+    is a C-contiguous (rows, depth, width) array. np.add.at applies repeated
+    indices one after another in index order, and the last axis runs over
+    ``cols``, so each cell takes its increments in stream order, exactly as
+    one update at a time would.
+    """
+    buckets, signs = t.hash_columns(cols)
+    base = np.expand_dims(np.asarray(rows) * t.depth, -2) + np.arange(t.depth)[:, None]
+    index = base * t.width + buckets
+    values = signs * np.expand_dims(alpha, -2)
+    np.add.at(out.reshape(-1), index.ravel(), values.ravel())
+
+
+def _sketch_matrix(t: SketchTransform, values: np.ndarray, out: np.ndarray):
+    """Add the sketch of every row of an (m, p) matrix into the (m, depth, width) ``out``.
+
+    Column chunks of at most _CHUNK cells are hashed once for all m rows;
+    each row's cells take its values in column order, as its rps stream would.
+    """
+    m, p = values.shape
+    step = max(1, _CHUNK // m)
+    for start in range(0, p, step):
+        cols = np.arange(start, min(start + step, p))
+        _scatter(t, out, np.arange(m)[:, None], cols, values[:, start : start + step])
 
 
 def inner_product(a: np.ndarray, b: np.ndarray) -> float:
@@ -224,6 +249,10 @@ class RowSketchStore:
     memory is row-major (n, depth, width), the order a snapshot stores it,
     so ``row_sketch(i)`` is one contiguous d x b block and save and load
     move all rows in one call.
+
+    ``apply`` checks each update and buffers it; the buffer is added in
+    stream order when it holds _CHUNK updates and whenever ``rows`` or
+    ``totals`` is read, so every reader sees all updates applied so far.
     """
 
     def __init__(self, transform: SketchTransform, n: int):
@@ -232,17 +261,29 @@ class RowSketchStore:
         self.transform = transform
         self.n = int(n)
         self.p = transform.p
-        self.rows = np.zeros((n, transform.depth, transform.width)).transpose(1, 0, 2)
-        self.totals = np.zeros(n)
-        # one bincount per sketch row; sums of +-1 are exact in any order
-        self.ones_sketch = np.stack(
-            [
-                np.bincount(buckets, weights=signs, minlength=transform.width)
-                for buckets, signs in zip(transform.bucket_of, transform.sign_of)
-            ]
-        )
+        depth, width = transform.depth, transform.width
+        self._sketches = np.zeros((n, depth, width))
+        self._totals = np.zeros(n)
+        self._pending = ([], [], [])  # row, column and value of each buffered update
+        # one bincount per column chunk; sums of +-1 are exact in any order
+        ones = np.zeros(depth * width)
+        offsets = np.arange(depth)[:, None] * width
+        for start in range(0, self.p, _CHUNK):
+            buckets, signs = transform.hash_columns(np.arange(start, min(start + _CHUNK, self.p)))
+            ones += np.bincount((buckets + offsets).ravel(), signs.ravel(), depth * width)
+        self.ones_sketch = ones.reshape(depth, width)
         self.standardized = False
         self.degenerate = np.zeros(n, dtype=bool)
+
+    @property
+    def rows(self) -> np.ndarray:
+        self._flush()
+        return self._sketches.transpose(1, 0, 2)
+
+    @property
+    def totals(self) -> np.ndarray:
+        self._flush()
+        return self._totals
 
     @classmethod
     def from_matrix(cls, transform: SketchTransform, values) -> "RowSketchStore":
@@ -253,22 +294,38 @@ class RowSketchStore:
             i, j = bad[0]
             raise ValueError(f"non-finite value {values[i, j]} at cell ({i}, {j})")
         store = cls(transform, values.shape[0])
-        for i in range(store.n):
-            store.rows[:, i, :] = transform.sketch_vector(values[i])
-        store.totals[:] = values.sum(axis=1)
+        _sketch_matrix(transform, values, store._sketches)
+        store._totals[:] = values.sum(axis=1)
         return store
 
     def apply(self, u: StreamUpdate):
-        """Algorithm-style turnstile update: O(depth) work."""
+        """Algorithm-style turnstile update: checked now, added in stream order later."""
         if self.standardized:
             raise SketchStateError("store already standardized; no further updates")
-        if not (0 <= u.i < self.n and 0 <= u.j < self.p):
-            raise IndexError(f"update ({u.i}, {u.j}) out of range for {self.n}x{self.p}")
-        if not math.isfinite(u.alpha):
-            raise ValueError(f"non-finite value {u.alpha} at cell ({u.i}, {u.j})")
-        t = self.transform
-        self.rows[t._rows_idx, u.i, t.bucket_of[:, u.j]] += u.alpha * t.sign_of[:, u.j]
-        self.totals[u.i] += u.alpha
+        try:
+            i, j = operator.index(u.i), operator.index(u.j)
+        except TypeError:
+            raise IndexError(f"update ({u.i}, {u.j}) has a non-integer index") from None
+        if not (0 <= i < self.n and 0 <= j < self.p):
+            raise IndexError(f"update ({i}, {j}) out of range for {self.n}x{self.p}")
+        alpha = float(u.alpha)
+        if not math.isfinite(alpha):
+            raise ValueError(f"non-finite value {u.alpha} at cell ({i}, {j})")
+        rows, cols, values = self._pending
+        rows.append(i)
+        cols.append(j)
+        values.append(alpha)
+        if len(rows) >= _CHUNK:
+            self._flush()
+
+    def _flush(self):
+        """Add the buffered updates to the sketches and totals, in stream order."""
+        if not self._pending[0]:
+            return
+        i, j, alpha = (np.array(column) for column in self._pending)
+        _scatter(self.transform, self._sketches, i, j, alpha)
+        np.add.at(self._totals, i, alpha)
+        self._pending = ([], [], [])
 
     def finalize_ones(self):
         """No-op: the constructor already built the whole all-ones sketch."""
@@ -290,21 +347,24 @@ class RowSketchStore:
         """
         if self.standardized:
             raise SketchStateError("store already standardized")
+        rows = self.rows
         means = self.totals / self.p
         for t in range(self.transform.depth):
-            self.rows[t] -= np.outer(means, self.ones_sketch[t])
-        norm_sq = np.median(np.einsum("tib,tib->ti", self.rows, self.rows), axis=0)
+            rows[t] -= np.outer(means, self.ones_sketch[t])
+        norm_sq = np.median(np.einsum("tib,tib->ti", rows, rows), axis=0)
         self.degenerate = norm_sq <= NORM_TOLERANCE * self.p
         safe = np.where(self.degenerate, 1.0, norm_sq)
         scale = np.where(self.degenerate, 0.0, 1.0 / np.sqrt(safe))
-        self.rows *= scale[None, :, None]
+        rows *= scale[None, :, None]
         self.standardized = True
 
     def standardized_copy(self) -> "RowSketchStore":
         """A standardized copy in the same memory order; this store is unchanged."""
+        self._flush()
         out = copy.copy(self)
-        out.rows = self.rows.copy(order="K")
-        out.totals = self.totals.copy()
+        out._sketches = self._sketches.copy()
+        out._totals = self._totals.copy()
+        out._pending = ([], [], [])
         out.standardize()
         return out
 
@@ -328,11 +388,12 @@ class RowSketchStore:
             flags,
             self.p,
         )
+        self._flush()
         # keep the files buffered: buffered write and readinto loop past the
         # 2 GiB at which one raw call may stop
         with open(path, "wb") as fh:
             fh.write(header)
-            for section in (self.rows.transpose(1, 0, 2), self.totals, self.ones_sketch):
+            for section in (self._sketches, self._totals, self.ones_sketch):
                 fh.write(np.ascontiguousarray(section, dtype="<f8"))
 
     @classmethod
@@ -376,8 +437,9 @@ class RowSketchStore:
             store.n = n
             store.p = p
             rows = _read_finite(fh, np.empty((n, depth, width), dtype="<f8"), "rows")
-            store.rows = rows.transpose(1, 0, 2)
-            store.totals = _read_finite(fh, np.empty(n, dtype="<f8"), "totals")
+            store._sketches = rows
+            store._totals = _read_finite(fh, np.empty(n, dtype="<f8"), "totals")
+            store._pending = ([], [], [])
             store.ones_sketch = _read_finite(
                 fh, np.empty((depth, width), dtype="<f8"), "ones_sketch"
             )

@@ -66,6 +66,10 @@ def cmd_ingest(args) -> int:
 
 def cmd_query(args) -> int:
     seed, generated = _resolve_seed(args.seed)
+    # refuse bad settings before paying for the snapshot load
+    recovery.require_count("groups (pi)", args.pi)
+    recovery.require_count("reps (gamma)", args.gamma)
+    recovery.require_count("threads", args.threads)
     store = RowSketchStore.load(args.snapshot)
     header = {"seed": seed, "phi": args.phi}
     rows = []

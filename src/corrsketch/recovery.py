@@ -49,6 +49,12 @@ class FeasibilityError(ParameterError):
     """Strict-mode constraints cannot be met at this scale."""
 
 
+def require_count(name: str, value: int | None):
+    """Refuse a group, repetition or thread count below 1 (None means unset)."""
+    if value is not None and value < 1:
+        raise ParameterError(f"{name} must be at least 1, got {value}")
+
+
 @dataclass
 class QueryParams:
     """Resolved query-time parameters.
@@ -153,9 +159,8 @@ def select_parameters(
 
     if mode != "practical":
         raise ParameterError(f"unknown mode {mode!r}")
-    for name, value in (("groups (pi)", groups), ("reps (gamma)", reps)):
-        if value is not None and value < 1:
-            raise ParameterError(f"{name} must be at least 1, got {value}")
+    require_count("groups (pi)", groups)
+    require_count("reps (gamma)", reps)
     pi = groups if groups is not None else min_group_count(n, phi, k, residual_bound, lam, theta)
     gamma = reps if reps is not None else 16
     eps = 0.0 if epsilon is None else epsilon
@@ -394,8 +399,7 @@ def _vote(
     survivors are canonicalized to i < j. Threads change only the
     schedule: results are merged in repetition order.
     """
-    if threads < 1:
-        raise ParameterError(f"threads must be at least 1, got {threads}")
+    require_count("threads", threads)
     draws = seed_stream(seed)
     rep_seeds = [next(draws) for _ in range(params.reps)]
 

@@ -1,5 +1,6 @@
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_store, integer_matrix
-from corrsketch import cli
+from corrsketch import ams, cli
 from corrsketch.ams import (
     RowSketchStore,
     SketchStateError,
@@ -24,6 +25,7 @@ from corrsketch.stream import (
     StreamModel,
     StreamUpdate,
     matrix_to_updates,
+    replay,
     write_stream_file,
 )
 
@@ -40,11 +42,18 @@ def test_accuracy_constants():
 def test_transform_determinism_and_shape():
     a = SketchTransform(64, 32, 5, seed=9)
     b = SketchTransform(64, 32, 5, seed=9)
-    assert np.array_equal(a.bucket_of, b.bucket_of)
-    assert np.array_equal(a.sign_of, b.sign_of)
+    cols = np.arange(64)
+    (ab, asg), (bb, bsg) = a.hash_columns(cols), b.hash_columns(cols)
+    assert ab.shape == asg.shape == (5, 64)
+    assert np.array_equal(ab, bb)
+    assert np.array_equal(asg, bsg)
     assert a == b
-    assert set(np.unique(a.sign_of)) <= {-1.0, 1.0}
-    assert a.bucket_of.min() >= 0 and a.bucket_of.max() < 32
+    assert set(np.unique(asg)) <= {-1.0, 1.0}
+    assert ab.min() >= 0 and ab.max() < 32
+    # any subset of columns, in any order, hashes as the whole range does
+    picked = np.array([63, 0, 17, 17, 5])
+    sub_b, sub_s = a.hash_columns(picked)
+    assert np.array_equal(sub_b, ab[:, picked]) and np.array_equal(sub_s, asg[:, picked])
     with pytest.raises(ValueError):
         SketchTransform(64, 32, 4, seed=9)  # even depth
 
@@ -66,14 +75,15 @@ def _direct_poly(coeffs, x):
 def test_tables_match_direct_poly_evaluation(p, width, depth, seed):
     t = SketchTransform(p, width, depth, seed)
     x = np.arange(p, dtype=np.uint64)
+    buckets, signs = t.hash_columns(np.arange(p))
     draws = seed_stream(seed)
     for row in range(depth):
         hc = [next(draws) % _M for _ in range(4)]
         gc = [next(draws) % _M for _ in range(4)]
         expect_b = (_direct_poly(hc, x) % np.uint64(width)).astype(np.int64)
         expect_s = 1.0 - 2.0 * (_direct_poly(gc, x) & np.uint64(1)).astype(np.float64)
-        assert np.array_equal(t.bucket_of[row], expect_b)
-        assert np.array_equal(t.sign_of[row], expect_s)
+        assert np.array_equal(buckets[row], expect_b)
+        assert np.array_equal(signs[row], expect_s)
 
 
 def test_poly_values_matches_integer_arithmetic():
@@ -111,6 +121,17 @@ def test_apply_refuses_non_finite_value(bad):
     with pytest.raises(ValueError, match=r"non-finite value .* at cell \(2, 5\)"):
         store.apply(StreamUpdate(bad, 2, 5))
     assert not np.any(store.rows) and not np.any(store.totals)
+
+
+@pytest.mark.parametrize("i,j", [(2.0, 5), (1.5, 5), (2, 5.0), (2, "5")])
+def test_apply_refuses_non_integer_index(i, j):
+    # a buffered update is checked when it arrives: nothing is truncated into the buffer
+    store = RowSketchStore(SketchTransform(16, 8, 7, seed=1), 4)
+    with pytest.raises(IndexError, match="non-integer index"):
+        store.apply(StreamUpdate(1.0, i, j))
+    assert not np.any(store.rows) and not np.any(store.totals)
+    store.apply(StreamUpdate(1.0, np.int64(2), 5))  # integer types other than int are fine
+    assert store.totals.tolist() == [0.0, 0.0, 1.0, 0.0]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -242,6 +263,81 @@ def test_store_linearity_under_permutation_and_split(seed, shuffler):
     assert np.array_equal(a.ones_sketch, b.ones_sketch)
 
 
+def _turnstile_parts(rng, values):
+    """Every nonzero cell split into 1-3 integer parts, some cancelling pairs, shuffled."""
+    updates = []
+    for i, j in zip(*np.nonzero(values)):
+        cuts = np.sort(rng.integers(-20, 21, size=rng.integers(0, 3)))
+        parts = np.diff(np.concatenate([[0.0], cuts, [values[i, j]]]))
+        updates += [StreamUpdate(float(a), int(i), int(j)) for a in parts]
+        if rng.random() < 0.3:
+            c = float(rng.integers(1, 9))
+            updates += [StreamUpdate(c, int(i), int(j)), StreamUpdate(-c, int(i), int(j))]
+    return [updates[k] for k in rng.permutation(len(updates))]
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_result_independent_of_flush_points(tmp_path_factory, seed, data):
+    # the buffer size and reads of rows or totals between updates decide only when
+    # buffered updates are added, never the snapshot bytes
+    rng = np.random.default_rng(seed)
+    n, p = 4, 23
+    values = integer_matrix(rng, n, p)
+    t = SketchTransform(p, 8, 3, seed=seed)
+    stream = _turnstile_parts(rng, values)
+    thirds = [StreamUpdate(u.alpha / 3, u.i, u.j) for u in stream]  # order now matters
+    reads = data.draw(st.dictionaries(st.integers(0, len(stream)), st.sampled_from(["rows", "totals"])))
+    cut = data.draw(st.integers(0, len(stream)))
+    folder = tmp_path_factory.mktemp("flush")
+
+    def snapshot(store, name):
+        store.save(folder / name)
+        return (folder / name).read_bytes()
+
+    def ingest(updates, copy_at=None):
+        store, copy = RowSketchStore(t, n), None
+        for k in range(len(updates) + 1):
+            if k in reads:
+                getattr(store, reads[k])
+            if k == copy_at:
+                copy = store.standardized_copy()
+                copy_rows = copy.rows.copy()
+            if k < len(updates):
+                store.apply(updates[k])
+        if copy is not None:  # the copy took no later update from the source's buffer
+            assert np.array_equal(copy.rows, copy_rows)
+        return snapshot(store, "s.snap"), copy
+
+    results = {}
+    for chunk in (1, 3, ams._CHUNK):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ams, "_CHUNK", chunk)
+            whole, copy = ingest(stream, copy_at=cut)
+            dense = snapshot(RowSketchStore.from_matrix(t, values), "d.snap")
+            partial = replay(StreamModel("ts", n, p), stream[:cut]).values
+            expect = RowSketchStore.from_matrix(t, partial).standardized_copy()
+            results[chunk] = (whole, dense, ingest(thirds)[0])
+        assert snapshot(copy, "c.snap") == snapshot(expect, "e.snap")
+    reference = results[1]
+    assert reference[0] == reference[1]  # integer sums: stream order is moot
+    for chunk, got in results.items():
+        assert got == reference, chunk
+
+
+def test_store_construction_hashes_in_chunks():
+    # the all-ones fold holds a few column chunks, never a (depth, p) table (208 MiB here)
+    t = SketchTransform(1 << 20, 1600, 13, seed=3)
+    tracemalloc.start()
+    try:
+        store = RowSketchStore(t, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert np.all(np.abs(store.ones_sketch).sum(axis=1) <= 1 << 20)
+
+
 def test_snapshot_roundtrip_bit_exact(tmp_path, rng):
     values = rng.standard_normal((5, 48))
     store = build_store(values)
@@ -271,7 +367,8 @@ def test_snapshot_roundtrip_identity_transform(tmp_path, rng):
     store.save(path)
     back = RowSketchStore.load(path)
     assert back.transform.exact and back.transform == t
-    assert "_tables" not in vars(back.transform)  # built on first update only
+    buckets, signs = back.transform.hash_columns(np.arange(16))
+    assert buckets.tolist() == [list(range(16))] and np.all(signs == 1.0)
     assert np.array_equal(back.rows, store.rows)
 
 

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from corrsketch import cli, oracle
+from corrsketch import ams, cli, oracle
 from corrsketch.ams import RowSketchStore
 from corrsketch.bench import BenchGrid, parse_grid
 from corrsketch.stream import DenseMatrix, StreamModel, matrix_to_updates, write_stream_file
@@ -106,6 +106,27 @@ def test_ingest_checks_model_before_building_store(tmp_path, capsys, monkeypatch
     )
     assert code == 2 and "--model cps but stream header says ts" in err
     assert not (tmp_path / "x.snap").exists()
+
+
+def test_ingest_across_flush_boundary(tmp_path, capsys, monkeypatch, rng):
+    # a 4-update buffer flushes several times in a 30-record stream: the bytes equal
+    # an ingest that flushes once, and a bad record after a flush is still
+    # refused by line number with no snapshot written
+    values = rng.integers(-8, 9, size=(4, 8)).tolist()
+    lines = [f"{values[i][j] / 3!r} {i} {j}" for i in range(4) for j in range(8)]
+    good, bad = tmp_path / "good.stream", tmp_path / "bad.stream"
+    good.write_text("ts 4 8\n" + "\n".join(lines[::-1]) + "\n")
+    bad.write_text("ts 4 8\n" + "\n".join(lines[:10] + ["1.0 9 9"] + lines[10:]) + "\n")
+    args = ("--model", "ts", "--epsilon", "0.5", "--delta", "0.5", "--seed", "1")
+    code, _, _ = run_cli(capsys, "ingest", "--input", str(good), "--out", str(tmp_path / "a.snap"), *args)
+    assert code == 0
+    monkeypatch.setattr(ams, "_CHUNK", 4)
+    code, _, _ = run_cli(capsys, "ingest", "--input", str(good), "--out", str(tmp_path / "b.snap"), *args)
+    assert code == 0
+    assert (tmp_path / "a.snap").read_bytes() == (tmp_path / "b.snap").read_bytes()
+    code, _, err = run_cli(capsys, "ingest", "--input", str(bad), "--out", str(tmp_path / "c.snap"), *args)
+    assert code == 2 and "line 12: index (9, 9) out of range" in err
+    assert not (tmp_path / "c.snap").exists()
 
 
 def test_gen_ingest_query_oracle_pipeline(tmp_path, capsys):
@@ -299,13 +320,20 @@ def test_query_threads_flag_reproducible(tmp_path, capsys, planted_stream):
     [("--threads", "0", "threads"), ("--threads", "-3", "threads"),
      ("--pi", "0", "groups (pi)"), ("--gamma", "0", "reps (gamma)")],
 )
-def test_query_refuses_settings_below_one(tmp_path, capsys, planted_stream, flag, value, message):
+def test_query_refuses_settings_below_one(
+    tmp_path, capsys, monkeypatch, planted_stream, flag, value, message
+):
     stream, _ = planted_stream
     snap = tmp_path / "p.snap"
     run_cli(
         capsys, "ingest", "--model", "rps", "--input", str(stream), "--out", str(snap),
         "--epsilon", "0.2", "--delta", "0.2", "--seed", "8",
     )
+
+    def refuse(path):
+        raise AssertionError("snapshot loaded before the settings were checked")
+
+    monkeypatch.setattr(RowSketchStore, "load", refuse)
     code, out, err = run_cli(
         capsys, "query", "--snapshot", str(snap), "--phi", "0.7", "--k", "2", "--R", "0",
         "--seed", "3", flag, value,
