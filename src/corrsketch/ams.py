@@ -16,11 +16,13 @@ memory in snapshot order, so save and load move each section in one call.
 
 Bucket and sign functions are seeded polynomials, evaluated on demand for
 a chunk of columns at a time (SketchTransform.hash_columns); no (d, p)
-table is ever held. The constructor folds the all-ones sketch over column
-chunks, and ``apply`` buffers checked updates and adds each full buffer
-with one np.add.at in stream order, so every cell sums its increments in
-the same order as one update at a time would, bit for bit. A query reads
-only the row sketches and never hashes.
+table is ever held. Each value takes one reduction modulo 2^31 - 1, by
+floor division rather than np.remainder (see _reduce). The constructor
+folds the all-ones sketch over cache-sized column steps, and ``apply``
+buffers checked updates and adds each full buffer with one np.add.at in
+stream order, so every cell sums its increments in the same order as one
+update at a time would, bit for bit. A query reads only the row sketches
+and never hashes.
 """
 
 from __future__ import annotations
@@ -41,8 +43,10 @@ from .stream import StreamUpdate
 _MERSENNE = np.uint64((1 << 31) - 1)
 _MASK64 = (1 << 64) - 1
 
-# columns hashed, or updates buffered, per vectorized step; bounds ingest's
-# working memory at a few times 16 * depth * _CHUNK bytes
+# cells per vectorized step: the constructor hashes, and from_matrix
+# scatters, at most _CHUNK cells per step, so their temporaries stay in
+# cache; apply buffers _CHUNK updates, and a flush holds a few times
+# 16 * depth * _CHUNK bytes
 _CHUNK = 1 << 15
 
 NORM_TOLERANCE = 1e-12  # squared-norm floor (times p) below which a row is degenerate
@@ -81,28 +85,48 @@ def seed_stream(seed: int):
         yield out
 
 
+def _reduce(acc: np.ndarray, modulus, scratch: np.ndarray | None = None) -> np.ndarray:
+    """``acc mod modulus`` in place, for uint64 ``acc`` and a positive scalar modulus.
+
+    Computed as acc - (acc // modulus) * modulus: NumPy divides uint64 by a
+    scalar through libdivide, several times faster than np.remainder's
+    hardware divide, and the residues are the same. ``scratch`` (same shape
+    as ``acc``) holds the quotients when given.
+    """
+    modulus = np.uint64(modulus)
+    q = np.floor_divide(acc, modulus, out=scratch)
+    np.multiply(q, modulus, out=q)
+    return np.subtract(acc, q, out=acc)
+
+
 def _field_points(count: int) -> np.ndarray:
     """The points 0..count-1 reduced into GF(2^31 - 1), as _poly_values takes them."""
-    return np.arange(count, dtype=np.uint64) % _MERSENNE
+    return _reduce(np.arange(count, dtype=np.uint64), _MERSENNE)
 
 
 def _poly_values(coeffs, xs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Evaluate degree-3 polynomials over GF(2^31 - 1) at reduced points.
 
     ``coeffs[k]`` is the degree-k coefficient: a scalar, or an array that
-    broadcasts against ``xs`` to evaluate many polynomials at once. Horner's
-    rule runs in place in ``out`` (a uint64 array of the broadcast shape,
-    allocated when omitted). Every intermediate stays below 2^62, so the
-    uint64 arithmetic never wraps.
+    broadcasts against ``xs`` to evaluate many polynomials at once. The
+    result lands in ``out`` (a uint64 array of the broadcast shape,
+    allocated when omitted).
+
+    x^2 and x^3 are reduced once per point and shared by every polynomial;
+    then c3*x^3 + c2*x^2 + c1*x + c0 is summed in uint64 and reduced once.
+    Coefficients and reduced powers are below M = 2^31 - 1, so each product
+    is below M^2 < 2^62 and the sum below 3 * 2^62 + 2^31 < 2^64: it never
+    wraps.
     """
-    shape = np.broadcast_shapes(np.shape(coeffs[3]), xs.shape)
-    acc = np.empty(shape, dtype=np.uint64) if out is None else out
-    acc[...] = coeffs[3]
-    for c in (coeffs[2], coeffs[1], coeffs[0]):
-        np.multiply(acc, xs, out=acc)
-        np.add(acc, np.uint64(c), out=acc)
-        np.remainder(acc, _MERSENNE, out=acc)
-    return acc
+    c0, c1, c2, c3 = (np.asarray(coeffs[k], dtype=np.uint64) for k in range(4))
+    x2 = _reduce(xs * xs, _MERSENNE)
+    x3 = _reduce(x2 * xs, _MERSENNE)
+    acc = np.multiply(c3, x3, out=out)
+    term = np.empty_like(acc)
+    acc += np.multiply(c2, x2, out=term)
+    acc += np.multiply(c1, xs, out=term)
+    acc += c0
+    return _reduce(acc, _MERSENNE, term)
 
 
 def accuracy_width(epsilon: float) -> int:
@@ -144,8 +168,9 @@ class SketchTransform:
     def _coeffs(self) -> np.ndarray:
         """Per sketch row, four bucket (h) then four sign (g) coefficients
         drawn from the seed stream, stored (degree, h|g, row, 1) so that one
-        Horner pass evaluates all 2 * depth polynomials over a column chunk.
-        Drawn on first use, so loading and querying a snapshot never draw them.
+        _poly_values call evaluates all 2 * depth polynomials over a column
+        chunk. Drawn on first use, so loading and querying a snapshot never
+        draw them.
         """
         draws = seed_stream(self.seed)
         coeffs = [next(draws) % int(_MERSENNE) for _ in range(8 * self.depth)]
@@ -160,9 +185,9 @@ class SketchTransform:
         cols = np.asarray(cols, dtype=np.int64)
         if self.exact:
             return cols.reshape(1, -1).copy(), np.ones((1, cols.size))
-        values = _poly_values(self._coeffs, cols.astype(np.uint64) % _MERSENNE)
-        buckets = np.remainder(values[0], np.uint64(self.width), out=values[0]).view(np.int64)
+        values = _poly_values(self._coeffs, _reduce(cols.astype(np.uint64), _MERSENNE))
         signs = 1.0 - 2.0 * (values[1] & np.uint64(1))
+        buckets = _reduce(values[0], self.width, values[1]).view(np.int64)
         return buckets, signs
 
     @classmethod
@@ -265,12 +290,15 @@ class RowSketchStore:
         self._sketches = np.zeros((n, depth, width))
         self._totals = np.zeros(n)
         self._pending = ([], [], [])  # row, column and value of each buffered update
-        # one bincount per column chunk; sums of +-1 are exact in any order
+        # one bincount per step of at most _CHUNK cells (see _CHUNK); sums of
+        # +-1 are exact in any order
         ones = np.zeros(depth * width)
         offsets = np.arange(depth)[:, None] * width
-        for start in range(0, self.p, _CHUNK):
-            buckets, signs = transform.hash_columns(np.arange(start, min(start + _CHUNK, self.p)))
-            ones += np.bincount((buckets + offsets).ravel(), signs.ravel(), depth * width)
+        step = max(1, _CHUNK // depth)
+        for start in range(0, self.p, step):
+            buckets, signs = transform.hash_columns(np.arange(start, min(start + step, self.p)))
+            buckets += offsets
+            ones += np.bincount(buckets.ravel(), signs.ravel(), depth * width)
         self.ones_sketch = ones.reshape(depth, width)
         self.standardized = False
         self.degenerate = np.zeros(n, dtype=bool)
@@ -289,6 +317,10 @@ class RowSketchStore:
     def from_matrix(cls, transform: SketchTransform, values) -> "RowSketchStore":
         """Sketch every row of a dense matrix (test and bench convenience)."""
         values = np.asarray(values, dtype=np.float64)
+        if values.ndim != 2 or values.shape[1] != transform.p:
+            raise ValueError(
+                f"expected a matrix of shape (n, {transform.p}), got shape {values.shape}"
+            )
         bad = np.argwhere(~np.isfinite(values))
         if bad.size:
             i, j = bad[0]

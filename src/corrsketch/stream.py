@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
@@ -32,8 +32,9 @@ class StreamFormatError(ValueError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
-class StreamUpdate:
+class StreamUpdate(NamedTuple):
+    """One update: add ``alpha`` to cell (i, j). Immutable; a tuple, so cheap to build."""
+
     alpha: float
     i: int
     j: int

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import struct
 import tracemalloc
 
@@ -15,6 +16,7 @@ from corrsketch.ams import (
     SketchTransform,
     SnapshotFormatError,
     _poly_values,
+    _reduce,
     accuracy_depth,
     accuracy_width,
     inner_product,
@@ -93,6 +95,32 @@ def test_poly_values_matches_integer_arithmetic():
     got = _poly_values(coeffs, xs, np.empty(len(points), dtype=np.uint64))
     expect = [sum(c * x**k for k, c in enumerate(coeffs)) % _M for x in points]
     assert got.tolist() == expect
+    # every coefficient M - 1 at x = M - 1: the unreduced four-term sum is largest
+    top = [_M - 1] * 4
+    got = _poly_values(top, xs)
+    assert got.tolist() == [sum(c * x**k for k, c in enumerate(top)) % _M for x in points]
+    # (2, depth, 1) coefficient arrays broadcast against the points, as hash_columns passes them
+    depth = 3
+    draws = seed_stream(5)
+    table = np.array([next(draws) % _M for _ in range(4 * 2 * depth)], dtype=np.uint64)
+    table = table.reshape(4, 2, depth, 1)
+    table[:, 1, 0] = _M - 1
+    got = _poly_values(table, xs)
+    assert got.shape == (2, depth, len(points))
+    for h in range(2):
+        for row in range(depth):
+            cs = [int(c) for c in table[:, h, row, 0]]
+            expect = [sum(c * x**k for k, c in enumerate(cs)) % _M for x in points]
+            assert got[h, row].tolist() == expect
+
+
+@pytest.mark.parametrize("modulus", [_M, 1600, 10**4, 37])
+def test_reduce_matches_remainder(modulus):
+    values = [0, _M - 1, _M, 2**62, 2**63, 2**64 - 1]
+    acc = np.array(values, dtype=np.uint64)
+    expect = np.remainder(acc, np.uint64(modulus))
+    assert _reduce(acc, modulus) is acc  # in place
+    assert acc.tolist() == expect.tolist() == [v % modulus for v in values]
 
 
 def test_basis_update_touches_one_bucket_per_row():
@@ -140,6 +168,17 @@ def test_from_matrix_refuses_non_finite_value(bad):
     values[2, 5] = bad
     with pytest.raises(ValueError, match=r"non-finite value .* at cell \(2, 5\)"):
         RowSketchStore.from_matrix(SketchTransform(16, 8, 7, seed=1), values)
+
+
+def test_from_matrix_refuses_wrong_shape(tmp_path):
+    t = SketchTransform(8, 4, 3, seed=1)
+    for shape in [(2, 12), (2, 5), (8,)]:
+        with pytest.raises(ValueError, match=rf"\(n, 8\), got shape {re.escape(str(shape))}"):
+            RowSketchStore.from_matrix(t, np.ones(shape))
+    # the right width gives the bytes it gave before the check existed
+    RowSketchStore.from_matrix(t, np.arange(16.0).reshape(2, 8) - 5).save(tmp_path / "m.snap")
+    digest = hashlib.sha256((tmp_path / "m.snap").read_bytes()).hexdigest()
+    assert digest == "303acb8ca3377c422546e795c4ccf0938a5c8adc321fa2ecdd55a730b9044ee4"
 
 
 def test_rps_replay_matches_dense_sketch_bit_exact(rng):

@@ -1,4 +1,5 @@
 import io
+import pickle
 
 import numpy as np
 import pytest
@@ -34,6 +35,28 @@ def test_parse_cps_position_indexing():
     # position q fills entry (q mod n, q div n)
     model = StreamModel("cps", 4, 3)
     assert parse_update("1.0", model, 6) == StreamUpdate(1.0, 2, 1)
+
+
+def test_stream_update_contract():
+    u = StreamUpdate(2.5, 3, 7)
+    assert u == StreamUpdate(2.5, 3, 7) and u != StreamUpdate(2.5, 3, 8)
+    assert hash(u) == hash(StreamUpdate(2.5, 3, 7))
+    assert len({u, StreamUpdate(2.5, 3, 7), StreamUpdate(-2.5, 3, 7)}) == 2
+    assert repr(u) == "StreamUpdate(alpha=2.5, i=3, j=7)"
+    assert (u.alpha, u.i, u.j) == (2.5, 3, 7)
+    with pytest.raises(AttributeError):
+        u.alpha = 1.0
+    again = pickle.loads(pickle.dumps(u))
+    assert again == u and type(again) is StreamUpdate
+    assert u == (2.5, 3, 7)  # a tuple: equal to the plain (alpha, i, j) tuple too
+
+
+def test_parsers_yield_stream_updates():
+    assert type(parse_update("2.5 3 7", StreamModel("ts", 8, 8), 0)) is StreamUpdate
+    for text in ("ts 2 2\n1.5 0 1\n-0.5 1 0\n", "rps 2 2\n1\n2\n3\n4\n"):
+        _, updates = iter_stream(io.StringIO(text))
+        updates = list(updates)
+        assert updates and all(type(u) is StreamUpdate for u in updates)
 
 
 def test_parse_rejects_malformed_lines():
