@@ -43,10 +43,9 @@ from .stream import StreamUpdate
 _MERSENNE = np.uint64((1 << 31) - 1)
 _MASK64 = (1 << 64) - 1
 
-# cells per vectorized step: the constructor hashes, and from_matrix
-# scatters, at most _CHUNK cells per step, so their temporaries stay in
-# cache; apply buffers _CHUNK updates, and a flush holds a few times
-# 16 * depth * _CHUNK bytes
+# cells per vectorized step: the constructor and a flush hash, and
+# from_matrix scatters, at most _CHUNK cells per step, so their
+# temporaries stay in cache; apply buffers _CHUNK updates
 _CHUNK = 1 << 15
 
 NORM_TOLERANCE = 1e-12  # squared-norm floor (times p) below which a row is degenerate
@@ -355,7 +354,10 @@ class RowSketchStore:
         if not self._pending[0]:
             return
         i, j, alpha = (np.array(column) for column in self._pending)
-        _scatter(self.transform, self._sketches, i, j, alpha)
+        step = max(1, _CHUNK // self.transform.depth)
+        for start in range(0, len(i), step):
+            part = slice(start, start + step)
+            _scatter(self.transform, self._sketches, i[part], j[part], alpha[part])
         np.add.at(self._totals, i, alpha)
         self._pending = ([], [], [])
 

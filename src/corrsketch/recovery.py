@@ -12,13 +12,16 @@ One repetition works on a standardized row-sketch store:
      emit the decoded index pair (``recovery_step``).
 
 Repetitions with fresh groupings vote; pairs kept by at least half the
-repetitions survive. The heavy lifting in step 2 is batched. With
-singleton groups (pi >= n), the elementwise median over sketch rows of
-the Gram matrices r_t r_t^T is computed once per query and each
-repetition only indexes it. Otherwise, per sketch row, one (n x b) @
-(b x 2 pi) matrix product yields every row-vs-group inner product, and
-the per-bit masked group sums reduce to contractions of that product.
-The multiply is injectable so a different kernel can be swapped in.
+repetitions survive. With singleton groups (pi >= n), the elementwise
+median over sketch rows of the Gram matrices r_t r_t^T is computed once
+per query. Each bucket then holds one index pair, so its bit string is
+that index's codeword or all zeros: a repetition thresholds the indexed
+median once per bucket side and never decodes (``_singleton_step``).
+Otherwise the heavy lifting in step 2 is batched: per sketch row, one
+(n x b) @ (b x 2 pi) matrix product yields every row-vs-group inner
+product, and the per-bit masked group sums reduce to contractions of
+that product. The multiply is injectable so a different kernel can be
+swapped in.
 """
 
 from __future__ import annotations
@@ -197,14 +200,18 @@ class RepetitionDiagnostics:
         )
 
 
+def _require_codebook(cb: Codebook, n: int):
+    if cb.n < n:
+        raise ValueError(f"codebook addresses {cb.n} indices, store has {n}")
+
+
 def _signed_masks(cart: CartesianTransform, cb: Codebook, n: int):
     """Per-index codeword bits times signs, padded and group-sorted.
 
     Returns (W1, W2) of shape (pi, block, codeword_len): W1[h, r, l] is
     bit l of the codeword of the r-th index in row-group h, times s1.
     """
-    if cb.n < n:
-        raise ValueError(f"codebook addresses {cb.n} indices, store has {n}")
+    _require_codebook(cb, n)
     bits = np.zeros((cart.n_padded, cb.codeword_len))
     bits[:n] = cb.bit_matrix()[:n]
     w1 = (bits * cart.s1[:, None])[cart.order1].reshape(
@@ -274,6 +281,32 @@ def _singleton_buckets(med: np.ndarray, cart: CartesianTransform, cb: Codebook):
     right = gram[np.ix_(cart.order1, cart.order2)] * cart.s2[cart.order2]
     left = gram[np.ix_(cart.order2, cart.order1)].T * cart.s1[cart.order1, None]
     return MaskedBucketSet(w1[:, 0, :].T[:, :, None] * right, w2[:, 0, :].T[:, None, :] * left)
+
+
+def _singleton_step(
+    gram: np.ndarray, cart: CartesianTransform, phi: float
+) -> tuple[list[tuple[int, int]], int]:
+    """One singleton-group repetition, thresholded straight off the median Gram.
+
+    Returns what ``_recovery_step_counted`` returns for
+    ``_singleton_buckets(gram, cart, cb)``, with any codebook covering n
+    and with or without the baseline. Bucket (h, g) holds i = order1[h]
+    and j = order2[g], and its masked values are exactly +-bit_l(i)
+    G[i, j] and +-bit_l(j) G[j, i] (the weights are in {0, +1, -1}). So
+    the row side's word is the codeword of i when i, j < n and
+    |G[i, j]| >= phi/2, else all zeros, which decodes to 0; the column
+    side reads G[j, i]. Nothing is decoded and no decode fails. The
+    baseline touches only diagonal buckets, where both sides read the
+    same entry, decode alike and emit nothing either way.
+    """
+    n = len(gram)
+    i, j = cart.order1[:, None], cart.order2[None, :]
+    real = (i < n) & (j < n)  # phantom indices carry zeros
+    gi, gj = np.where(real, i, 0), np.where(real, j, 0)
+    dec_i = np.where(real & (np.abs(gram[gi, gj]) >= phi / 2.0), i, 0)
+    dec_j = np.where(real & (np.abs(gram[gj, gi]) >= phi / 2.0), j, 0)
+    h, g = np.nonzero(dec_i != dec_j)  # row-major, the order words are decoded in
+    return list(zip(dec_i[h, g].tolist(), dec_j[h, g].tolist())), 0
 
 
 def approximate(
@@ -388,16 +421,16 @@ def recovery_step(
 
 
 def _vote(
-    n: int, buckets_of, params: QueryParams, cb: Codebook, seed: int, threads: int,
-    diagnostics: list | None, counts: dict | None = None, *, subtract_baseline: bool = True,
+    n: int, step, params: QueryParams, seed: int, threads: int,
+    diagnostics: list | None, counts: dict | None = None,
 ) -> set[tuple[int, int]]:
     """Vote over ``params.reps`` repetitions; keep pairs with a majority.
 
-    Repetition k draws its grouping from the k-th seed-stream value,
-    takes the masked buckets from ``buckets_of(cart)``, thresholds and
-    decodes them. Ordered pairs are counted separately and majority
-    survivors are canonicalized to i < j. Threads change only the
-    schedule: results are merged in repetition order.
+    Repetition k draws its grouping from the k-th seed-stream value and
+    takes its decoded pairs and decode-failure count from ``step(cart)``.
+    Ordered pairs are counted separately and majority survivors are
+    canonicalized to i < j. Threads change only the schedule: results
+    are merged in repetition order.
     """
     require_count("threads", threads)
     draws = seed_stream(seed)
@@ -406,9 +439,7 @@ def _vote(
     def run_rep(idx: int):
         t0 = time.perf_counter()
         cart = CartesianTransform(n, params.groups, rep_seeds[idx])
-        pairs, failures = _recovery_step_counted(
-            buckets_of(cart), cart, cb, params.phi, subtract_baseline=subtract_baseline
-        )
+        pairs, failures = step(cart)
         elapsed = (time.perf_counter() - t0) * 1000.0
         return pairs, RepetitionDiagnostics(idx, failures, len(pairs), elapsed)
 
@@ -449,11 +480,13 @@ def recover(
     """
     if not store.standardized:
         raise SketchStateError("recover requires a standardized store")
+    _require_codebook(cb, store.n)
     if params.groups >= store.n:
-        buckets_of = functools.partial(_singleton_buckets, _median_gram(store), cb=cb)
+        step = functools.partial(_singleton_step, _median_gram(store), phi=params.phi)
     else:
-        buckets_of = functools.partial(approximate, store, cb=cb)
-    result = _vote(store.n, buckets_of, params, cb, seed, threads, diagnostics, counts)
+        def step(cart):
+            return _recovery_step_counted(approximate(store, cart, cb), cart, cb, params.phi)
+    result = _vote(store.n, step, params, seed, threads, diagnostics, counts)
     if verify:
         result = {
             (i, j) for i, j, _, accepted in verify_candidates(store, result, params.phi) if accepted
@@ -501,8 +534,9 @@ def recover_diff(
     """Recover pairs whose correlation changed by >= phi between snapshots.
 
     Runs the grouped approximation on both stores under a shared grouping
-    per repetition and recovers from the bucket differences. The unit
-    diagonals cancel in the difference, so no baseline is subtracted.
+    per repetition and recovers from the bucket differences (with
+    singleton groups, from the difference of the two median Grams). The
+    unit diagonals cancel in the difference, so no baseline is subtracted.
     """
     if store_a.transform != store_b.transform:
         raise ValueError("snapshot stores use different sketch transforms")
@@ -510,13 +544,13 @@ def recover_diff(
         raise ValueError("snapshot stores have different row counts")
     if not (store_a.standardized and store_b.standardized):
         raise SketchStateError("recover_diff requires standardized stores")
+    _require_codebook(cb, store_a.n)
     if params.groups >= store_a.n:
         gram = _median_gram(store_a) - _median_gram(store_b)
-        buckets_of = functools.partial(_singleton_buckets, gram, cb=cb)
+        step = functools.partial(_singleton_step, gram, phi=params.phi)
     else:
-        def buckets_of(cart):
+        def step(cart):
             a, b = approximate(store_a, cart, cb), approximate(store_b, cart, cb)
-            return MaskedBucketSet(a.row_masked - b.row_masked, a.col_masked - b.col_masked)
-    return _vote(
-        store_a.n, buckets_of, params, cb, seed, threads, diagnostics, subtract_baseline=False
-    )
+            diff = MaskedBucketSet(a.row_masked - b.row_masked, a.col_masked - b.col_masked)
+            return _recovery_step_counted(diff, cart, cb, params.phi, subtract_baseline=False)
+    return _vote(store_a.n, step, params, seed, threads, diagnostics)

@@ -1,4 +1,5 @@
 import json
+import time
 import warnings
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from corrsketch import ams, cli, oracle
 from corrsketch.ams import RowSketchStore
-from corrsketch.bench import BenchGrid, parse_grid
+from corrsketch.bench import BenchGrid, parse_grid, run_point
 from corrsketch.stream import DenseMatrix, StreamModel, matrix_to_updates, write_stream_file
 
 
@@ -373,6 +374,23 @@ def test_bench_smoke(tmp_path, capsys):
     assert lines[0] == "n,p,pi,sketch_bytes,ingest_s,query_s"
     assert len(lines) == 3
     assert "query_time_exponent" in out and "sketch_bytes_exponent" in out
+
+
+def test_bench_ingest_clock_covers_the_last_flush(monkeypatch):
+    # 16 x 32 updates fit one apply buffer, so the only flush, which does all of
+    # the sketch work, must fall inside the ingest clock: slow it down and see
+    delay = 0.3
+    flush = RowSketchStore._flush
+
+    def slow_flush(self):
+        if self._pending[0]:
+            time.sleep(delay)
+        flush(self)
+
+    monkeypatch.setattr(RowSketchStore, "_flush", slow_flush)
+    grid = parse_grid("p=32;phi=0.8;k=1;R=0.0;epsilon=0.5;delta=0.5;gamma=2;seed=2")
+    row = run_point(grid, 16)
+    assert row.ingest_s >= delay
 
 
 def test_parse_grid_sets_every_key():

@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build_store, integer_matrix
 from corrsketch import ecc, oracle
@@ -13,6 +15,9 @@ from corrsketch.recovery import (
     FeasibilityError,
     MaskedBucketSet,
     ParameterError,
+    _recovery_step_counted,
+    _singleton_buckets,
+    _singleton_step,
     approximate,
     approximate_per_row,
     min_group_count,
@@ -514,6 +519,62 @@ def test_singleton_recover_diff_matches_public_loop(extra):
         assert pair in expect
         for threads in (1, 2):
             assert recover_diff(first, second, params, cb, seed=31, threads=threads) == expect
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_singleton_step_equals_decoded_buckets(data):
+    # thresholding the indexed Gram once per bucket side gives the decoded
+    # reference's ordered pairs and failure count, for any Gram (not only
+    # symmetric ones) and with or without the diagonal baseline
+    n = data.draw(st.integers(2, 12))
+    pi = n + data.draw(st.integers(0, 4))  # pi = n, and pi > n with phantom indices
+    phi = data.draw(st.sampled_from([0.05, 0.3, 0.8, 1.0]))
+    half = phi / 2.0
+    edges = [0.0, half, -half, np.nextafter(half, 0.0), np.nextafter(-half, 0.0),
+             1.0, 1.0 + half, 1.0 - half, np.nextafter(1.0 - half, 1.0)]
+    entry = st.sampled_from(edges) | st.floats(-1.5, 1.5)
+    gram = np.array(data.draw(st.lists(entry, min_size=n * n, max_size=n * n))).reshape(n, n)
+    if data.draw(st.booleans()):
+        gram = np.triu(gram) + np.triu(gram, 1).T
+    gram[0, data.draw(st.integers(1, n - 1))] = phi  # a heavy entry on index 0
+    cart = CartesianTransform(n, pi, data.draw(st.integers(0, 2**32 - 1)))
+    cb = ecc.for_index_space(n + data.draw(st.integers(0, 40)))
+    buckets = _singleton_buckets(gram, cart, cb)
+    for subtract in (True, False):
+        expect = _recovery_step_counted(buckets, cart, cb, phi, subtract_baseline=subtract)
+        assert _singleton_step(gram, cart, phi) == expect
+
+
+def test_singleton_query_never_decodes(monkeypatch):
+    # pi >= n thresholds the median Gram directly; pi < n still decodes words
+    store, _ = _planted_store(n=32, p=512)
+    before, after, pair = _diff_stores()
+    cb = ecc.for_index_space(store.n)
+
+    def refuse(self, words):
+        raise AssertionError("decoded a word")
+
+    monkeypatch.setattr(ecc.Codebook, "decode_words", refuse)
+    singleton = practical(store.n, 0.7, cb, groups=32, reps=5, transform=store.transform)
+    assert (3, 17) in recover(store, singleton, cb, seed=29)
+    assert pair in recover_diff(after, before, singleton, cb, seed=31)
+    grouped = practical(store.n, 0.7, cb, groups=16, reps=1, transform=store.transform)
+    with pytest.raises(AssertionError, match="decoded a word"):
+        recover(store, grouped, cb, seed=29)
+    with pytest.raises(AssertionError, match="decoded a word"):
+        recover_diff(after, before, grouped, cb, seed=31)
+
+
+@pytest.mark.parametrize("groups", [64, 16])  # singleton and grouped paths
+def test_recover_refuses_small_codebook(groups):
+    store, _ = _planted_store()
+    small = ecc.for_index_space(16)
+    params = practical(store.n, 0.8, small, groups=groups, reps=2, transform=store.transform)
+    with pytest.raises(ValueError, match="codebook addresses 16 indices, store has 64"):
+        recover(store, params, small, seed=3)
+    with pytest.raises(ValueError, match="codebook addresses 16 indices, store has 64"):
+        recover_diff(store, store, params, small, seed=3)
 
 
 # -- recover_diff -------------------------------------------------------------
