@@ -27,7 +27,6 @@ and never hashes.
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 import operator
@@ -282,25 +281,34 @@ class RowSketchStore:
     def __init__(self, transform: SketchTransform, n: int):
         if n < 1:
             raise ValueError("store needs at least one row")
-        self.transform = transform
-        self.n = int(n)
-        self.p = transform.p
-        depth, width = transform.depth, transform.width
-        self._sketches = np.zeros((n, depth, width))
-        self._totals = np.zeros(n)
-        self._pending = ([], [], [])  # row, column and value of each buffered update
+        p, depth, width = transform.p, transform.depth, transform.width
         # one bincount per step of at most _CHUNK cells (see _CHUNK); sums of
         # +-1 are exact in any order
         ones = np.zeros(depth * width)
         offsets = np.arange(depth)[:, None] * width
         step = max(1, _CHUNK // depth)
-        for start in range(0, self.p, step):
-            buckets, signs = transform.hash_columns(np.arange(start, min(start + step, self.p)))
+        for start in range(0, p, step):
+            buckets, signs = transform.hash_columns(np.arange(start, min(start + step, p)))
             buckets += offsets
             ones += np.bincount(buckets.ravel(), signs.ravel(), depth * width)
-        self.ones_sketch = ones.reshape(depth, width)
-        self.standardized = False
-        self.degenerate = np.zeros(n, dtype=bool)
+        self._assign(
+            transform, np.zeros((n, depth, width)), np.zeros(n), ones.reshape(depth, width)
+        )
+
+    def _assign(self, transform, sketches, totals, ones_sketch, standardized=False):
+        """Set every field from the store's parts; nothing is buffered."""
+        self.transform = transform
+        self.n = len(totals)
+        self.p = transform.p
+        self._sketches = sketches
+        self._totals = totals
+        self._pending = ([], [], [])  # row, column and value of each buffered update
+        self.ones_sketch = ones_sketch
+        self.standardized = standardized
+        # a standardized snapshot zeroed its degenerate rows
+        self.degenerate = (
+            ~sketches.any(axis=(1, 2)) if standardized else np.zeros(len(totals), dtype=bool)
+        )
 
     @property
     def rows(self) -> np.ndarray:
@@ -395,10 +403,11 @@ class RowSketchStore:
     def standardized_copy(self) -> "RowSketchStore":
         """A standardized copy in the same memory order; this store is unchanged."""
         self._flush()
-        out = copy.copy(self)
-        out._sketches = self._sketches.copy()
-        out._totals = self._totals.copy()
-        out._pending = ([], [], [])
+        out = type(self).__new__(type(self))
+        out._assign(
+            self.transform, self._sketches.copy(), self._totals.copy(), self.ones_sketch,
+            self.standardized,
+        )
         out.standardize()
         return out
 
@@ -466,22 +475,11 @@ class RowSketchStore:
                 )
             except ValueError as err:
                 raise SnapshotFormatError(f"bad sketch shape in header: {err}") from None
-            store = cls.__new__(cls)
-            store.transform = transform
-            store.n = n
-            store.p = p
             rows = _read_finite(fh, np.empty((n, depth, width), dtype="<f8"), "rows")
-            store._sketches = rows
-            store._totals = _read_finite(fh, np.empty(n, dtype="<f8"), "totals")
-            store._pending = ([], [], [])
-            store.ones_sketch = _read_finite(
-                fh, np.empty((depth, width), dtype="<f8"), "ones_sketch"
-            )
-        store.standardized = bool(flags & _FLAG_STANDARDIZED)
-        # a standardized snapshot zeroed its degenerate rows
-        store.degenerate = (
-            ~rows.any(axis=(1, 2)) if store.standardized else np.zeros(n, dtype=bool)
-        )
+            totals = _read_finite(fh, np.empty(n, dtype="<f8"), "totals")
+            ones = _read_finite(fh, np.empty((depth, width), dtype="<f8"), "ones_sketch")
+        store = cls.__new__(cls)
+        store._assign(transform, rows, totals, ones, bool(flags & _FLAG_STANDARDIZED))
         return store
 
 

@@ -32,8 +32,6 @@ class CartesianTransform:
         self.pi = int(pi)
         self.seed = int(seed)
         self.n_padded = pi * ((n + pi - 1) // pi)
-        if pi > self.n_padded:
-            raise ValueError(f"pi={pi} exceeds padded index space {self.n_padded}")
         self.block = self.n_padded // pi
         draws = seed_stream(self.seed)
         rng1 = np.random.default_rng(next(draws))

@@ -246,6 +246,7 @@ def main(argv=None) -> int:
         oracle.GenerationError,
         ValueError,
         OSError,
+        MemoryError,
     ) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -12,21 +12,20 @@ One repetition works on a standardized row-sketch store:
      emit the decoded index pair (``recovery_step``).
 
 Repetitions with fresh groupings vote; pairs kept by at least half the
-repetitions survive. With singleton groups (pi >= n), the elementwise
-median over sketch rows of the Gram matrices r_t r_t^T is computed once
-per query. Each bucket then holds one index pair, so its bit string is
-that index's codeword or all zeros: a repetition thresholds the indexed
-median once per bucket side and never decodes (``_singleton_step``).
-Otherwise the heavy lifting in step 2 is batched: per sketch row, one
-(n x b) @ (b x 2 pi) matrix product yields every row-vs-group inner
-product, and the per-bit masked group sums reduce to contractions of
-that product. The multiply is injectable so a different kernel can be
-swapped in.
+repetitions survive. With singleton groups (pi >= n), every index pair
+has its own bucket, so a repetition is an exact scan of the elementwise
+median over sketch rows of the Gram matrices r_t r_t^T and every
+repetition emits the same pairs, read off that median once per query
+without decoding (``_gram_pairs``). Otherwise the heavy lifting in step
+2 is batched: per sketch row, one (n x b) @ (b x 2 pi) matrix product
+yields every row-vs-group inner product. One contraction (``_contract``)
+forms every masked bucket from such cross products, singleton buckets
+from a depth-1 one built from the median Gram. The multiply is
+injectable so a different kernel can be swapped in.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 import warnings
@@ -68,13 +67,10 @@ class QueryParams:
     """
 
     phi: float
-    k: int
-    residual_bound: float
     groups: int
     epsilon: float
     delta: float
     reps: int
-    theta: float
     mode: str
 
 
@@ -158,7 +154,7 @@ def select_parameters(
             )
         dlt = lam / (54.0 * (2.0 + 12.0 * n / pi))
         gamma = math.ceil(10.0 * math.log2(n))
-        return QueryParams(phi, k, residual_bound, pi, eps, dlt, gamma, theta, "strict")
+        return QueryParams(phi, pi, eps, dlt, gamma, "strict")
 
     if mode != "practical":
         raise ParameterError(f"unknown mode {mode!r}")
@@ -170,7 +166,7 @@ def select_parameters(
     dlt = 0.0 if delta is None else delta
     for msg in _constraint_violations(n, phi, k, residual_bound, pi, eps, dlt, lam):
         warnings.warn(f"guarantee constraint violated: {msg}", stacklevel=2)
-    return QueryParams(phi, k, residual_bound, pi, eps, dlt, gamma, theta, "practical")
+    return QueryParams(phi, pi, eps, dlt, gamma, "practical")
 
 
 @dataclass
@@ -203,24 +199,6 @@ class RepetitionDiagnostics:
 def _require_codebook(cb: Codebook, n: int):
     if cb.n < n:
         raise ValueError(f"codebook addresses {cb.n} indices, store has {n}")
-
-
-def _signed_masks(cart: CartesianTransform, cb: Codebook, n: int):
-    """Per-index codeword bits times signs, padded and group-sorted.
-
-    Returns (W1, W2) of shape (pi, block, codeword_len): W1[h, r, l] is
-    bit l of the codeword of the r-th index in row-group h, times s1.
-    """
-    _require_codebook(cb, n)
-    bits = np.zeros((cart.n_padded, cb.codeword_len))
-    bits[:n] = cb.bit_matrix()[:n]
-    w1 = (bits * cart.s1[:, None])[cart.order1].reshape(
-        cart.pi, cart.block, cb.codeword_len
-    )
-    w2 = (bits * cart.s2[:, None])[cart.order2].reshape(
-        cart.pi, cart.block, cb.codeword_len
-    )
-    return w1, w2
 
 
 def _cross_products(store: RowSketchStore, cart: CartesianTransform, multiply=None):
@@ -266,47 +244,67 @@ def _median_gram(store: RowSketchStore, multiply=None) -> np.ndarray:
     return grams[mid].copy()  # a view would keep the whole stack alive
 
 
-def _singleton_buckets(med: np.ndarray, cart: CartesianTransform, cb: Codebook):
-    """Masked buckets for singleton groups (block == 1), by indexing.
+def _sides(cross_right, cross_left, cart: CartesianTransform, cb: Codebook, n: int):
+    """Each side's signed masks and cross products, gathered into its groups.
 
-    Bucket (h, g) holds the one index pair i = order1[h], j = order2[g]:
-    row_masked[l][h, g] = bit_l(i) s1(i) s2(j) med[i, j] and col_masked
-    uses bit_l(j) and med[j, i]. These equal the median of the per-row
-    products exactly, because the weights are in {0, +1, -1}.
+    W1[h, r, l] (pi, block, codeword_len) is bit l of the codeword of the
+    r-th index in row-group h, times s1, beside that index's cross_right
+    rows (depth, pi, block, pi). The column side (s2, order2, cross_left)
+    contracts to [l, t, g, h], so callers swap its last two axes.
+    """
+    _require_codebook(cb, n)
+    bits = np.zeros((cart.n_padded, cb.codeword_len))
+    bits[:n] = cb.bit_matrix()[:n]
+    shape = (len(cross_right), cart.pi, cart.block, cart.pi)
+
+    def side(s, order, cross):
+        w = (bits * s[:, None])[order].reshape(cart.pi, cart.block, cb.codeword_len)
+        return w, cross[:, order].reshape(shape)
+
+    return side(cart.s1, cart.order1, cross_right), side(cart.s2, cart.order2, cross_left)
+
+
+def _contract(w: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """Masked group sums of one side from ``_sides``, (bits, depth, pi, pi).
+
+    Each entry sums over its block in index order, so a bit's values do
+    not depend on which other bits are contracted with it.
+    """
+    return np.einsum("hil,thig->lthg", w, blocks)
+
+
+def _singleton_buckets(med: np.ndarray, cart: CartesianTransform, cb: Codebook):
+    """Masked buckets for singleton groups (block == 1), from the median Gram.
+
+    Right-group g is s2(j) r^(j) for j = order2[g], so the depth-1 cross
+    product [i, g] is s2(j) med[i, j], and the left side likewise. The
+    buckets equal the median of the per-row products exactly, because
+    the weights are in {0, +1, -1}.
     """
     n = len(med)
-    gram = np.zeros((cart.n_padded, cart.n_padded))
-    gram[:n, :n] = med
-    w1, w2 = _signed_masks(cart, cb, n)
-    right = gram[np.ix_(cart.order1, cart.order2)] * cart.s2[cart.order2]
-    left = gram[np.ix_(cart.order2, cart.order1)].T * cart.s1[cart.order1, None]
-    return MaskedBucketSet(w1[:, 0, :].T[:, :, None] * right, w2[:, 0, :].T[:, None, :] * left)
+    gram = np.pad(med, (0, cart.n_padded - n))  # phantom indices carry zeros
+    right = gram[:, cart.order2] * cart.s2[cart.order2]
+    left = gram[:, cart.order1] * cart.s1[cart.order1]
+    rows, cols = _sides(right[None], left[None], cart, cb, n)
+    return MaskedBucketSet(_contract(*rows)[:, 0], _contract(*cols)[:, 0].swapaxes(1, 2))
 
 
-def _singleton_step(
-    gram: np.ndarray, cart: CartesianTransform, phi: float
-) -> tuple[list[tuple[int, int]], int]:
-    """One singleton-group repetition, thresholded straight off the median Gram.
+def _gram_pairs(gram: np.ndarray, phi: float) -> list[tuple[int, int]]:
+    """Every singleton-group repetition's decoded pairs, read off the Gram.
 
-    Returns what ``_recovery_step_counted`` returns for
-    ``_singleton_buckets(gram, cart, cb)``, with any codebook covering n
-    and with or without the baseline. Bucket (h, g) holds i = order1[h]
-    and j = order2[g], and its masked values are exactly +-bit_l(i)
-    G[i, j] and +-bit_l(j) G[j, i] (the weights are in {0, +1, -1}). So
-    the row side's word is the codeword of i when i, j < n and
-    |G[i, j]| >= phi/2, else all zeros, which decodes to 0; the column
-    side reads G[j, i]. Nothing is decoded and no decode fails. The
-    baseline touches only diagonal buckets, where both sides read the
-    same entry, decode alike and emit nothing either way.
+    Under any singleton grouping each index pair (i, j) has one bucket,
+    with masked values exactly +-bit_l(i) G[i, j] and +-bit_l(j) G[j, i].
+    Its row side decodes to i when |G[i, j]| >= phi/2, else to 0 (the
+    all-zero word), its column side reads G[j, i] alike, and it emits
+    when they differ; phantom buckets emit nothing. The baseline changes
+    nothing: both sides of a diagonal bucket read the same entry.
     """
-    n = len(gram)
-    i, j = cart.order1[:, None], cart.order2[None, :]
-    real = (i < n) & (j < n)  # phantom indices carry zeros
-    gi, gj = np.where(real, i, 0), np.where(real, j, 0)
-    dec_i = np.where(real & (np.abs(gram[gi, gj]) >= phi / 2.0), i, 0)
-    dec_j = np.where(real & (np.abs(gram[gj, gi]) >= phi / 2.0), j, 0)
-    h, g = np.nonzero(dec_i != dec_j)  # row-major, the order words are decoded in
-    return list(zip(dec_i[h, g].tolist(), dec_j[h, g].tolist())), 0
+    idx = np.arange(len(gram))
+    big = np.abs(gram) >= phi / 2.0
+    dec_i = np.where(big, idx[:, None], 0)
+    dec_j = np.where(big.T, idx[None, :], 0)
+    i, j = np.nonzero(dec_i != dec_j)
+    return list(zip(dec_i[i, j].tolist(), dec_j[i, j].tolist()))
 
 
 def approximate(
@@ -331,24 +329,16 @@ def approximate(
         raise ValueError(f"grouping covers {cart.n} indices, store has {store.n}")
     if cart.block == 1:
         return _singleton_buckets(_median_gram(store, multiply), cart, cb)
-    cross_right, cross_left = _cross_products(store, cart, multiply)
-    w1, w2 = _signed_masks(cart, cb, store.n)
-    depth, pi = store.transform.depth, cart.pi
-    nbits = cb.codeword_len
-    cr_blocks = cross_right[:, cart.order1, :].reshape(depth, pi, cart.block, pi)
-    cl_blocks = cross_left[:, cart.order2, :].reshape(depth, pi, cart.block, pi)
-    row_masked = np.empty((nbits, pi, pi))
-    col_masked = np.empty((nbits, pi, pi))
-    mid = depth // 2  # odd depth: the median is the middle order statistic
-    buf = np.empty((depth, pi, pi))
-    for l in range(nbits):
-        np.einsum("hi,thig->thg", w1[:, :, l], cr_blocks, out=buf)
-        buf.partition(mid, axis=0)
-        row_masked[l] = buf[mid]
-        np.einsum("gj,tgjh->thg", w2[:, :, l], cl_blocks, out=buf)
-        buf.partition(mid, axis=0)
-        col_masked[l] = buf[mid]
-    return MaskedBucketSet(row_masked, col_masked)
+    mid = store.transform.depth // 2  # odd depth: the median is the middle order statistic
+    sides = []
+    for w, blocks in _sides(*_cross_products(store, cart, multiply), cart, cb, store.n):
+        med = np.empty((cb.codeword_len, cart.pi, cart.pi))
+        for l in range(cb.codeword_len):  # one bit at a time bounds the buffer
+            buf = _contract(w[:, :, l : l + 1], blocks)[0]
+            buf.partition(mid, axis=0)
+            med[l] = buf[mid]
+        sides.append(med)
+    return MaskedBucketSet(sides[0], sides[1].swapaxes(1, 2))
 
 
 def approximate_per_row(
@@ -362,14 +352,8 @@ def approximate_per_row(
     """
     if not store.standardized:
         raise SketchStateError("approximate requires a standardized store")
-    cross_right, cross_left = _cross_products(store, cart)
-    w1, w2 = _signed_masks(cart, cb, store.n)
-    depth, pi = store.transform.depth, cart.pi
-    cr_blocks = cross_right[:, cart.order1, :].reshape(depth, pi, cart.block, pi)
-    cl_blocks = cross_left[:, cart.order2, :].reshape(depth, pi, cart.block, pi)
-    rows_l = np.einsum("hil,thig->lthg", w1, cr_blocks)
-    rows_r = np.einsum("gjl,tgjh->lthg", w2, cl_blocks)
-    return rows_l, rows_r
+    rows, cols = _sides(*_cross_products(store, cart), cart, cb, store.n)
+    return _contract(*rows), _contract(*cols).swapaxes(2, 3)
 
 
 def _recovery_step_counted(
@@ -383,13 +367,9 @@ def _recovery_step_counted(
     nbits, pi, _ = buckets.row_masked.shape
     if nbits != cb.codeword_len or pi != cart.pi:
         raise ValueError("bucket set shape does not match grouping/codebook")
-    if subtract_baseline:
-        base = masked_diag_stack(cart, cb)
-        bits_i = np.abs(buckets.row_masked - base) >= phi / 2.0
-        bits_j = np.abs(buckets.col_masked - base) >= phi / 2.0
-    else:
-        bits_i = np.abs(buckets.row_masked) >= phi / 2.0
-        bits_j = np.abs(buckets.col_masked) >= phi / 2.0
+    base = masked_diag_stack(cart, cb) if subtract_baseline else 0.0
+    bits_i = np.abs(buckets.row_masked - base) >= phi / 2.0
+    bits_j = np.abs(buckets.col_masked - base) >= phi / 2.0
     words_i = bits_i.reshape(nbits, pi * pi).T.astype(np.uint8)
     words_j = bits_j.reshape(nbits, pi * pi).T.astype(np.uint8)
     dec_i = cb.decode_words(words_i)
@@ -482,7 +462,8 @@ def recover(
         raise SketchStateError("recover requires a standardized store")
     _require_codebook(cb, store.n)
     if params.groups >= store.n:
-        step = functools.partial(_singleton_step, _median_gram(store), phi=params.phi)
+        pairs = _gram_pairs(_median_gram(store), params.phi)
+        step = lambda cart: (pairs, 0)  # every singleton grouping emits the same pairs
     else:
         def step(cart):
             return _recovery_step_counted(approximate(store, cart, cb), cart, cb, params.phi)
@@ -546,8 +527,8 @@ def recover_diff(
         raise SketchStateError("recover_diff requires standardized stores")
     _require_codebook(cb, store_a.n)
     if params.groups >= store_a.n:
-        gram = _median_gram(store_a) - _median_gram(store_b)
-        step = functools.partial(_singleton_step, gram, phi=params.phi)
+        pairs = _gram_pairs(_median_gram(store_a) - _median_gram(store_b), params.phi)
+        step = lambda cart: (pairs, 0)
     else:
         def step(cart):
             a, b = approximate(store_a, cart, cb), approximate(store_b, cart, cb)

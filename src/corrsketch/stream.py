@@ -83,9 +83,6 @@ class DenseMatrix:
     def p(self):
         return self.values.shape[1]
 
-    def copy(self) -> "DenseMatrix":
-        return DenseMatrix(self.values.copy())
-
     def __eq__(self, other):
         return isinstance(other, DenseMatrix) and np.array_equal(
             self.values, other.values

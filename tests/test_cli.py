@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from corrsketch import ams, cli, oracle
+from corrsketch import ams, bench, cli, oracle
 from corrsketch.ams import RowSketchStore
 from corrsketch.bench import BenchGrid, parse_grid, run_point
 from corrsketch.stream import DenseMatrix, StreamModel, matrix_to_updates, write_stream_file
@@ -391,6 +391,28 @@ def test_bench_ingest_clock_covers_the_last_flush(monkeypatch):
     grid = parse_grid("p=32;phi=0.8;k=1;R=0.0;epsilon=0.5;delta=0.5;gamma=2;seed=2")
     row = run_point(grid, 16)
     assert row.ingest_s >= delay
+
+
+def test_bench_refuses_instead_of_truncating(tmp_path, capsys, monkeypatch):
+    # running out of memory at the second n must fail the command, not write
+    # a one-row CSV with nan exponents and exit 0
+    run = bench.run_point
+
+    def fail_at_second_n(grid, n):
+        if n == grid.n_values[1]:
+            raise MemoryError("cannot allocate the sketch store")
+        return run(grid, n)
+
+    monkeypatch.setattr(bench, "run_point", fail_at_second_n)
+    out_csv = tmp_path / "bench.csv"
+    code, out, err = run_cli(
+        capsys, "bench", "--grid",
+        "n=16,32;p=32;phi=0.8;k=1;R=0.0;epsilon=0.5;delta=0.5;gamma=2;seed=2",
+        "--out", str(out_csv),
+    )
+    assert code == 2
+    assert err == "error: cannot allocate the sketch store\n"
+    assert out == "" and not out_csv.exists()
 
 
 def test_parse_grid_sets_every_key():

@@ -15,9 +15,9 @@ from corrsketch.recovery import (
     FeasibilityError,
     MaskedBucketSet,
     ParameterError,
+    _gram_pairs,
     _recovery_step_counted,
     _singleton_buckets,
-    _singleton_step,
     approximate,
     approximate_per_row,
     min_group_count,
@@ -213,8 +213,11 @@ def test_approximate_median_of_per_row(rng):
         cart = CartesianTransform(n, pi, seed=9)
         buckets = approximate(store, cart, cb)
         rows_l, rows_r = approximate_per_row(store, cart, cb)
-        assert np.allclose(buckets.row_masked, np.median(rows_l, axis=1), atol=1e-12)
-        assert np.allclose(buckets.col_masked, np.median(rows_r, axis=1), atol=1e-12)
+        for got, rows in ((buckets.row_masked, rows_l), (buckets.col_masked, rows_r)):
+            if cart.block > 1:  # one contraction forms both, so the median is exact
+                assert np.array_equal(got, np.median(rows, axis=1))
+            else:  # singleton buckets come from the median Gram
+                assert np.allclose(got, np.median(rows, axis=1), atol=1e-12)
 
 
 def test_approximate_custom_multiply_kernel(rng):
@@ -523,10 +526,11 @@ def test_singleton_recover_diff_matches_public_loop(extra):
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_singleton_step_equals_decoded_buckets(data):
-    # thresholding the indexed Gram once per bucket side gives the decoded
-    # reference's ordered pairs and failure count, for any Gram (not only
-    # symmetric ones) and with or without the diagonal baseline
+def test_gram_pairs_equal_decoded_buckets_under_any_grouping(data):
+    # thresholding the Gram once per entry and side gives the decoded
+    # reference's ordered pairs, with no failure, under two independent
+    # singleton groupings, for any Gram (not only symmetric ones) and with
+    # or without the diagonal baseline
     n = data.draw(st.integers(2, 12))
     pi = n + data.draw(st.integers(0, 4))  # pi = n, and pi > n with phantom indices
     phi = data.draw(st.sampled_from([0.05, 0.3, 0.8, 1.0]))
@@ -538,12 +542,36 @@ def test_singleton_step_equals_decoded_buckets(data):
     if data.draw(st.booleans()):
         gram = np.triu(gram) + np.triu(gram, 1).T
     gram[0, data.draw(st.integers(1, n - 1))] = phi  # a heavy entry on index 0
-    cart = CartesianTransform(n, pi, data.draw(st.integers(0, 2**32 - 1)))
     cb = ecc.for_index_space(n + data.draw(st.integers(0, 40)))
-    buckets = _singleton_buckets(gram, cart, cb)
-    for subtract in (True, False):
-        expect = _recovery_step_counted(buckets, cart, cb, phi, subtract_baseline=subtract)
-        assert _singleton_step(gram, cart, phi) == expect
+    expect = Counter(_gram_pairs(gram, phi))
+    for _ in range(2):
+        cart = CartesianTransform(n, pi, data.draw(st.integers(0, 2**32 - 1)))
+        buckets = _singleton_buckets(gram, cart, cb)
+        for subtract in (True, False):
+            pairs, failures = _recovery_step_counted(
+                buckets, cart, cb, phi, subtract_baseline=subtract
+            )
+            assert (Counter(pairs), failures) == (expect, 0)
+
+
+@pytest.mark.parametrize("extra", [0, 3])
+def test_singleton_query_does_not_depend_on_the_seed(extra):
+    # singleton groups scan the median Gram exactly: every grouping, so every
+    # seed and every repetition, gives the same pairs (a low phi puts dozens
+    # of entries near the threshold)
+    store, _ = _planted_store(n=32, p=512)
+    before, after, _ = _diff_stores()
+    cb = ecc.for_index_space(store.n)
+    params = practical(store.n, 0.15, cb, groups=32 + extra, reps=5, transform=store.transform)
+    runs = []
+    for seed in (29, 30):
+        counts = {}
+        runs.append((
+            recover(store, params, cb, seed=seed, counts=counts),
+            recover_diff(after, before, params, cb, seed=seed),
+        ))
+        assert counts and set(counts.values()) == {params.reps}
+    assert runs[0] == runs[1]
 
 
 def test_singleton_query_never_decodes(monkeypatch):
