@@ -26,7 +26,6 @@ from .oracle import (
 )
 from .recovery import (
     FeasibilityError,
-    MaskedBucketSet,
     ParameterError,
     QueryParams,
     RepetitionDiagnostics,

@@ -74,18 +74,14 @@ def cmd_query(args) -> int:
     header = {"seed": seed, "phi": args.phi}
     rows = []
     # no correlation can exceed 1; above it the report is trivially empty
-    if args.phi <= 1.0:
+    if not args.phi > 1.0:  # NaN goes on to the range check
         if not store.standardized:
             store.standardize()
         cb = ecc.for_index_space(store.n)
-        overrides = {}
+        # strict mode refuses a given --pi or --gamma by name
+        overrides = dict(groups=args.pi, reps=args.gamma)
         if args.mode == "practical":
-            overrides = dict(
-                groups=args.pi,
-                reps=args.gamma,
-                epsilon=store.transform.epsilon,
-                delta=store.transform.delta,
-            )
+            overrides.update(epsilon=store.transform.epsilon, delta=store.transform.delta)
         params = recovery.select_parameters(
             store.n, args.phi, args.k, args.R, args.theta, cb, args.mode, **overrides
         )

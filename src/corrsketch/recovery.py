@@ -6,22 +6,27 @@ One repetition works on a standardized row-sketch store:
      independently, with random signs),
   2. form signed group sketches, once plain and once masked by each bit
      of the rows' index codewords, and estimate every group-pair inner
-     product (``approximate``),
-  3. per group pair, threshold |bucket - baseline| against phi/2 to read
-     off one bit per codeword position, decode the two bit strings, and
-     emit the decoded index pair (``recovery_step``).
+     product (``approximate``). Both bucket sides share one
+     (2, codeword_len, pi, pi) array: [0] row-masked, [1] column-masked,
+  3. per group pair and side, threshold |bucket - baseline| against
+     phi/2 to read off one bit per codeword position, decode all 2 pi^2
+     bit strings in one call, and emit the decoded index pairs
+     (``recovery_step``).
 
-Repetitions with fresh groupings vote; pairs kept by at least half the
-repetitions survive. With singleton groups (pi >= n), every index pair
-has its own bucket, so a repetition is an exact scan of the elementwise
-median over sketch rows of the Gram matrices r_t r_t^T and every
-repetition emits the same pairs, read off that median once per query
-without decoding (``_gram_pairs``). Otherwise the heavy lifting in step
-2 is batched: per sketch row, one (n x b) @ (b x 2 pi) matrix product
-yields every row-vs-group inner product. One contraction (``_contract``)
-forms every masked bucket from such cross products, singleton buckets
-from a depth-1 one built from the median Gram. The multiply is
-injectable so a different kernel can be swapped in.
+One voting loop (``_vote``) serves ``recover`` and ``recover_diff``:
+repetitions with fresh groupings vote, and pairs kept by at least half
+the repetitions survive. A difference subtracts the second store's
+buckets and skips the baseline. With singleton groups (pi >= n), every
+index pair has its own bucket, so a repetition is an exact scan of the
+elementwise median over sketch rows of the Gram matrices r_t r_t^T (or
+of the difference of two such medians) and every repetition emits the
+same pairs, read off that median once per query without grouping or
+decoding (``_gram_pairs``). Otherwise the heavy lifting in step 2 is
+batched: per sketch row, one (n x b) @ (b x 2 pi) matrix product yields
+every row-vs-group inner product. One contraction (``_contract``) forms
+every masked bucket from such cross products, singleton buckets from a
+depth-1 one built from the median Gram. The multiply is injectable so a
+different kernel can be swapped in.
 """
 
 from __future__ import annotations
@@ -129,8 +134,8 @@ def select_parameters(
         raise ParameterError(f"phi must be in (0, 1], got {phi}")
     if k < 0:
         raise ParameterError("k must be nonnegative")
-    if residual_bound < 0:
-        raise ParameterError("residual bound must be nonnegative")
+    if not 0 <= residual_bound < math.inf:
+        raise ParameterError(f"residual bound R must be finite and >= 0, got {residual_bound}")
     if not 0 <= theta <= 1:
         raise ParameterError(f"theta must be in [0, 1], got {theta}")
     lam = codebook.error_fraction
@@ -167,19 +172,6 @@ def select_parameters(
     for msg in _constraint_violations(n, phi, k, residual_bound, pi, eps, dlt, lam):
         warnings.warn(f"guarantee constraint violated: {msg}", stacklevel=2)
     return QueryParams(phi, pi, eps, dlt, gamma, "practical")
-
-
-@dataclass
-class MaskedBucketSet:
-    """Bucket matrices per codeword bit: row-masked and column-masked.
-
-    ``row_masked[l]`` estimates the grouped sketch of the correlation
-    matrix with rows masked by bit l of their index codeword;
-    ``col_masked[l]`` masks columns. Both are (codeword_len, pi, pi).
-    """
-
-    row_masked: np.ndarray
-    col_masked: np.ndarray
 
 
 @dataclass
@@ -286,7 +278,7 @@ def _singleton_buckets(med: np.ndarray, cart: CartesianTransform, cb: Codebook):
     right = gram[:, cart.order2] * cart.s2[cart.order2]
     left = gram[:, cart.order1] * cart.s1[cart.order1]
     rows, cols = _sides(right[None], left[None], cart, cb, n)
-    return MaskedBucketSet(_contract(*rows)[:, 0], _contract(*cols)[:, 0].swapaxes(1, 2))
+    return np.stack([_contract(*rows)[:, 0], _contract(*cols)[:, 0].swapaxes(1, 2)])
 
 
 def _gram_pairs(gram: np.ndarray, phi: float) -> list[tuple[int, int]]:
@@ -307,38 +299,41 @@ def _gram_pairs(gram: np.ndarray, phi: float) -> list[tuple[int, int]]:
     return list(zip(dec_i[i, j].tolist(), dec_j[i, j].tolist()))
 
 
+def _require_grouping(store: RowSketchStore, cart: CartesianTransform):
+    if not store.standardized:
+        raise SketchStateError("approximate requires a standardized store")
+    if cart.n < store.n:
+        raise ValueError(f"grouping covers {cart.n} indices, store has {store.n}")
+
+
 def approximate(
     store: RowSketchStore,
     cart: CartesianTransform,
     cb: Codebook,
     *,
     multiply=None,
-) -> MaskedBucketSet:
-    """Estimate the masked grouped sketches from the row sketches.
+) -> np.ndarray:
+    """Estimate the masked grouped sketches, (2, codeword_len, pi, pi).
 
-    Per codeword bit l and group pair (h, g), the row-masked estimate is
-    the median over sketch rows of
+    Per codeword bit l and group pair (h, g), the row-masked estimate
+    [0, l, h, g] is the median over sketch rows of
 
         sum_{p1(i)=h} bit_l(i) s1(i) <r_t^(i), right_t[g]>
 
-    and symmetrically for the column-masked side.
+    and [1, l, h, g] is the column-masked one, masking by bit_l(j).
     """
-    if not store.standardized:
-        raise SketchStateError("approximate requires a standardized store")
-    if cart.n < store.n:
-        raise ValueError(f"grouping covers {cart.n} indices, store has {store.n}")
+    _require_grouping(store, cart)
     if cart.block == 1:
         return _singleton_buckets(_median_gram(store, multiply), cart, cb)
     mid = store.transform.depth // 2  # odd depth: the median is the middle order statistic
-    sides = []
-    for w, blocks in _sides(*_cross_products(store, cart, multiply), cart, cb, store.n):
-        med = np.empty((cb.codeword_len, cart.pi, cart.pi))
+    out = np.empty((2, cb.codeword_len, cart.pi, cart.pi))
+    sides = _sides(*_cross_products(store, cart, multiply), cart, cb, store.n)
+    for med, (w, blocks) in zip((out[0], out[1].swapaxes(1, 2)), sides):
         for l in range(cb.codeword_len):  # one bit at a time bounds the buffer
             buf = _contract(w[:, :, l : l + 1], blocks)[0]
             buf.partition(mid, axis=0)
             med[l] = buf[mid]
-        sides.append(med)
-    return MaskedBucketSet(sides[0], sides[1].swapaxes(1, 2))
+    return out
 
 
 def approximate_per_row(
@@ -350,76 +345,89 @@ def approximate_per_row(
     median so the bilinearity identity can be checked against brute
     force. Materializes the full stack; small inputs only.
     """
-    if not store.standardized:
-        raise SketchStateError("approximate requires a standardized store")
+    _require_grouping(store, cart)
     rows, cols = _sides(*_cross_products(store, cart), cart, cb, store.n)
     return _contract(*rows), _contract(*cols).swapaxes(2, 3)
 
 
 def _recovery_step_counted(
-    buckets: MaskedBucketSet,
+    buckets: np.ndarray,
     cart: CartesianTransform,
     cb: Codebook,
     phi: float,
     *,
     subtract_baseline: bool = True,
 ) -> tuple[list[tuple[int, int]], int]:
-    nbits, pi, _ = buckets.row_masked.shape
-    if nbits != cb.codeword_len or pi != cart.pi:
-        raise ValueError("bucket set shape does not match grouping/codebook")
+    nbits, pi = cb.codeword_len, cart.pi
+    if buckets.shape != (2, nbits, pi, pi):
+        raise ValueError("bucket array shape does not match grouping/codebook")
     base = masked_diag_stack(cart, cb) if subtract_baseline else 0.0
-    bits_i = np.abs(buckets.row_masked - base) >= phi / 2.0
-    bits_j = np.abs(buckets.col_masked - base) >= phi / 2.0
-    words_i = bits_i.reshape(nbits, pi * pi).T.astype(np.uint8)
-    words_j = bits_j.reshape(nbits, pi * pi).T.astype(np.uint8)
-    dec_i = cb.decode_words(words_i)
-    dec_j = cb.decode_words(words_j)
-    failures = int(np.sum(dec_i < 0) + np.sum(dec_j < 0))
+    bits = np.abs(buckets - base) >= phi / 2.0
+    words = bits.view(np.uint8).reshape(2, nbits, pi * pi).swapaxes(1, 2).reshape(-1, nbits)
+    dec = cb.decode_words(words)
+    dec_i, dec_j = dec.reshape(2, pi * pi)
     ok = (dec_i >= 0) & (dec_j >= 0) & (dec_i != dec_j)
     ok &= (dec_i < cart.n) & (dec_j < cart.n)
     pairs = [(int(i), int(j)) for i, j in zip(dec_i[ok], dec_j[ok])]
-    return pairs, failures
+    return pairs, int(np.sum(dec < 0))
 
 
 def recovery_step(
-    buckets: MaskedBucketSet,
+    buckets: np.ndarray,
     cart: CartesianTransform,
     cb: Codebook,
     phi: float,
     *,
     subtract_baseline: bool = True,
 ) -> list[tuple[int, int]]:
-    """Threshold each bucket against the mask baseline and decode.
+    """Threshold each bucket side against the mask baseline and decode.
 
     Emits (i, j) for every group pair where both bit strings decode to
     distinct indices; decode failures and diagonal hits emit nothing.
     """
-    pairs, _ = _recovery_step_counted(
-        buckets, cart, cb, phi, subtract_baseline=subtract_baseline
-    )
-    return pairs
+    return _recovery_step_counted(buckets, cart, cb, phi, subtract_baseline=subtract_baseline)[0]
 
 
 def _vote(
-    n: int, step, params: QueryParams, seed: int, threads: int,
+    stores: tuple, cb: Codebook, params: QueryParams, seed: int, threads: int,
     diagnostics: list | None, counts: dict | None = None,
 ) -> set[tuple[int, int]]:
     """Vote over ``params.reps`` repetitions; keep pairs with a majority.
 
-    Repetition k draws its grouping from the k-th seed-stream value and
-    takes its decoded pairs and decode-failure count from ``step(cart)``.
-    Ordered pairs are counted separately and majority survivors are
+    Recovers from the first store, minus the second when one is given
+    (a difference carries no unit diagonal, so no baseline). Repetition
+    k groups by the k-th seed-stream value; singleton groups emit the
+    median Gram's pairs in every repetition without grouping. Ordered
+    pairs are counted separately and majority survivors are
     canonicalized to i < j. Threads change only the schedule: results
     are merged in repetition order.
     """
+    if not all(s.standardized for s in stores):
+        raise SketchStateError("recovery requires standardized stores")
+    n = stores[0].n
+    _require_codebook(cb, n)
     require_count("threads", threads)
     draws = seed_stream(seed)
     rep_seeds = [next(draws) for _ in range(params.reps)]
+    if params.groups >= n:
+        gram = _median_gram(stores[0])
+        for other in stores[1:]:
+            gram -= _median_gram(other)
+        scan = _gram_pairs(gram, params.phi)
+        step = lambda _: (scan, 0)
+    else:
+        def step(rep_seed: int):
+            cart = CartesianTransform(n, params.groups, rep_seed)
+            buckets = approximate(stores[0], cart, cb)
+            for other in stores[1:]:
+                buckets -= approximate(other, cart, cb)
+            return _recovery_step_counted(
+                buckets, cart, cb, params.phi, subtract_baseline=len(stores) == 1
+            )
 
     def run_rep(idx: int):
         t0 = time.perf_counter()
-        cart = CartesianTransform(n, params.groups, rep_seeds[idx])
-        pairs, failures = step(cart)
+        pairs, failures = step(rep_seeds[idx])
         elapsed = (time.perf_counter() - t0) * 1000.0
         return pairs, RepetitionDiagnostics(idx, failures, len(pairs), elapsed)
 
@@ -458,16 +466,7 @@ def recover(
     ``counts``, when given, is filled with the ordered per-pair vote
     counts.
     """
-    if not store.standardized:
-        raise SketchStateError("recover requires a standardized store")
-    _require_codebook(cb, store.n)
-    if params.groups >= store.n:
-        pairs = _gram_pairs(_median_gram(store), params.phi)
-        step = lambda cart: (pairs, 0)  # every singleton grouping emits the same pairs
-    else:
-        def step(cart):
-            return _recovery_step_counted(approximate(store, cart, cb), cart, cb, params.phi)
-    result = _vote(store.n, step, params, seed, threads, diagnostics, counts)
+    result = _vote((store,), cb, params, seed, threads, diagnostics, counts)
     if verify:
         result = {
             (i, j) for i, j, _, accepted in verify_candidates(store, result, params.phi) if accepted
@@ -523,15 +522,4 @@ def recover_diff(
         raise ValueError("snapshot stores use different sketch transforms")
     if store_a.n != store_b.n:
         raise ValueError("snapshot stores have different row counts")
-    if not (store_a.standardized and store_b.standardized):
-        raise SketchStateError("recover_diff requires standardized stores")
-    _require_codebook(cb, store_a.n)
-    if params.groups >= store_a.n:
-        pairs = _gram_pairs(_median_gram(store_a) - _median_gram(store_b), params.phi)
-        step = lambda cart: (pairs, 0)
-    else:
-        def step(cart):
-            a, b = approximate(store_a, cart, cb), approximate(store_b, cart, cb)
-            diff = MaskedBucketSet(a.row_masked - b.row_masked, a.col_masked - b.col_masked)
-            return _recovery_step_counted(diff, cart, cb, params.phi, subtract_baseline=False)
-    return _vote(store_a.n, step, params, seed, threads, diagnostics)
+    return _vote((store_a, store_b), cb, params, seed, threads, diagnostics)

@@ -217,12 +217,13 @@ def test_query_above_one_threshold_is_empty(tmp_path, capsys, planted_stream):
         capsys, "ingest", "--model", "rps", "--input", str(stream), "--out", str(snap),
         "--epsilon", "0.1", "--delta", "0.2", "--seed", "8",
     )
-    code, out, _ = run_cli(
-        capsys, "query", "--snapshot", str(snap), "--phi", "1.01", "--k", "2", "--R", "1.0",
-        "--pi", "8", "--gamma", "4", "--seed", "1",
-    )
-    assert code == 0
-    assert [l for l in out.splitlines() if not l.startswith("#")] == []
+    for phi in ("1.01", "inf"):
+        code, out, _ = run_cli(
+            capsys, "query", "--snapshot", str(snap), "--phi", phi, "--k", "2", "--R", "1.0",
+            "--pi", "8", "--gamma", "4", "--seed", "1",
+        )
+        assert code == 0
+        assert [l for l in out.splitlines() if not l.startswith("#")] == []
 
 
 def test_query_verifies_once(tmp_path, capsys, planted_stream):
@@ -271,6 +272,46 @@ def test_query_strict_mode_infeasible(tmp_path, capsys, planted_stream):
         "--mode", "strict", "--seed", "1",
     )
     assert code == 2 and "binding constraint" in err
+
+
+def test_query_strict_mode_refuses_overrides(tmp_path, capsys, planted_stream):
+    # strict mode computes pi and gamma, so a given one is refused rather than dropped
+    stream, _ = planted_stream
+    snap = tmp_path / "p.snap"
+    run_cli(
+        capsys, "ingest", "--model", "rps", "--input", str(stream), "--out", str(snap),
+        "--epsilon", "0.1", "--delta", "0.2", "--seed", "8",
+    )
+    base = ("query", "--snapshot", str(snap), "--phi", "0.9", "--k", "1", "--R", "0",
+            "--mode", "strict", "--seed", "1")
+    code, out, _ = run_cli(capsys, *base)
+    assert code == 0 and "mode=strict" in out
+    for flags in (("--pi", "5"), ("--gamma", "3"), ("--pi", "5", "--gamma", "3")):
+        code, out, err = run_cli(capsys, *base, *flags)
+        assert code == 2 and out == ""
+        assert "strict mode computes its parameters; overrides not allowed" in err
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [(("--phi", "nan"), "phi must be in (0, 1], got nan"),
+     (("--R", "inf"), "residual bound R must be finite and >= 0, got inf"),
+     (("--R", "nan"), "residual bound R must be finite and >= 0, got nan"),
+     (("--R", "nan", "--pi", "8"), "residual bound R must be finite and >= 0, got nan")],
+)
+def test_query_refuses_non_finite_phi_and_r(tmp_path, capsys, planted_stream, flags, message):
+    stream, _ = planted_stream
+    snap = tmp_path / "p.snap"
+    run_cli(
+        capsys, "ingest", "--model", "rps", "--input", str(stream), "--out", str(snap),
+        "--epsilon", "0.2", "--delta", "0.2", "--seed", "8",
+    )
+    code, out, err = run_cli(
+        capsys, "query", "--snapshot", str(snap), "--phi", "0.7", "--k", "1", "--R", "0",
+        "--seed", "1", *flags,
+    )
+    assert code == 2 and out == ""
+    assert f"error: {message}" in err
 
 
 def test_oracle_identical_rows_and_k0(tmp_path, capsys, rng):

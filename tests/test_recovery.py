@@ -8,12 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_store, integer_matrix
-from corrsketch import ecc, oracle
+from corrsketch import ecc, oracle, recovery
 from corrsketch.ams import RowSketchStore, SketchStateError, SketchTransform, seed_stream
 from corrsketch.cartesian import CartesianTransform, cart_exact
 from corrsketch.recovery import (
     FeasibilityError,
-    MaskedBucketSet,
     ParameterError,
     _gram_pairs,
     _recovery_step_counted,
@@ -136,6 +135,15 @@ def test_select_parameters_refuses_counts_below_one(field, value):
         select_parameters(64, 0.5, 1, 0.0, 0.0, cb, "practical", **{field: value})
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("mode,groups", [("practical", 8), ("practical", None), ("strict", None)])
+def test_select_parameters_refuses_non_finite_residual_bound(value, mode, groups):
+    # NaN passes "R < 0", and inf overflows the pi bound or, with pi given, goes unchecked
+    cb = ecc.for_index_space(64)
+    with pytest.raises(ParameterError, match=f"R must be finite and >= 0, got {value}"):
+        select_parameters(64, 0.5, 1, value, 0.0, cb, mode, groups=groups)
+
+
 # -- approximate -------------------------------------------------------------
 
 
@@ -147,6 +155,16 @@ def test_approximate_requires_standardized(rng):
         approximate(store, cart, cb)
 
 
+def test_approximate_refuses_a_grouping_short_of_the_store(rng):
+    store = build_store(rng.standard_normal((8, 32)))
+    store.standardize()
+    cb = ecc.for_index_space(8)
+    cart = CartesianTransform(6, 3, seed=1)
+    for form in (approximate, approximate_per_row):
+        with pytest.raises(ValueError, match="grouping covers 6 indices, store has 8"):
+            form(store, cart, cb)
+
+
 def test_approximate_all_degenerate_rows_give_zero_buckets():
     values = np.ones((8, 32)) * np.arange(1, 9)[:, None]  # constant rows
     store = build_store(values)
@@ -155,7 +173,7 @@ def test_approximate_all_degenerate_rows_give_zero_buckets():
     cb = ecc.for_index_space(8)
     cart = CartesianTransform(8, 4, seed=2)
     buckets = approximate(store, cart, cb)
-    assert not np.any(buckets.row_masked) and not np.any(buckets.col_masked)
+    assert buckets.shape == (2, cb.codeword_len, 4, 4) and not np.any(buckets)
 
 
 def test_approximate_singleton_groups_collapse(rng):
@@ -175,7 +193,7 @@ def test_approximate_singleton_groups_collapse(rng):
                 expect = (
                     cb.mask_bit(l, i) * cart.s1[i] * cart.s2[j] * float(unit[i] @ unit[j])
                 )
-                got = buckets.row_masked[l][cart.p1[i], cart.p2[j]]
+                got = buckets[0, l, cart.p1[i], cart.p2[j]]
                 assert got == pytest.approx(expect, abs=1e-12)
 
 
@@ -213,7 +231,7 @@ def test_approximate_median_of_per_row(rng):
         cart = CartesianTransform(n, pi, seed=9)
         buckets = approximate(store, cart, cb)
         rows_l, rows_r = approximate_per_row(store, cart, cb)
-        for got, rows in ((buckets.row_masked, rows_l), (buckets.col_masked, rows_r)):
+        for got, rows in ((buckets[0], rows_l), (buckets[1], rows_r)):
             if cart.block > 1:  # one contraction forms both, so the median is exact
                 assert np.array_equal(got, np.median(rows, axis=1))
             else:  # singleton buckets come from the median Gram
@@ -236,8 +254,7 @@ def test_approximate_custom_multiply_kernel(rng):
         buckets = approximate(store, cart, cb, multiply=kernel)
         assert calls, "every product must go through the injected kernel"
         base = approximate(store, cart, cb)
-        assert np.array_equal(buckets.row_masked, base.row_masked)
-        assert np.array_equal(buckets.col_masked, base.col_masked)
+        assert np.array_equal(buckets, base)
 
 
 # -- recovery_step -----------------------------------------------------------
@@ -245,13 +262,9 @@ def test_approximate_custom_multiply_kernel(rng):
 
 def _exact_buckets(c, cart, cb):
     bits = cb.bit_matrix()[: cart.n].astype(float)
-    row_masked = np.stack(
-        [cart_exact(cart, bits[:, l][:, None] * c) for l in range(cb.blocklen)]
-    )
-    col_masked = np.stack(
-        [cart_exact(cart, c * bits[:, l][None, :]) for l in range(cb.blocklen)]
-    )
-    return MaskedBucketSet(row_masked, col_masked)
+    row_masked = [cart_exact(cart, bits[:, l][:, None] * c) for l in range(cb.blocklen)]
+    col_masked = [cart_exact(cart, c * bits[:, l][None, :]) for l in range(cb.blocklen)]
+    return np.stack([row_masked, col_masked])
 
 
 def test_recovery_step_empty_when_no_large_entries():
@@ -291,9 +304,11 @@ def test_recovery_step_multi_large_bucket_no_wrong_claims():
 def test_recovery_step_shape_check():
     cb = ecc.for_index_space(8)
     cart = CartesianTransform(8, 2, seed=19)
-    bad = MaskedBucketSet(np.zeros((3, 2, 2)), np.zeros((3, 2, 2)))
-    with pytest.raises(ValueError):
-        recovery_step(bad, cart, cb, phi=0.5)
+    good = (2, cb.codeword_len, 2, 2)
+    for shape in ((3, 2, 2), (2, 3, 2, 2), (1,) + good[1:], good[:3] + (3,)):
+        with pytest.raises(ValueError, match="bucket array shape"):
+            recovery_step(np.zeros(shape), cart, cb, phi=0.5)
+    assert recovery_step(np.zeros(good), cart, cb, phi=0.5) == []
 
 
 def test_noise_free_pipeline_recovers_exactly(rng):
@@ -515,8 +530,7 @@ def test_singleton_recover_diff_matches_public_loop(extra):
 
     for first, second in ((after, before), (before, after)):
         def diff(cart):
-            a, b = approximate(first, cart, cb), approximate(second, cart, cb)
-            return MaskedBucketSet(a.row_masked - b.row_masked, a.col_masked - b.col_masked)
+            return approximate(first, cart, cb) - approximate(second, cart, cb)
 
         _, expect = _public_votes(before.n, params, cb, 31, diff, subtract_baseline=False)
         assert pair in expect
@@ -592,6 +606,45 @@ def test_singleton_query_never_decodes(monkeypatch):
         recover(store, grouped, cb, seed=29)
     with pytest.raises(AssertionError, match="decoded a word"):
         recover_diff(after, before, grouped, cb, seed=31)
+
+
+def test_singleton_query_builds_no_grouping(monkeypatch):
+    # pi >= n votes the median Gram's pairs: no repetition draws a grouping
+    store, _ = _planted_store(n=32, p=512)
+    before, after, pair = _diff_stores()
+    cb = ecc.for_index_space(store.n)
+
+    def refuse(*args):
+        raise AssertionError("built a grouping")
+
+    monkeypatch.setattr(recovery, "CartesianTransform", refuse)
+    params = practical(store.n, 0.7, cb, groups=35, reps=5, transform=store.transform)
+    assert (3, 17) in recover(store, params, cb, seed=29, threads=2)
+    assert pair in recover_diff(after, before, params, cb, seed=31)
+
+
+def test_query_refusals_precede_the_median_gram(monkeypatch):
+    # threads, standardization and codebook size are checked before any product
+    store, _ = _planted_store(n=32, p=512)
+    raw = build_store(np.random.default_rng(1).standard_normal((32, 64)))
+    cb = ecc.for_index_space(store.n)
+    params = practical(store.n, 0.7, cb, groups=32, reps=2, transform=store.transform)
+
+    def refuse(*args):
+        raise AssertionError("formed a median Gram")
+
+    monkeypatch.setattr(recovery, "_median_gram", refuse)
+    cases = [
+        (ParameterError, "threads must be at least 1, got 0", store, cb, 0),
+        (SketchStateError, "standardized", raw, cb, 1),
+        (ValueError, "codebook addresses 16 indices, store has 32", store,
+         ecc.for_index_space(16), 1),
+    ]
+    for error, match, s, book, threads in cases:
+        with pytest.raises(error, match=match):
+            recover(s, params, book, seed=3, threads=threads)
+        with pytest.raises(error, match=match):
+            recover_diff(s, s, params, book, seed=3, threads=threads)
 
 
 @pytest.mark.parametrize("groups", [64, 16])  # singleton and grouped paths
