@@ -8,11 +8,14 @@ and d = 8*ln(1/delta), per the usual median-of-means constants.
 
 The RowSketchStore keeps one sketch per row of the observation matrix plus
 the row totals. Both are linear in the stream, so turnstile updates may
-arrive in any order, split or cancelled. At query time the store
-standardizes in place so that inner products estimate correlations. The
-all-ones sketch that standardization subtracts is a fixed function of the
-transform, so the store's constructor builds it whole. The rows sit in
-memory in snapshot order, so save and load move each section in one call.
+arrive in any order, split or cancelled. At query time the store is
+standardized so that inner products estimate correlations: it records a
+shift and a scale per row and never rewrites a row; each standardized row
+a_i (r_i - mu_i o) is formed where it is read. The all-ones sketch o that
+the shift subtracts is a fixed function of the transform, so the store's
+constructor builds it whole. The rows sit in memory in snapshot order; a
+loaded store maps them from the file (copy-on-write) instead of reading
+them, and save writes a temporary file that then takes the target's name.
 
 Bucket and sign functions are seeded polynomials, evaluated on demand for
 a chunk of columns at a time (SketchTransform.hash_columns); no (d, p)
@@ -27,7 +30,9 @@ and never hashes.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import itertools
 import math
 import operator
 import os
@@ -270,12 +275,16 @@ class RowSketchStore:
     Layout note: ``rows`` is indexed (depth, n, width), so ``rows[t]`` is
     the n x width matrix of sketch row t that the query multiplies. Its
     memory is row-major (n, depth, width), the order a snapshot stores it,
-    so ``row_sketch(i)`` is one contiguous d x b block and save and load
-    move all rows in one call.
+    so ``row_sketch(i)`` reads one contiguous d x b block and the rows
+    section maps straight onto the file.
 
     ``apply`` checks each update and buffers it; the buffer is added in
     stream order when it holds _CHUNK updates and whenever ``rows`` or
     ``totals`` is read, so every reader sees all updates applied so far.
+
+    Standardizing sets ``mu`` (shift) and ``scale`` (a) per row and leaves
+    the stored rows as they are; ``row_sketch``, ``sketch_row``, ``inner``
+    and ``save`` serve the standardized rows a_i (r_i - mu_i o).
     """
 
     def __init__(self, transform: SketchTransform, n: int):
@@ -295,25 +304,41 @@ class RowSketchStore:
             transform, np.zeros((n, depth, width)), np.zeros(n), ones.reshape(depth, width)
         )
 
-    def _assign(self, transform, sketches, totals, ones_sketch, standardized=False):
-        """Set every field from the store's parts; nothing is buffered."""
+    def _assign(self, transform, sketches, totals, ones_sketch, standardized=False, norms=None):
+        """Set every field from the store's parts; nothing is buffered.
+
+        ``norms`` is ``_centered_norms`` of these rows, when known. A
+        standardized snapshot's rows are served as stored: mu = 0, a = 1.
+        """
+        n = len(totals)
         self.transform = transform
-        self.n = len(totals)
+        self.n = n
         self.p = transform.p
         self._sketches = sketches
         self._totals = totals
         self._pending = ([], [], [])  # row, column and value of each buffered update
+        self._norms = norms  # dropped when an update lands
         self.ones_sketch = ones_sketch
         self.standardized = standardized
+        self._shifted = False  # set by standardize: rows are served as a_i (r_i - mu_i o)
+        self.mu = np.zeros(n) if standardized else None
+        self.scale = np.ones(n) if standardized else None
         # a standardized snapshot zeroed its degenerate rows
         self.degenerate = (
-            ~sketches.any(axis=(1, 2)) if standardized else np.zeros(len(totals), dtype=bool)
+            ~np.asarray(sketches.any(axis=(1, 2))) if standardized else np.zeros(n, dtype=bool)
         )
 
     @property
     def rows(self) -> np.ndarray:
+        """All rows, (depth, n, width), as queries read them.
+
+        Once standardized this materializes a fresh array (a test surface);
+        the query reads one sketch row at a time through ``sketch_row``.
+        """
         self._flush()
-        return self._sketches.transpose(1, 0, 2)
+        if not self.standardized:
+            return self._sketches.transpose(1, 0, 2)
+        return np.stack([self.row_sketch(i) for i in range(self.n)]).transpose(1, 0, 2)
 
     @property
     def totals(self) -> np.ndarray:
@@ -361,6 +386,9 @@ class RowSketchStore:
         """Add the buffered updates to the sketches and totals, in stream order."""
         if not self._pending[0]:
             return
+        if not self._sketches.flags.writeable:  # shared with a standardized copy
+            self._sketches = np.array(self._sketches)
+        self._norms = None
         i, j, alpha = (np.array(column) for column in self._pending)
         step = max(1, _CHUNK // self.transform.depth)
         for start in range(0, len(i), step):
@@ -372,41 +400,71 @@ class RowSketchStore:
     def finalize_ones(self):
         """No-op: the constructor already built the whole all-ones sketch."""
 
+    def _served(self, raw, at, ones, out) -> np.ndarray:
+        """``raw`` stored rows as queries read them, copied into ``out``.
+
+        ``at`` indexes ``mu`` and ``scale`` to broadcast against ``raw``;
+        every block gets the same roundings, so every reader the same bits.
+        """
+        out[...] = raw  # first out of the map, misaligned at byte 61: aligned arithmetic is faster
+        if self._shifted:
+            out -= self.mu[at] * ones
+            out *= self.scale[at]
+        return out
+
     def row_sketch(self, i: int) -> np.ndarray:
-        return self.rows[:, i, :]
+        """Row i's d x b sketch as queries read it, in a fresh array."""
+        self._flush()
+        out = np.empty(self.ones_sketch.shape)
+        return self._served(self._sketches[i], i, self.ones_sketch, out)
+
+    def sketch_row(self, t: int, out: np.ndarray) -> np.ndarray:
+        """Sketch row t of every row as queries read it, (n, width), copied into ``out``."""
+        self._flush()
+        step = max(1, _CHUNK // out.shape[1])  # rows per cache-sized step
+        for i in range(0, self.n, step):
+            rows = slice(i, i + step)
+            self._served(self._sketches[rows, t], (rows, None), self.ones_sketch[t], out[rows])
+        return out
 
     def inner(self, i: int, j: int) -> float:
-        return inner_product(self.rows[:, i, :], self.rows[:, j, :])
+        return inner_product(self.row_sketch(i), self.row_sketch(j))
 
     def standardize(self):
-        """Shift every sketch to zero row-mean and rescale to unit norm.
+        """Record the shift and scale that standardize every row; no row is written.
 
-        The shift uses the exact total; the scale divides by the sketch's
-        own norm estimate, the median over sketch rows of its squared norm.
-        Rows whose squared norm falls below 1e-12 * p are flagged
-        degenerate and zeroed so they drop out of recovery. Destructive;
-        see standardized_copy.
+        The shift mu_i = t_i / p uses the exact total; the scale a_i is one
+        over the sketch's own norm estimate, the square root of the median
+        over sketch rows of ||r_i - mu_i o||^2 (found by ``load`` when
+        no update has landed since). Rows whose squared norm falls below
+        1e-12 * p are flagged degenerate and get scale 0, so they drop out
+        of recovery.
         """
         if self.standardized:
             raise SketchStateError("store already standardized")
-        rows = self.rows
-        means = self.totals / self.p
-        for t in range(self.transform.depth):
-            rows[t] -= np.outer(means, self.ones_sketch[t])
-        norm_sq = np.median(np.einsum("tib,tib->ti", rows, rows), axis=0)
+        mu = self.totals / self.p
+        if self._norms is None:
+            self._norms = _centered_norms(self._sketches, mu, self.ones_sketch)
+        norm_sq = np.median(self._norms, axis=1)
+        self.mu = mu
         self.degenerate = norm_sq <= NORM_TOLERANCE * self.p
         safe = np.where(self.degenerate, 1.0, norm_sq)
-        scale = np.where(self.degenerate, 0.0, 1.0 / np.sqrt(safe))
-        rows *= scale[None, :, None]
-        self.standardized = True
+        self.scale = np.where(self.degenerate, 0.0, 1.0 / np.sqrt(safe))
+        self.standardized = self._shifted = True
 
     def standardized_copy(self) -> "RowSketchStore":
-        """A standardized copy in the same memory order; this store is unchanged."""
+        """A standardized store over the same rows; this store is unchanged.
+
+        The rows are shared, not copied: this store's view of them turns
+        read-only, and its next update copies them first.
+        """
         self._flush()
+        self._sketches = self._sketches.view()
+        self._sketches.flags.writeable = False
         out = type(self).__new__(type(self))
         out._assign(
-            self.transform, self._sketches.copy(), self._totals.copy(), self.ones_sketch,
-            self.standardized,
+            self.transform, self._sketches, self._totals.copy(), self.ones_sketch,
+            self.standardized, self._norms,
         )
         out.standardize()
         return out
@@ -414,6 +472,13 @@ class RowSketchStore:
     # -- snapshot io ---------------------------------------------------
 
     def save(self, path):
+        """Write a snapshot of the rows as queries read them.
+
+        The bytes go to a temporary file beside ``path`` that then takes
+        its name, so a store mapped from ``path`` (this one included) keeps
+        reading the old file, a reader never sees a partial snapshot, and
+        a failed write leaves ``path`` as it was.
+        """
         flags = 0
         if self.standardized:
             flags |= _FLAG_STANDARDIZED
@@ -432,20 +497,37 @@ class RowSketchStore:
             self.p,
         )
         self._flush()
-        # keep the files buffered: buffered write and readinto loop past the
-        # 2 GiB at which one raw call may stop
-        with open(path, "wb") as fh:
-            fh.write(header)
-            for section in (self._sketches, self._totals, self.ones_sketch):
-                fh.write(np.ascontiguousarray(section, dtype="<f8"))
+        rows = map(self.row_sketch, range(self.n)) if self._shifted else [self._sketches]
+        path = os.path.realpath(path)  # through a symlink to its target, as open() writes
+        tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+        try:
+            # keep the file buffered: a buffered write loops past the 2 GiB
+            # at which one raw call may stop
+            with open(tmp, "xb") as fh:
+                fh.write(header)
+                for section in itertools.chain(rows, (self._totals, self.ones_sketch)):
+                    fh.write(np.ascontiguousarray(section, dtype="<f8"))
+            # unlink, then rename: ext4 forces the new file's data out (about
+            # 1 s per GB) when a rename replaces an existing file
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(path)
+            os.rename(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
 
     @classmethod
     def load(cls, path) -> "RowSketchStore":
-        """Read a snapshot; refuse a malformed header, size or non-finite value.
+        """Open a snapshot; refuse a malformed header, size or non-finite value.
 
-        The header and the file size are checked before anything is
-        allocated, so a corrupt header cannot ask for a huge array. Each
-        section is then read in one call straight into place.
+        The header and the file size are checked before anything is mapped
+        or allocated, so a corrupt header cannot ask for a huge array. The
+        totals and the all-ones sketch are read into memory; the rows
+        section is mapped copy-on-write, not read, so updates to a loaded
+        store stay private and never reach the file. One pass over the map
+        checks every row block for NaN and infinity and finds the norms
+        ``standardize`` takes its scales from.
         """
         with open(path, "rb") as fh:
             head = fh.read(_HEADER.size)
@@ -475,21 +557,52 @@ class RowSketchStore:
                 )
             except ValueError as err:
                 raise SnapshotFormatError(f"bad sketch shape in header: {err}") from None
-            rows = _read_finite(fh, np.empty((n, depth, width), dtype="<f8"), "rows")
+            fh.seek(_HEADER.size + 8 * n * depth * width)
             totals = _read_finite(fh, np.empty(n, dtype="<f8"), "totals")
             ones = _read_finite(fh, np.empty((depth, width), dtype="<f8"), "ones_sketch")
+            rows = np.memmap(
+                fh, dtype="<f8", mode="c", offset=_HEADER.size, shape=(n, depth, width)
+            )
+        # the one pass over the rows checks them and finds what standardize needs
+        norms = _centered_norms(rows, totals / p, ones, check=True)
         store = cls.__new__(cls)
-        store._assign(transform, rows, totals, ones, bool(flags & _FLAG_STANDARDIZED))
+        store._assign(transform, rows, totals, ones, bool(flags & _FLAG_STANDARDIZED), norms)
         return store
+
+
+def _require_finite(values: np.ndarray, what: str):
+    """Refuse a NaN or infinite value in ``values``, naming ``what``."""
+    # min and max propagate NaN and reach any infinity, with no temporary array
+    if not (np.isfinite(values.min()) and np.isfinite(values.max())):
+        raise SnapshotFormatError(f"non-finite value in {what}")
+
+
+def _centered_norms(rows, mu: np.ndarray, ones: np.ndarray, check: bool = False) -> np.ndarray:
+    """||r_{t,i} - mu_i o_t||^2 for every row i and sketch row t, (n, depth).
+
+    One pass over the (n, depth, width) rows in cache-sized steps. With
+    ``check``, a row whose squares are not all finite is checked value by
+    value, and one holding NaN or infinity is refused, naming it; a row
+    whose squares merely overflowed passes.
+    """
+    depth, width = ones.shape
+    step = max(1, _CHUNK // width)  # sketch rows per step
+    d = np.empty((step, width))
+    out = np.empty((len(rows), depth))
+    for i, raw in enumerate(rows):
+        for t in range(0, depth, step):
+            part = d[: min(step, depth - t)]  # r_i - mu_i o over these sketch rows
+            np.multiply(ones[t : t + step], mu[i], out=part)
+            np.subtract(raw[t : t + step], part, out=part)
+            out[i, t : t + step] = np.einsum("tb,tb->t", part, part)
+        if check and not np.isfinite(out[i]).all():
+            _require_finite(raw, f"row {i}")
+    return out
 
 
 def _read_finite(fh, out: np.ndarray, what: str) -> np.ndarray:
     """Fill ``out`` from the file; refuse a short read or a NaN/inf value."""
     if fh.readinto(out) != out.nbytes:
         raise SnapshotFormatError(f"snapshot truncated in {what}")
-    # min and max propagate NaN and reach any infinity, with no temporary array
-    if not (np.isfinite(out.min()) and np.isfinite(out.max())):
-        if what == "rows":  # name the first row that holds a bad value
-            what = f"row {np.argwhere(~np.isfinite(out))[0, 0]}"
-        raise SnapshotFormatError(f"non-finite value in {what}")
+    _require_finite(out, what)
     return out

@@ -66,9 +66,10 @@ def cmd_ingest(args) -> int:
 
 def cmd_query(args) -> int:
     seed, generated = _resolve_seed(args.seed)
-    # refuse bad settings before paying for the snapshot load
-    recovery.require_count("groups (pi)", args.pi)
-    recovery.require_count("reps (gamma)", args.gamma)
+    # refuse bad settings before paying for the snapshot load, and whatever phi is;
+    # strict mode refuses a given --pi or --gamma by name
+    overrides = dict(groups=args.pi, reps=args.gamma)
+    recovery.check_settings(args.k, args.R, args.theta, args.mode, **overrides)
     recovery.require_count("threads", args.threads)
     store = RowSketchStore.load(args.snapshot)
     header = {"seed": seed, "phi": args.phi}
@@ -78,8 +79,6 @@ def cmd_query(args) -> int:
         if not store.standardized:
             store.standardize()
         cb = ecc.for_index_space(store.n)
-        # strict mode refuses a given --pi or --gamma by name
-        overrides = dict(groups=args.pi, reps=args.gamma)
         if args.mode == "practical":
             overrides.update(epsilon=store.transform.epsilon, delta=store.transform.delta)
         params = recovery.select_parameters(

@@ -109,6 +109,39 @@ def _constraint_violations(n, phi, k, residual_bound, groups, epsilon, delta, la
     return out
 
 
+def check_settings(
+    k: int,
+    residual_bound: float,
+    theta: float,
+    mode: str,
+    *,
+    groups: int | None = None,
+    reps: int | None = None,
+    epsilon: float | None = None,
+    delta: float | None = None,
+):
+    """Refuse query settings that are wrong whatever phi and the store are.
+
+    ``select_parameters`` runs these checks; a caller can run them before
+    it loads a snapshot or takes a shortcut that skips parameter selection.
+    """
+    if k < 0:
+        raise ParameterError("k must be nonnegative")
+    if not 0 <= residual_bound < math.inf:
+        raise ParameterError(f"residual bound R must be finite and >= 0, got {residual_bound}")
+    if not 0 <= theta <= 1:
+        raise ParameterError(f"theta must be in [0, 1], got {theta}")
+    if mode == "strict":
+        if any(v is not None for v in (groups, reps, epsilon, delta)):
+            raise ParameterError("strict mode computes its parameters; overrides not allowed")
+        if k < 1 and residual_bound == 0:
+            raise ParameterError("strict mode needs a nonempty promise (k >= 1 or R > 0)")
+    elif mode != "practical":
+        raise ParameterError(f"unknown mode {mode!r}")
+    require_count("groups (pi)", groups)
+    require_count("reps (gamma)", reps)
+
+
 def select_parameters(
     n: int,
     phi: float,
@@ -132,19 +165,11 @@ def select_parameters(
     """
     if not 0 < phi <= 1:
         raise ParameterError(f"phi must be in (0, 1], got {phi}")
-    if k < 0:
-        raise ParameterError("k must be nonnegative")
-    if not 0 <= residual_bound < math.inf:
-        raise ParameterError(f"residual bound R must be finite and >= 0, got {residual_bound}")
-    if not 0 <= theta <= 1:
-        raise ParameterError(f"theta must be in [0, 1], got {theta}")
+    check_settings(k, residual_bound, theta, mode, groups=groups, reps=reps,
+                   epsilon=epsilon, delta=delta)
     lam = codebook.error_fraction
 
     if mode == "strict":
-        if any(v is not None for v in (groups, reps, epsilon, delta)):
-            raise ParameterError("strict mode computes its parameters; overrides not allowed")
-        if k < 1 and residual_bound == 0:
-            raise ParameterError("strict mode needs a nonempty promise (k >= 1 or R > 0)")
         pi = min_group_count(n, phi, k, residual_bound, lam, theta)
         if pi * pi > MAX_BUCKETS:
             raise FeasibilityError(
@@ -161,10 +186,6 @@ def select_parameters(
         gamma = math.ceil(10.0 * math.log2(n))
         return QueryParams(phi, pi, eps, dlt, gamma, "strict")
 
-    if mode != "practical":
-        raise ParameterError(f"unknown mode {mode!r}")
-    require_count("groups (pi)", groups)
-    require_count("reps (gamma)", reps)
     pi = groups if groups is not None else min_group_count(n, phi, k, residual_bound, lam, theta)
     gamma = reps if reps is not None else 16
     eps = 0.0 if epsilon is None else epsilon
@@ -193,8 +214,16 @@ def _require_codebook(cb: Codebook, n: int):
         raise ValueError(f"codebook addresses {cb.n} indices, store has {n}")
 
 
-def _cross_products(store: RowSketchStore, cart: CartesianTransform, multiply=None):
-    """Row-vs-group inner products, per sketch row.
+def _standardized_tiles(store: RowSketchStore) -> np.ndarray:
+    """Every sketch row's standardized rows, (depth, n, width): one copy of the rows."""
+    tiles = np.empty((store.transform.depth, store.n, store.transform.width))
+    for t, tile in enumerate(tiles):
+        store.sketch_row(t, tile)
+    return tiles
+
+
+def _cross_products(tiles: np.ndarray, cart: CartesianTransform, multiply=None):
+    """Row-vs-group inner products, per sketch row, from ``_standardized_tiles``.
 
     Returns (cross_right, cross_left), each (depth, n_padded, pi):
     cross_right[t][i, g] = <r_t^(i), right-group g of sketch row t> and
@@ -203,16 +232,14 @@ def _cross_products(store: RowSketchStore, cart: CartesianTransform, multiply=No
     """
     if multiply is None:
         multiply = np.matmul
-    depth = store.transform.depth
-    width = store.transform.width
-    n, n_pad, pi = store.n, cart.n_padded, cart.pi
+    depth, n, width = tiles.shape
+    n_pad, pi = cart.n_padded, cart.pi
     cross_right = np.empty((depth, n_pad, pi))
     cross_left = np.empty((depth, n_pad, pi))
-    buf = np.zeros((n_pad, width)) if n_pad != n else None
+    buf = np.zeros((n_pad, width)) if n_pad != n else None  # phantom rows stay zero
     s1o = cart.s1[cart.order1, None]
     s2o = cart.s2[cart.order2, None]
-    for t in range(depth):
-        rt = store.rows[t]
+    for t, rt in enumerate(tiles):
         if buf is not None:
             buf[:n] = rt
             rt = buf
@@ -226,11 +253,15 @@ def _cross_products(store: RowSketchStore, cart: CartesianTransform, multiply=No
 def _median_gram(store: RowSketchStore, multiply=None) -> np.ndarray:
     """Elementwise median over sketch rows of r_t r_t^T, (n, n).
 
-    Products go through ``multiply`` (numpy kernel by default). Depth is
-    odd, so the median is the middle order statistic.
+    The standardized rows of one sketch row at a time go through one
+    reused buffer, so the rows are never held whole. Products go through
+    ``multiply`` (numpy kernel by default). Depth is odd, so the median is
+    the middle order statistic.
     """
     multiply = np.matmul if multiply is None else multiply
-    grams = np.stack([multiply(rt, rt.T) for rt in store.rows])
+    rt = np.empty((store.n, store.transform.width))
+    depth = store.transform.depth
+    grams = np.stack([multiply(store.sketch_row(t, rt), rt.T) for t in range(depth)])
     mid = len(grams) // 2
     grams.partition(mid, axis=0)
     return grams[mid].copy()  # a view would keep the whole stack alive
@@ -325,9 +356,15 @@ def approximate(
     _require_grouping(store, cart)
     if cart.block == 1:
         return _singleton_buckets(_median_gram(store, multiply), cart, cb)
-    mid = store.transform.depth // 2  # odd depth: the median is the middle order statistic
+    return _grouped_buckets(_standardized_tiles(store), cart, cb, multiply)
+
+
+def _grouped_buckets(tiles: np.ndarray, cart: CartesianTransform, cb: Codebook, multiply=None):
+    """``approximate`` with groups of two or more, from ``_standardized_tiles``."""
+    depth, n, _ = tiles.shape
+    mid = depth // 2  # odd depth: the median is the middle order statistic
     out = np.empty((2, cb.codeword_len, cart.pi, cart.pi))
-    sides = _sides(*_cross_products(store, cart, multiply), cart, cb, store.n)
+    sides = _sides(*_cross_products(tiles, cart, multiply), cart, cb, n)
     for med, (w, blocks) in zip((out[0], out[1].swapaxes(1, 2)), sides):
         for l in range(cb.codeword_len):  # one bit at a time bounds the buffer
             buf = _contract(w[:, :, l : l + 1], blocks)[0]
@@ -346,7 +383,7 @@ def approximate_per_row(
     force. Materializes the full stack; small inputs only.
     """
     _require_grouping(store, cart)
-    rows, cols = _sides(*_cross_products(store, cart), cart, cb, store.n)
+    rows, cols = _sides(*_cross_products(_standardized_tiles(store), cart), cart, cb, store.n)
     return _contract(*rows), _contract(*cols).swapaxes(2, 3)
 
 
@@ -416,11 +453,13 @@ def _vote(
         scan = _gram_pairs(gram, params.phi)
         step = lambda _: (scan, 0)
     else:
+        tiles = [_standardized_tiles(s) for s in stores]  # once; every repetition regroups them
+
         def step(rep_seed: int):
             cart = CartesianTransform(n, params.groups, rep_seed)
-            buckets = approximate(stores[0], cart, cb)
-            for other in stores[1:]:
-                buckets -= approximate(other, cart, cb)
+            buckets = _grouped_buckets(tiles[0], cart, cb)
+            for other in tiles[1:]:
+                buckets -= _grouped_buckets(other, cart, cb)
             return _recovery_step_counted(
                 buckets, cart, cb, params.phi, subtract_baseline=len(stores) == 1
             )

@@ -459,6 +459,128 @@ def test_rows_memory_in_snapshot_order(tmp_path):
         assert s.rows.transpose(1, 0, 2).flags.c_contiguous
 
 
+def _standardized_in_place(store: RowSketchStore) -> np.ndarray:
+    """Reference: the rewrite a standardize once ran on the stored rows, (n, depth, width)."""
+    stored = np.array(store.rows.transpose(1, 0, 2))  # a copy in snapshot order
+    rows = stored.transpose(1, 0, 2)  # indexed (depth, n, width), as the store's rows
+    means = store.totals / store.p
+    for t in range(store.transform.depth):
+        rows[t] -= np.outer(means, store.ones_sketch[t])
+    norm_sq = np.median(np.einsum("tib,tib->ti", rows, rows), axis=0)
+    degenerate = norm_sq <= ams.NORM_TOLERANCE * store.p
+    safe = np.where(degenerate, 1.0, norm_sq)
+    rows *= np.where(degenerate, 0.0, 1.0 / np.sqrt(safe))[None, :, None]
+    return stored
+
+
+def _mapped_store(tmp_path, rng, n=7, p=48, offset=0.0):
+    values = rng.standard_normal((n, p)) + offset
+    values[2] = 1.5  # constant row: degenerate
+    values[4] = 0.0  # empty row: degenerate
+    store = RowSketchStore.from_matrix(SketchTransform(p, 16, 5, seed=9), values)
+    path = tmp_path / "s.snap"
+    store.save(path)
+    return path, RowSketchStore.load(path)
+
+
+def test_loaded_rows_map_the_file(tmp_path, rng):
+    # the rows are a private map: updates, and a standardized copy, leave the file alone
+    path, store = _mapped_store(tmp_path, rng)
+    raw = path.read_bytes()
+    assert isinstance(store.rows.base, np.memmap)
+    before = np.array(store.rows)
+    copy = store.standardized_copy()
+    served = np.array(copy.rows)
+    store.apply(StreamUpdate(3.0, 0, 5))
+    assert not np.array_equal(store.rows, before)
+    assert np.array_equal(copy.rows, served)
+    store.save(tmp_path / "updated.snap")
+    assert path.read_bytes() == raw
+    reference = _standardized_in_place(store)  # the norms found at load are stale now
+    store.standardize()
+    for i in range(store.n):
+        assert np.array_equal(store.row_sketch(i), reference[i]), i
+
+
+@pytest.mark.parametrize("chunk", [ams._CHUNK, 48])  # 48 cells: 3 rows per sketch_row step
+def test_standardize_leaves_stored_rows_unchanged(tmp_path, rng, monkeypatch, chunk):
+    monkeypatch.setattr(ams, "_CHUNK", chunk)
+    path, store = _mapped_store(tmp_path, rng)
+    mapped = store.rows
+    before = np.array(mapped)
+    reference = _standardized_in_place(store)
+    store.standardize()
+    assert np.array_equal(mapped, before)
+    assert store.degenerate.tolist() == [False, False, True, False, True, False, False]
+    assert np.array_equal(store.mu, store.totals / store.p)
+    for i in range(store.n):
+        assert np.array_equal(store.row_sketch(i), reference[i]), i
+    assert np.array_equal(store.rows, reference.transpose(1, 0, 2))
+    tile = np.empty((store.n, store.transform.width))
+    for t in range(store.transform.depth):
+        assert np.array_equal(store.sketch_row(t, tile), reference[:, t])
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e8])
+def test_median_gram_matches_standardized_rows(tmp_path, rng, offset):
+    # rows far from zero mean: a Gram of the stored rows corrected for the shift
+    # afterwards would cancel catastrophically (it read -23 for a 0.91 entry at 1e8)
+    from corrsketch.recovery import _median_gram
+
+    path, store = _mapped_store(tmp_path, rng, n=12, p=64, offset=offset)
+    reference = _standardized_in_place(store).transpose(1, 0, 2)
+    expect = np.median(np.stack([rt @ rt.T for rt in reference]), axis=0)
+    store.standardize()
+    assert np.abs(_median_gram(store) - expect).max() <= 1e-12
+    flag1 = tmp_path / "std.snap"
+    store.save(flag1)
+    assert np.abs(_median_gram(RowSketchStore.load(flag1)) - expect).max() <= 1e-12
+
+
+def test_standardized_snapshot_served_as_stored(tmp_path, rng):
+    path, store = _mapped_store(tmp_path, rng)
+    store.standardize()
+    flag1 = tmp_path / "std.snap"
+    store.save(flag1)
+    back = RowSketchStore.load(flag1)
+    assert back.standardized
+    assert np.all(back.mu == 0.0) and np.all(back.scale == 1.0)
+    assert np.array_equal(back.degenerate, store.degenerate)
+    for i in range(store.n):
+        stored = back.rows[:, i]
+        assert np.array_equal(back.row_sketch(i), stored)
+        # served bit for bit, signed zeros of the degenerate rows included
+        assert back.row_sketch(i).tobytes() == store.row_sketch(i).tobytes()
+    back.save(tmp_path / "again.snap")
+    assert (tmp_path / "again.snap").read_bytes() == flag1.read_bytes()
+
+
+def test_save_over_the_mapped_file(tmp_path, rng, monkeypatch):
+    # save writes a new file and renames it into place: the store that maps the
+    # old one, and any other reader of it, keeps the old bytes
+    path, store = _mapped_store(tmp_path, rng)
+    raw = path.read_bytes()
+    store.save(path)
+    assert path.read_bytes() == raw
+    store.standardize()
+    with monkeypatch.context() as mp:  # a write that fails half way leaves the file as it was
+        mp.setattr(RowSketchStore, "row_sketch", lambda self, i: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            store.save(path)
+    assert path.read_bytes() == raw
+    assert [f.name for f in tmp_path.iterdir()] == ["s.snap"]
+    old = RowSketchStore.load(path)
+    before = np.array(old.rows)
+    RowSketchStore.from_matrix(old.transform, rng.standard_normal((7, 48))).save(path)
+    assert path.read_bytes() != raw
+    assert np.array_equal(old.rows, before)
+    link = tmp_path / "link.snap"  # a save through a symlink replaces its target
+    link.symlink_to("old.snap")
+    old.save(link)
+    assert link.is_symlink() and (tmp_path / "old.snap").read_bytes() == raw
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["link.snap", "old.snap", "s.snap"]
+
+
 @pytest.mark.parametrize("trailing", [0, 3])
 def test_load_refuses_unknown_flags(tmp_path, trailing):
     # flag bit 2 is unknown: refused whether or not n trailing values follow

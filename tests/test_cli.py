@@ -294,6 +294,30 @@ def test_query_strict_mode_refuses_overrides(tmp_path, capsys, planted_stream):
 
 @pytest.mark.parametrize(
     "flags,message",
+    [(("--mode", "strict", "--pi", "5", "--gamma", "3"),
+      "strict mode computes its parameters; overrides not allowed"),
+     (("--R", "nan"), "residual bound R must be finite and >= 0, got nan"),
+     (("--k", "-1"), "k must be nonnegative"),
+     (("--theta", "2"), "theta must be in [0, 1], got 2.0")],
+)
+def test_query_above_one_still_checks_settings(tmp_path, capsys, planted_stream, flags, message):
+    # phi > 1 makes the report empty, but the other settings are checked all the same
+    stream, _ = planted_stream
+    snap = tmp_path / "p.snap"
+    run_cli(
+        capsys, "ingest", "--model", "rps", "--input", str(stream), "--out", str(snap),
+        "--epsilon", "0.2", "--delta", "0.2", "--seed", "8",
+    )
+    code, out, err = run_cli(
+        capsys, "query", "--snapshot", str(snap), "--phi", "1.5", "--k", "1", "--R", "0",
+        "--seed", "1", *flags,
+    )
+    assert code == 2 and out == ""
+    assert f"error: {message}" in err
+
+
+@pytest.mark.parametrize(
+    "flags,message",
     [(("--phi", "nan"), "phi must be in (0, 1], got nan"),
      (("--R", "inf"), "residual bound R must be finite and >= 0, got inf"),
      (("--R", "nan"), "residual bound R must be finite and >= 0, got nan"),

@@ -493,6 +493,31 @@ def test_query_never_builds_hash_tables(tmp_path, monkeypatch):
     recover_diff(store, other, params, cb, seed=5)
 
 
+def test_query_never_reads_materialized_rows(tmp_path, monkeypatch):
+    # the query reads the mapped rows one sketch row or one row at a time; the
+    # materializing rows property is a test surface only
+    m, _ = oracle.plant_dataset(oracle.PlantedSpec(48, 512, [(3, 17, 0.9)], seed=23))
+    path = tmp_path / "s.snap"
+    transform = SketchTransform.from_accuracy(512, 0.1, 0.1, 24)
+    RowSketchStore.from_matrix(transform, m.values).save(path)
+    store = RowSketchStore.load(path)
+    store.standardize()
+    flag1 = tmp_path / "std.snap"
+    store.save(flag1)
+
+    def refuse(self):
+        raise AssertionError("a query step materialized rows")
+
+    monkeypatch.setattr(RowSketchStore, "rows", property(refuse))
+    cb = ecc.for_index_space(48)
+    for query_store in (store, RowSketchStore.load(flag1)):
+        for groups in (48, 12):  # singleton and grouped
+            params = practical(48, 0.8, cb, groups=groups, reps=3)
+            assert recover(query_store, params, cb, seed=5, verify=True) == {(3, 17)}
+        checked = verify_candidates(query_store, [(3, 17), (1, 2)], 0.8)
+        assert [(i, j, ok) for i, j, _, ok in checked] == [(1, 2, False), (3, 17, True)]
+
+
 # -- singleton groups: one median Gram per query ------------------------------
 
 
