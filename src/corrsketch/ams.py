@@ -21,11 +21,14 @@ Bucket and sign functions are seeded polynomials, evaluated on demand for
 a chunk of columns at a time (SketchTransform.hash_columns); no (d, p)
 table is ever held. Each value takes one reduction modulo 2^31 - 1, by
 floor division rather than np.remainder (see _reduce). The constructor
-folds the all-ones sketch over cache-sized column steps, and ``apply``
-buffers checked updates and adds each full buffer with one np.add.at in
-stream order, so every cell sums its increments in the same order as one
-update at a time would, bit for bit. A query reads only the row sketches
-and never hashes.
+folds the all-ones sketch over contiguous column ranges on a thread pool,
+one worker per usable core, each hashing cache-sized steps through one
+reused work array; its cells are sums of +-1, exact in any order, so the
+bits do not depend on the core count. ``apply`` buffers checked updates
+and adds each full buffer with one np.add.at in stream order, hashing
+each distinct column of the buffer once, so every cell sums its
+increments in the same order as one update at a time would, bit for bit.
+A query reads only the row sketches and never hashes.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ import math
 import operator
 import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 
 from .stream import StreamUpdate
@@ -107,13 +112,15 @@ def _field_points(count: int) -> np.ndarray:
     return _reduce(np.arange(count, dtype=np.uint64), _MERSENNE)
 
 
-def _poly_values(coeffs, xs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _poly_values(coeffs, xs: np.ndarray, out: np.ndarray | None = None,
+                 scratch: np.ndarray | None = None) -> np.ndarray:
     """Evaluate degree-3 polynomials over GF(2^31 - 1) at reduced points.
 
     ``coeffs[k]`` is the degree-k coefficient: a scalar, or an array that
     broadcasts against ``xs`` to evaluate many polynomials at once. The
     result lands in ``out`` (a uint64 array of the broadcast shape,
-    allocated when omitted).
+    allocated when omitted); ``scratch`` (same shape) holds the terms and
+    quotients when given.
 
     x^2 and x^3 are reduced once per point and shared by every polynomial;
     then c3*x^3 + c2*x^2 + c1*x + c0 is summed in uint64 and reduced once.
@@ -125,7 +132,7 @@ def _poly_values(coeffs, xs: np.ndarray, out: np.ndarray | None = None) -> np.nd
     x2 = _reduce(xs * xs, _MERSENNE)
     x3 = _reduce(x2 * xs, _MERSENNE)
     acc = np.multiply(c3, x3, out=out)
-    term = np.empty_like(acc)
+    term = np.empty_like(acc) if scratch is None else scratch
     acc += np.multiply(c2, x2, out=term)
     acc += np.multiply(c1, xs, out=term)
     acc += c0
@@ -179,19 +186,29 @@ class SketchTransform:
         coeffs = [next(draws) % int(_MERSENNE) for _ in range(8 * self.depth)]
         return np.array(coeffs, dtype=np.uint64).reshape(self.depth, 2, 4).T[..., None]
 
-    def hash_columns(self, cols) -> tuple[np.ndarray, np.ndarray]:
+    def hash_columns(self, cols, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Bucket and sign of each column in ``cols`` under every sketch row.
 
-        Returns fresh (depth, k) arrays: int64 buckets in [0, width) and
-        float64 signs of +-1.
+        Returns (depth, k) arrays: int64 buckets in [0, width) and float64
+        signs of +-1. Both are views of ``out``, a 1-D uint64 work array of
+        at least 4 * depth * k elements, when it is given (a caller hashing
+        step after step reuses its pages instead of faulting in fresh ones),
+        and of a fresh one otherwise.
         """
         cols = np.asarray(cols, dtype=np.int64)
+        size = 4 * self.depth * cols.size
+        work = np.empty(size, dtype=np.uint64) if out is None else out[:size]
+        values, scratch = np.split(work.reshape(4, self.depth, cols.size), 2)
+        signs = scratch[0].view(np.float64)
         if self.exact:
-            return cols.reshape(1, -1).copy(), np.ones((1, cols.size))
-        values = _poly_values(self._coeffs, _reduce(cols.astype(np.uint64), _MERSENNE))
-        signs = 1.0 - 2.0 * (values[1] & np.uint64(1))
-        buckets = _reduce(values[0], self.width, values[1]).view(np.int64)
-        return buckets, signs
+            values[0] = cols
+            signs.fill(1.0)
+            return values[0].view(np.int64), signs
+        _poly_values(self._coeffs, _reduce(cols.astype(np.uint64), _MERSENNE), values, scratch)
+        np.bitwise_and(values[1], np.uint64(1), out=values[1])
+        np.multiply(values[1], -2.0, out=signs)
+        signs += 1.0
+        return _reduce(values[0], self.width, scratch[1]).view(np.int64), signs
 
     @classmethod
     def from_accuracy(cls, p: int, epsilon: float, delta: float, seed: int) -> "SketchTransform":
@@ -231,18 +248,19 @@ class SketchTransform:
         return out[0]
 
 
-def _scatter(t: SketchTransform, out: np.ndarray, rows, cols: np.ndarray, alpha):
-    """Add ``alpha * sign_s(col)`` to ``out[row, s, bucket_s(col)]`` for every sketch row s.
+def _scatter(out: np.ndarray, rows, buckets: np.ndarray, signs: np.ndarray, alpha):
+    """Add ``alpha * signs[s]`` to ``out[row, s, buckets[s]]`` for every sketch row s.
 
-    ``cols`` is 1-D; ``rows`` and ``alpha`` broadcast against it, and ``out``
-    is a C-contiguous (rows, depth, width) array. np.add.at applies repeated
+    ``buckets`` and ``signs`` are the (depth, k) hashes of k columns; ``rows``
+    and ``alpha`` broadcast against the k columns, and ``out`` is a
+    C-contiguous (rows, depth, width) array. np.add.at applies repeated
     indices one after another in index order, and the last axis runs over
-    ``cols``, so each cell takes its increments in stream order, exactly as
-    one update at a time would.
+    the columns, so each cell takes its increments in stream order, exactly
+    as one update at a time would.
     """
-    buckets, signs = t.hash_columns(cols)
-    base = np.expand_dims(np.asarray(rows) * t.depth, -2) + np.arange(t.depth)[:, None]
-    index = base * t.width + buckets
+    depth, width = out.shape[1:]
+    base = np.expand_dims(np.asarray(rows) * depth, -2) + np.arange(depth)[:, None]
+    index = base * width + buckets
     values = signs * np.expand_dims(alpha, -2)
     np.add.at(out.reshape(-1), index.ravel(), values.ravel())
 
@@ -256,17 +274,69 @@ def _sketch_matrix(t: SketchTransform, values: np.ndarray, out: np.ndarray):
     m, p = values.shape
     step = max(1, _CHUNK // m)
     for start in range(0, p, step):
-        cols = np.arange(start, min(start + step, p))
-        _scatter(t, out, np.arange(m)[:, None], cols, values[:, start : start + step])
+        buckets, signs = t.hash_columns(np.arange(start, min(start + step, p)))
+        _scatter(out, np.arange(m)[:, None], buckets, signs, values[:, start : start + step])
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # sched_getaffinity is Linux-only
+        return os.cpu_count() or 1
+
+
+def _ones_sketch(t: SketchTransform) -> np.ndarray:
+    """The sketch of the all-ones vector, o = S 1, as a (depth, width) array.
+
+    Contiguous column ranges are folded on a thread pool, one worker per
+    usable core but never more than there are column steps; NumPy releases
+    the interpreter lock inside the hashing arithmetic. Each worker hashes
+    its range in cache-sized steps through one work array and bincounts
+    every step. The cells are sums of +-1, exact in any order, so the
+    partial sums add to the same bits whatever the worker count.
+    """
+    depth, width = t.depth, t.width
+    offsets = np.arange(depth)[:, None] * width
+    step = max(1, _CHUNK // depth)
+    starts = range(0, t.p, step)
+    workers = min(_usable_cores(), len(starts))
+
+    def fold(k):
+        ones = np.zeros(depth * width)
+        work = np.empty(4 * depth * min(step, t.p), dtype=np.uint64)
+        for start in starts[k * len(starts) // workers : (k + 1) * len(starts) // workers]:
+            cols = np.arange(start, min(start + step, t.p))
+            buckets, signs = t.hash_columns(cols, work)
+            buckets += offsets
+            ones += np.bincount(buckets.ravel(), signs.ravel(), depth * width)
+        return ones
+
+    if workers == 1:
+        return fold(0).reshape(depth, width)
+    with ThreadPoolExecutor(workers) as pool:
+        return sum(pool.map(fold, range(workers))).reshape(depth, width)
+
+
+def _middle(values: np.ndarray) -> np.ndarray:
+    """Median along the last axis of an odd number of values: the middle order statistic.
+
+    np.partition finds the element np.median would average with itself,
+    without the numpy.ma import np.median pays on its first call.
+    """
+    mid = values.shape[-1] // 2
+    return np.partition(values, mid)[..., mid]
 
 
 def inner_product(a: np.ndarray, b: np.ndarray) -> float:
-    """Median over sketch rows of the per-row dot product."""
+    """Median over sketch rows (odd in number) of the per-row dot product."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or a.shape != b.shape:
         raise ValueError(f"sketch shapes differ: {a.shape} vs {b.shape}")
-    return float(np.median(np.einsum("tb,tb->t", a, b)))
+    if len(a) % 2 == 0:
+        raise ValueError(f"sketches need an odd number of rows, got {len(a)}")
+    return float(_middle(np.einsum("tb,tb->t", a, b)))
 
 
 class RowSketchStore:
@@ -290,19 +360,8 @@ class RowSketchStore:
     def __init__(self, transform: SketchTransform, n: int):
         if n < 1:
             raise ValueError("store needs at least one row")
-        p, depth, width = transform.p, transform.depth, transform.width
-        # one bincount per step of at most _CHUNK cells (see _CHUNK); sums of
-        # +-1 are exact in any order
-        ones = np.zeros(depth * width)
-        offsets = np.arange(depth)[:, None] * width
-        step = max(1, _CHUNK // depth)
-        for start in range(0, p, step):
-            buckets, signs = transform.hash_columns(np.arange(start, min(start + step, p)))
-            buckets += offsets
-            ones += np.bincount(buckets.ravel(), signs.ravel(), depth * width)
-        self._assign(
-            transform, np.zeros((n, depth, width)), np.zeros(n), ones.reshape(depth, width)
-        )
+        sketches = np.zeros((n, transform.depth, transform.width))
+        self._assign(transform, sketches, np.zeros(n), _ones_sketch(transform))
 
     def _assign(self, transform, sketches, totals, ones_sketch, standardized=False, norms=None):
         """Set every field from the store's parts; nothing is buffered.
@@ -366,34 +425,48 @@ class RowSketchStore:
         """Algorithm-style turnstile update: checked now, added in stream order later."""
         if self.standardized:
             raise SketchStateError("store already standardized; no further updates")
-        try:
-            i, j = operator.index(u.i), operator.index(u.j)
-        except TypeError:
-            raise IndexError(f"update ({u.i}, {u.j}) has a non-integer index") from None
+        alpha, i, j = u
+        if type(i) is not int or type(j) is not int:  # exact ints skip the index protocol
+            try:
+                i, j = operator.index(i), operator.index(j)
+            except TypeError:
+                raise IndexError(f"update ({u.i}, {u.j}) has a non-integer index") from None
         if not (0 <= i < self.n and 0 <= j < self.p):
             raise IndexError(f"update ({i}, {j}) out of range for {self.n}x{self.p}")
-        alpha = float(u.alpha)
-        if not math.isfinite(alpha):
-            raise ValueError(f"non-finite value {u.alpha} at cell ({i}, {j})")
+        value = float(alpha)
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite value {alpha} at cell ({i}, {j})")
         rows, cols, values = self._pending
         rows.append(i)
         cols.append(j)
-        values.append(alpha)
+        values.append(value)
         if len(rows) >= _CHUNK:
             self._flush()
 
     def _flush(self):
-        """Add the buffered updates to the sketches and totals, in stream order."""
+        """Add the buffered updates to the sketches and totals, in stream order.
+
+        Each distinct column is hashed once; every update gathers its
+        column's buckets and signs.
+        """
         if not self._pending[0]:
             return
         if not self._sketches.flags.writeable:  # shared with a standardized copy
             self._sketches = np.array(self._sketches)
         self._norms = None
+        t = self.transform
         i, j, alpha = (np.array(column) for column in self._pending)
-        step = max(1, _CHUNK // self.transform.depth)
+        cols, at = np.unique(j, return_inverse=True)
+        buckets = np.empty((t.depth, cols.size), dtype=np.int64)
+        signs = np.empty((t.depth, cols.size))
+        step = max(1, _CHUNK // t.depth)  # cache-sized steps, each through one work array
+        work = np.empty(4 * t.depth * min(step, cols.size), dtype=np.uint64)
+        for start in range(0, cols.size, step):
+            part = slice(start, start + step)
+            buckets[:, part], signs[:, part] = t.hash_columns(cols[part], work)
         for start in range(0, len(i), step):
             part = slice(start, start + step)
-            _scatter(self.transform, self._sketches, i[part], j[part], alpha[part])
+            _scatter(self._sketches, i[part], buckets[:, at[part]], signs[:, at[part]], alpha[part])
         np.add.at(self._totals, i, alpha)
         self._pending = ([], [], [])
 
@@ -445,7 +518,7 @@ class RowSketchStore:
         mu = self.totals / self.p
         if self._norms is None:
             self._norms = _centered_norms(self._sketches, mu, self.ones_sketch)
-        norm_sq = np.median(self._norms, axis=1)
+        norm_sq = _middle(self._norms)
         self.mu = mu
         self.degenerate = norm_sq <= NORM_TOLERANCE * self.p
         safe = np.where(self.degenerate, 1.0, norm_sq)

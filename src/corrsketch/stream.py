@@ -7,12 +7,20 @@ three models:
   cps  column-wise permutation: one value per line, column by column
   ts   turnstile: "alpha i j" lines, arbitrary increments in any order
 
+The reader takes a block of lines at a time: it splits every line,
+converts each column of fields with Python's own float and int, and
+checks counts, finiteness and index ranges per block. It yields the
+records lazily; at the first bad line it yields every record before that
+line, then raises the error a one-line parse (parse_update) would, tagged
+with the line number.
+
 The dense matrix here is a reference structure for the exact oracle and
 for tests; the sketching path never materializes it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, TextIO
@@ -38,6 +46,12 @@ class StreamUpdate(NamedTuple):
     alpha: float
     i: int
     j: int
+
+
+# stream lines read and parsed at a time: a block's per-line field lists and
+# records stay below the 700 net allocations (gc.get_threshold()[0]) that
+# start a garbage collection, so parsing a stream starts almost none
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -94,42 +108,84 @@ def parse_update(line: str, model: StreamModel, position: int) -> StreamUpdate:
 
     ``position`` is the 0-based ordinal of the record within the stream
     (comments and blank lines do not count); it determines (i, j) for the
-    permutation models.
+    permutation models. The line is read as a block of one.
     """
-    fields = line.split()
-    if model.variant == "ts":
-        if len(fields) != 3:
-            raise StreamFormatError(
-                f"turnstile record needs 'alpha i j', got {line!r}"
-            )
-        alpha_s, i_s, j_s = fields
-        try:
-            i, j = int(i_s), int(j_s)
-        except ValueError:
-            raise StreamFormatError(f"bad indices in {line!r}") from None
-    else:
-        if len(fields) != 1:
-            raise StreamFormatError(
-                f"{model.variant} record needs a single value, got {line!r}"
-            )
-        alpha_s = fields[0]
-        if position >= model.length:
-            raise StreamFormatError(
-                f"{model.variant} stream longer than n*p = {model.length}"
-            )
-        if model.variant == "rps":
-            i, j = divmod(position, model.p)
-        else:  # cps: position q = j*n + i
-            j, i = divmod(position, model.n)
+    updates, error = _parse_block([line], model, position)
+    if error is not None:
+        raise StreamFormatError(error)
+    return updates[0]
+
+
+def _convert(kind, strings) -> tuple[list, int]:
+    """``kind(s)`` for each string up to the first that raises ValueError, and that one's index.
+
+    The index is len(strings) when every string converts.
+    """
     try:
-        alpha = float(alpha_s)
+        return list(map(kind, strings)), len(strings)
     except ValueError:
-        raise StreamFormatError(f"bad value {alpha_s!r}") from None
-    if not math.isfinite(alpha):
-        raise StreamFormatError(f"non-finite value {alpha_s!r}")
-    if not (0 <= i < model.n and 0 <= j < model.p):
-        raise StreamFormatError(f"index ({i}, {j}) out of range for {model.n}x{model.p}")
-    return StreamUpdate(alpha, i, j)
+        values = []
+        for s in strings:
+            try:
+                values.append(kind(s))
+            except ValueError:
+                break
+        return values, len(values)
+
+
+def _parse_block(lines, model: StreamModel, position: int) -> tuple[list[StreamUpdate], str | None]:
+    """Parse record lines, ``lines[k]`` being the record at ordinal ``position + k``.
+
+    Returns the updates before the first bad line, and that line's error
+    message (None when every line parses). Each check runs over a whole
+    column of fields, in the order one line is checked: field count, then
+    the indices (ts) or the stream length (rps, cps), then the value and
+    its finiteness, then the index range. A check reads only the lines
+    before the first bad one found so far, so that line reports the first
+    check it fails.
+    """
+    fields = list(map(str.split, lines))
+    stop, error = len(lines), None  # the first bad line found so far, and its error
+    count = 3 if model.variant == "ts" else 1
+    counts = list(map(len, fields))
+    if counts.count(count) != stop:
+        k = next(k for k, c in enumerate(counts) if c != count)
+        if model.variant == "ts":
+            stop, error = k, f"turnstile record needs 'alpha i j', got {lines[k]!r}"
+        else:
+            stop, error = k, f"{model.variant} record needs a single value, got {lines[k]!r}"
+    values, *indices = list(zip(*fields[:stop])) or [()] * count
+    if model.variant == "ts":
+        rows, k = _convert(int, indices[0][:stop])
+        if k < stop:
+            stop, error = k, f"bad indices in {lines[k]!r}"
+        cols, k = _convert(int, indices[1][:stop])
+        if k < stop:
+            stop, error = k, f"bad indices in {lines[k]!r}"
+    else:
+        k = max(0, model.length - position)
+        if k < stop:
+            stop, error = k, f"{model.variant} stream longer than n*p = {model.length}"
+        # rps: position q = i*p + j; cps: position q = j*n + i
+        size = model.p if model.variant == "rps" else model.n
+        ordinals = range(position, position + stop)
+        major, minor = [q // size for q in ordinals], [q % size for q in ordinals]
+        rows, cols = (major, minor) if model.variant == "rps" else (minor, major)
+    alphas, k = _convert(float, values[:stop])
+    if k < stop:
+        stop, error = k, f"bad value {values[k]!r}"
+    if not all(map(math.isfinite, alphas)):
+        k = next(k for k, a in enumerate(alphas) if not math.isfinite(a))
+        stop, error = k, f"non-finite value {values[k]!r}"
+    rows, cols = rows[:stop], cols[:stop]
+    n, p = model.n, model.p
+    if rows and not (0 <= min(rows) and max(rows) < n and 0 <= min(cols) and max(cols) < p):
+        k, i, j = next((k, i, j) for k, (i, j) in enumerate(zip(rows, cols))
+                       if not (0 <= i < n and 0 <= j < p))
+        stop, error = k, f"index ({i}, {j}) out of range for {n}x{p}"
+    # tuple.__new__ builds each StreamUpdate in C; the generated __new__ is Python
+    records = itertools.islice(zip(alphas, rows, cols), stop)
+    return list(map(tuple.__new__, itertools.repeat(StreamUpdate), records)), error
 
 
 def apply_update(m: DenseMatrix, u: StreamUpdate) -> DenseMatrix:
@@ -147,8 +203,10 @@ def iter_stream(lines: Iterable[str]) -> tuple[StreamModel, Iterator[StreamUpdat
     and a lazy iterator over updates (errors surface during iteration,
     tagged with line numbers).
     """
-    it = enumerate(lines, start=1)
-    for line_no, raw in it:
+    lines = iter(lines)
+    line_no = 0
+    for raw in lines:
+        line_no += 1
         line = raw.strip()
         if line and not line.startswith("#"):
             break
@@ -163,16 +221,18 @@ def iter_stream(lines: Iterable[str]) -> tuple[StreamModel, Iterator[StreamUpdat
         raise StreamFormatError(str(e), line_no) from None
 
     def updates():
-        position = 0
-        for line_no, raw in it:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                yield parse_update(line, model, position)
-            except StreamFormatError as e:
-                raise StreamFormatError(str(e), line_no) from None
-            position += 1
+        first, position = line_no + 1, 0  # first: the line number of the block's first line
+        while block := list(map(str.strip, itertools.islice(lines, _BLOCK))):
+            records = range(len(block))  # index in the block of each record line
+            if "" in block or "#" in "".join(block):  # a blank or comment line to skip
+                records = [k for k, line in enumerate(block) if line and not line.startswith("#")]
+                block = [block[k] for k in records]
+            parsed, error = _parse_block(block, model, position)
+            yield from parsed
+            if error is not None:
+                raise StreamFormatError(error, first + records[len(parsed)])
+            first += _BLOCK
+            position += len(parsed)
         if model.variant != "ts" and position != model.length:
             raise StreamFormatError(
                 f"{model.variant} stream has {position} records, expected {model.length}"

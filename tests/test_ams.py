@@ -214,6 +214,38 @@ def test_ones_sketch_fold_equivalence():
     assert np.array_equal(store.ones_sketch, before)
 
 
+@pytest.mark.parametrize("cores", [1, 2, 3, 7])
+@pytest.mark.parametrize("p", [2, 5, 64, 101])
+def test_ones_sketch_same_bits_on_any_core_count(monkeypatch, cores, p):
+    # 3-column steps at depth 5 (16 at depth 1): p = 2 is one step, fewer columns
+    # than workers; 5 is two steps; 101 is 34 steps, no multiple of a worker count
+    pools = []
+
+    class Pool(ams.ThreadPoolExecutor):
+        def __init__(self, workers):
+            pools.append(workers)
+            super().__init__(workers)
+
+    monkeypatch.setattr(ams, "_CHUNK", 16)
+    monkeypatch.setattr(ams, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(ams, "ThreadPoolExecutor", Pool)
+    for t in (SketchTransform(p, 16, 5, seed=8), SketchTransform.identity(p)):
+        pools.clear()
+        ones = RowSketchStore(t, 1).ones_sketch
+        assert ones.tobytes() == t.sketch_vector(np.ones(p)).tobytes()
+        workers = min(cores, -(-p // (16 // t.depth)))  # never more workers than steps
+        assert pools == ([workers] if workers > 1 else [])
+
+
+def test_usable_cores_without_affinity(monkeypatch):
+    # os.sched_getaffinity is Linux-only; elsewhere the pool sizes itself by os.cpu_count()
+    monkeypatch.delattr(ams.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(ams.os, "cpu_count", lambda: 3)
+    assert ams._usable_cores() == 3
+    monkeypatch.setattr(ams.os, "cpu_count", lambda: None)  # undeterminable
+    assert ams._usable_cores() == 1
+
+
 def test_inner_product_examples():
     t = SketchTransform(16, 8, 5, seed=3)
     zero = np.zeros((t.depth, t.width))

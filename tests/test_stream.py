@@ -1,4 +1,5 @@
 import io
+import math
 import pickle
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corrsketch import stream as stream_module
 from corrsketch.stream import (
+    MODELS,
     DenseMatrix,
     StreamFormatError,
     StreamModel,
@@ -175,3 +178,125 @@ def test_stream_file_errors_carry_line_numbers():
     model, updates = iter_stream(short)
     with pytest.raises(StreamFormatError, match="expected 4"):
         list(updates)
+
+
+# -- the block reader against a per-line reference ---------------------------
+
+
+def _reference_parse(line, model, position):
+    """One record parsed on its own, as the per-line reader did before blocks."""
+    fields = line.split()
+    if model.variant == "ts":
+        if len(fields) != 3:
+            raise StreamFormatError(f"turnstile record needs 'alpha i j', got {line!r}")
+        alpha_s, i_s, j_s = fields
+        try:
+            i, j = int(i_s), int(j_s)
+        except ValueError:
+            raise StreamFormatError(f"bad indices in {line!r}") from None
+    else:
+        if len(fields) != 1:
+            raise StreamFormatError(f"{model.variant} record needs a single value, got {line!r}")
+        alpha_s = fields[0]
+        if position >= model.length:
+            raise StreamFormatError(f"{model.variant} stream longer than n*p = {model.length}")
+        if model.variant == "rps":
+            i, j = divmod(position, model.p)
+        else:
+            j, i = divmod(position, model.n)
+    try:
+        alpha = float(alpha_s)
+    except ValueError:
+        raise StreamFormatError(f"bad value {alpha_s!r}") from None
+    if not math.isfinite(alpha):
+        raise StreamFormatError(f"non-finite value {alpha_s!r}")
+    if not (0 <= i < model.n and 0 <= j < model.p):
+        raise StreamFormatError(f"index ({i}, {j}) out of range for {model.n}x{model.p}")
+    return StreamUpdate(alpha, i, j)
+
+
+def _reference_records(model, lines, first_line_no):
+    """Per-line loop over the record lines, numbered from ``first_line_no``."""
+    position = 0
+    for line_no, raw in enumerate(lines, start=first_line_no):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            yield _reference_parse(line, model, position)
+        except StreamFormatError as e:
+            raise StreamFormatError(str(e), line_no) from None
+        position += 1
+    if model.variant != "ts" and position != model.length:
+        raise StreamFormatError(
+            f"{model.variant} stream has {position} records, expected {model.length}"
+        )
+
+
+def _drain(updates):
+    """Every record yielded, each with its field types, then the error raised (or None)."""
+    got = []
+    try:
+        for u in updates:
+            got.append((type(u), repr(u), tuple(map(type, u))))
+    except StreamFormatError as e:
+        return got, (type(e), str(e), e.line_no)
+    return got, None
+
+
+_ALPHAS = ["1.5", "-2", "0", "-0.0", "1e3", "1_0", "+.5", "2.5e-3", "0.10000000000000000555"]
+_BAD_LINES = {  # one line of each kind parse_update refuses
+    "ts": ["1.0 2", "1.0 1 0 3", "1.0 x 1", "1.0 1 1.0", "1.0 1 0x1", "x 1 1", "1.0.0 0 0",
+           "nan 1 1", "-inf 0 0", "1e999 0 0", "1.0 3 0", "1.0 0 -1", "1.0 1_0 0"],
+    "rps": ["1.0 2.0", "x", "0x1", "nan", "inf", "-1e999"],
+    "cps": ["1.0 2.0", "x", "0x1", "nan", "inf", "-1e999"],
+}
+
+
+@st.composite
+def streams(draw):
+    """A small stream: records, blank and '#' lines, and at most one malformed line."""
+    variant = draw(st.sampled_from(MODELS))
+    model = StreamModel(variant, 3, 2)
+    space = st.sampled_from([" ", "  ", "\t", " \t "])
+    if variant == "ts":
+        index = st.sampled_from(["0", "1", "01", "+1", "0_1"])
+        record = st.builds(lambda a, i, j, s: f"{a}{s}{i}{s}{j}", st.sampled_from(_ALPHAS), index,
+                           st.sampled_from(["0", "1"]), space)
+        count = st.integers(0, 9)
+    else:
+        record = st.sampled_from(_ALPHAS)
+        count = st.integers(model.length - 1, model.length + 1)  # short, exact and too long
+    lines = [draw(record) for _ in range(draw(count))]
+    for _ in range(draw(st.integers(0, 4))):
+        filler = draw(st.sampled_from(["", "   ", "# note", "  #x 1 2", "\t"]))
+        lines.insert(draw(st.integers(0, len(lines))), filler)
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_BAD_LINES[variant])))
+    return model, [draw(space) + line + draw(st.sampled_from(["", " "])) for line in lines]
+
+
+@settings(max_examples=300, deadline=None)
+@given(streams())
+def test_block_reader_matches_per_line_reference(case):
+    # 3-line blocks put blank, '#' and bad lines before, on and after a block boundary
+    model, lines = case
+    header = f"{model.variant} {model.n} {model.p}"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stream_module, "_BLOCK", 3)
+        text = "\n".join(["# head", header, *lines]) + "\n"
+        parsed_model, updates = iter_stream(io.StringIO(text))
+        got = _drain(updates)
+    assert parsed_model == model
+    assert got == _drain(_reference_records(model, lines, 3))
+    # parse_update is a block of one: same record or same error for every line
+    for line in lines:
+        for position in (0, model.n * model.p):
+            try:
+                expect = _reference_parse(line, model, position)
+            except StreamFormatError as e:
+                with pytest.raises(StreamFormatError) as err:
+                    parse_update(line, model, position)
+                assert (str(err.value), err.value.line_no) == (str(e), None)
+            else:
+                assert repr(parse_update(line, model, position)) == repr(expect)
