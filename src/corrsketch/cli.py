@@ -26,7 +26,6 @@ from .stream import (
     StreamModel,
     iter_stream,
     matrix_to_updates,
-    read_stream,
     replay,
     write_stream_file,
 )
@@ -121,15 +120,16 @@ def cmd_query(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    model, updates = read_stream(args.input)
-    if model.n * model.p > ORACLE_CELL_GUARD:
-        print(
-            f"error: {model.n}x{model.p} matrix exceeds the oracle size guard "
-            f"({ORACLE_CELL_GUARD} cells)",
-            file=sys.stderr,
-        )
-        return 2
-    m = replay(model, updates)
+    with open(args.input, "r", encoding="utf-8") as fh:
+        model, updates = iter_stream(fh)  # the guard reads the header alone
+        if model.n * model.p > ORACLE_CELL_GUARD:
+            print(
+                f"error: {model.n}x{model.p} matrix exceeds the oracle size guard "
+                f"({ORACLE_CELL_GUARD} cells)",
+                file=sys.stderr,
+            )
+            return 2
+        m = replay(model, updates)
     c = correlation(m)
     pairs = {(min(i, j), max(i, j)) for i, j in large_set(c, args.phi)}
     ranked = sorted(pairs, key=lambda ij: (-abs(c.values[ij[0], ij[1]]), ij))

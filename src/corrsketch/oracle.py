@@ -70,7 +70,7 @@ def residual_norm(c: CorrelationMatrix, k: int) -> float:
         flat = np.abs(a).ravel()
         # stable sort on (-|value|, row, col): lexsort on descending magnitude
         order = np.lexsort((np.arange(flat.size), -flat))
-        drop = [idx for idx in order if flat[idx] > 0][:k]
+        drop = order[flat[order] > 0][:k]
         a.ravel()[drop] = 0.0
     return float(np.sqrt(np.sum(a * a)))
 

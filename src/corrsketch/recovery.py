@@ -21,7 +21,7 @@ index pair has its own bucket, so a repetition is an exact scan of the
 elementwise median over sketch rows of the Gram matrices r_t r_t^T (or
 of the difference of two such medians) and every repetition emits the
 same pairs, read off that median once per query without grouping or
-decoding (``_gram_pairs``). Otherwise the heavy lifting in step 2 is
+decoding buckets (``_gram_pairs``). Otherwise the heavy lifting in step 2 is
 batched: per sketch row, one (n x b) @ (b x 2 pi) matrix product yields
 every row-vs-group inner product. One contraction (``_contract``) forms
 every masked bucket from such cross products, singleton buckets from a
@@ -312,22 +312,35 @@ def _singleton_buckets(med: np.ndarray, cart: CartesianTransform, cb: Codebook):
     return np.stack([_contract(*rows)[:, 0], _contract(*cols)[:, 0].swapaxes(1, 2)])
 
 
-def _gram_pairs(gram: np.ndarray, phi: float) -> list[tuple[int, int]]:
+def _gram_pairs(gram: np.ndarray, cb: Codebook, phi: float) -> list[tuple[int, int]]:
     """Every singleton-group repetition's decoded pairs, read off the Gram.
 
     Under any singleton grouping each index pair (i, j) has one bucket,
     with masked values exactly +-bit_l(i) G[i, j] and +-bit_l(j) G[j, i].
-    Its row side decodes to i when |G[i, j]| >= phi/2, else to 0 (the
-    all-zero word), its column side reads G[j, i] alike, and it emits
-    when they differ; phantom buckets emit nothing. The baseline changes
-    nothing: both sides of a diagonal bucket read the same entry.
+    Its row side decodes to i when |G[i, j]| >= phi/2, else to what the
+    all-zero word decodes to, and its column side reads G[j, i] alike;
+    ``_decoded_pairs`` says which buckets emit, and phantom buckets emit
+    nothing. The baseline changes nothing: both sides of a diagonal
+    bucket read the same entry. The all-zero word is a codeword, so it
+    decodes to the index whose codeword it is, if any: the codebook's
+    table answers without decoding.
     """
     idx = np.arange(len(gram))
+    zero = np.flatnonzero(~cb.bit_matrix().any(axis=1))
+    silent = zero[0] if len(zero) else -1
     big = np.abs(gram) >= phi / 2.0
-    dec_i = np.where(big, idx[:, None], 0)
-    dec_j = np.where(big.T, idx[None, :], 0)
-    i, j = np.nonzero(dec_i != dec_j)
-    return list(zip(dec_i[i, j].tolist(), dec_j[i, j].tolist()))
+    dec_i, dec_j = np.where(big, idx[:, None], silent), np.where(big.T, idx, silent)
+    return _decoded_pairs(dec_i, dec_j, len(gram))
+
+
+def _decoded_pairs(dec_i: np.ndarray, dec_j: np.ndarray, n: int) -> list[tuple[int, int]]:
+    """The pairs decoded bucket sides emit, in bucket order.
+
+    A bucket emits (i, j) when its row side decodes to i and its column
+    side to j (a failed decode is -1), both lie in [n], and they differ.
+    """
+    ok = (dec_i >= 0) & (dec_j >= 0) & (dec_i < n) & (dec_j < n) & (dec_i != dec_j)
+    return list(zip(dec_i[ok].tolist(), dec_j[ok].tolist()))
 
 
 def _require_grouping(store: RowSketchStore, cart: CartesianTransform):
@@ -402,11 +415,7 @@ def _recovery_step_counted(
     bits = np.abs(buckets - base) >= phi / 2.0
     words = bits.view(np.uint8).reshape(2, nbits, pi * pi).swapaxes(1, 2).reshape(-1, nbits)
     dec = cb.decode_words(words)
-    dec_i, dec_j = dec.reshape(2, pi * pi)
-    ok = (dec_i >= 0) & (dec_j >= 0) & (dec_i != dec_j)
-    ok &= (dec_i < cart.n) & (dec_j < cart.n)
-    pairs = [(int(i), int(j)) for i, j in zip(dec_i[ok], dec_j[ok])]
-    return pairs, int(np.sum(dec < 0))
+    return _decoded_pairs(*dec.reshape(2, pi * pi), cart.n), int(np.sum(dec < 0))
 
 
 def recovery_step(
@@ -450,7 +459,7 @@ def _vote(
         gram = _median_gram(stores[0])
         for other in stores[1:]:
             gram -= _median_gram(other)
-        scan = _gram_pairs(gram, params.phi)
+        scan = _gram_pairs(gram, cb, params.phi)
         step = lambda _: (scan, 0)
     else:
         tiles = [_standardized_tiles(s) for s in stores]  # once; every repetition regroups them

@@ -7,12 +7,13 @@ three models:
   cps  column-wise permutation: one value per line, column by column
   ts   turnstile: "alpha i j" lines, arbitrary increments in any order
 
-The reader takes a block of lines at a time: it splits every line,
-converts each column of fields with Python's own float and int, and
-checks counts, finiteness and index ranges per block. It yields the
-records lazily; at the first bad line it yields every record before that
-line, then raises the error a one-line parse (parse_update) would, tagged
-with the line number.
+The reader takes a block of lines at a time and parses it all or
+nothing: one grammar splits every line, converts each column of fields
+with Python's own float and int, and checks counts, finiteness and index
+ranges for the whole block. Only a block that fails is re-read a line at
+a time, through the same grammar, so the reader yields every record
+before the first bad line, then raises that line's own error (the one
+parse_update gives), tagged with the line number.
 
 The dense matrix here is a reference structure for the exact oracle and
 for tests; the sketching path never materializes it.
@@ -108,84 +109,71 @@ def parse_update(line: str, model: StreamModel, position: int) -> StreamUpdate:
 
     ``position`` is the 0-based ordinal of the record within the stream
     (comments and blank lines do not count); it determines (i, j) for the
-    permutation models. The line is read as a block of one.
+    permutation models. The line is read by the block grammar as a block
+    of one.
     """
-    updates, error = _parse_block([line], model, position)
-    if error is not None:
-        raise StreamFormatError(error)
-    return updates[0]
+    return _records([line], model, position)[0]
 
 
-def _convert(kind, strings) -> tuple[list, int]:
-    """``kind(s)`` for each string up to the first that raises ValueError, and that one's index.
+def _records(lines, model: StreamModel, position: int) -> list[StreamUpdate]:
+    """The block grammar: the records of ``lines``, ``lines[k]`` at ordinal ``position + k``.
 
-    The index is len(strings) when every string converts.
+    Each check runs over a whole column of fields, in the order one line is
+    checked: field count, then the indices (ts) or the stream length (rps,
+    cps), then the value and its finiteness, then the index range. The
+    first check that fails raises StreamFormatError, quoting the block's
+    first line or value: on a block of one line, that line's own error.
     """
+    fields = list(map(str.split, lines))
+    if model.variant == "ts":
+        if list(map(len, fields)).count(3) != len(lines):
+            raise StreamFormatError(f"turnstile record needs 'alpha i j', got {lines[0]!r}")
+        values, rows, cols = list(zip(*fields)) or [()] * 3
+        try:
+            rows, cols = list(map(int, rows)), list(map(int, cols))
+        except ValueError:
+            raise StreamFormatError(f"bad indices in {lines[0]!r}") from None
+    else:
+        if list(map(len, fields)).count(1) != len(lines):
+            raise StreamFormatError(f"{model.variant} record needs a single value, got {lines[0]!r}")
+        if position + len(lines) > model.length:
+            raise StreamFormatError(f"{model.variant} stream longer than n*p = {model.length}")
+        (values,) = list(zip(*fields)) or [()]
+        # rps: position q = i*p + j; cps: position q = j*n + i
+        size = model.p if model.variant == "rps" else model.n
+        ordinals = range(position, position + len(lines))
+        major, minor = [q // size for q in ordinals], [q % size for q in ordinals]
+        rows, cols = (major, minor) if model.variant == "rps" else (minor, major)
     try:
-        return list(map(kind, strings)), len(strings)
+        alphas = list(map(float, values))
     except ValueError:
-        values = []
-        for s in strings:
-            try:
-                values.append(kind(s))
-            except ValueError:
-                break
-        return values, len(values)
+        raise StreamFormatError(f"bad value {values[0]!r}") from None
+    if not all(map(math.isfinite, alphas)):
+        raise StreamFormatError(f"non-finite value {values[0]!r}")
+    n, p = model.n, model.p
+    if rows and not (0 <= min(rows) and max(rows) < n and 0 <= min(cols) and max(cols) < p):
+        raise StreamFormatError(f"index ({rows[0]}, {cols[0]}) out of range for {n}x{p}")
+    # tuple.__new__ builds each StreamUpdate in C; the generated __new__ is Python
+    return list(map(tuple.__new__, itertools.repeat(StreamUpdate), zip(alphas, rows, cols)))
 
 
 def _parse_block(lines, model: StreamModel, position: int) -> tuple[list[StreamUpdate], str | None]:
     """Parse record lines, ``lines[k]`` being the record at ordinal ``position + k``.
 
     Returns the updates before the first bad line, and that line's error
-    message (None when every line parses). Each check runs over a whole
-    column of fields, in the order one line is checked: field count, then
-    the indices (ts) or the stream length (rps, cps), then the value and
-    its finiteness, then the index range. A check reads only the lines
-    before the first bad one found so far, so that line reports the first
-    check it fails.
+    message (None when every line parses). The block is parsed all at
+    once; only a block that fails is re-read a line at a time, through
+    the same grammar, to find its first bad line.
     """
-    fields = list(map(str.split, lines))
-    stop, error = len(lines), None  # the first bad line found so far, and its error
-    count = 3 if model.variant == "ts" else 1
-    counts = list(map(len, fields))
-    if counts.count(count) != stop:
-        k = next(k for k, c in enumerate(counts) if c != count)
-        if model.variant == "ts":
-            stop, error = k, f"turnstile record needs 'alpha i j', got {lines[k]!r}"
-        else:
-            stop, error = k, f"{model.variant} record needs a single value, got {lines[k]!r}"
-    values, *indices = list(zip(*fields[:stop])) or [()] * count
-    if model.variant == "ts":
-        rows, k = _convert(int, indices[0][:stop])
-        if k < stop:
-            stop, error = k, f"bad indices in {lines[k]!r}"
-        cols, k = _convert(int, indices[1][:stop])
-        if k < stop:
-            stop, error = k, f"bad indices in {lines[k]!r}"
-    else:
-        k = max(0, model.length - position)
-        if k < stop:
-            stop, error = k, f"{model.variant} stream longer than n*p = {model.length}"
-        # rps: position q = i*p + j; cps: position q = j*n + i
-        size = model.p if model.variant == "rps" else model.n
-        ordinals = range(position, position + stop)
-        major, minor = [q // size for q in ordinals], [q % size for q in ordinals]
-        rows, cols = (major, minor) if model.variant == "rps" else (minor, major)
-    alphas, k = _convert(float, values[:stop])
-    if k < stop:
-        stop, error = k, f"bad value {values[k]!r}"
-    if not all(map(math.isfinite, alphas)):
-        k = next(k for k, a in enumerate(alphas) if not math.isfinite(a))
-        stop, error = k, f"non-finite value {values[k]!r}"
-    rows, cols = rows[:stop], cols[:stop]
-    n, p = model.n, model.p
-    if rows and not (0 <= min(rows) and max(rows) < n and 0 <= min(cols) and max(cols) < p):
-        k, i, j = next((k, i, j) for k, (i, j) in enumerate(zip(rows, cols))
-                       if not (0 <= i < n and 0 <= j < p))
-        stop, error = k, f"index ({i}, {j}) out of range for {n}x{p}"
-    # tuple.__new__ builds each StreamUpdate in C; the generated __new__ is Python
-    records = itertools.islice(zip(alphas, rows, cols), stop)
-    return list(map(tuple.__new__, itertools.repeat(StreamUpdate), records)), error
+    try:
+        return _records(lines, model, position), None
+    except StreamFormatError:
+        records = []
+        for k, line in enumerate(lines):
+            try:
+                records += _records([line], model, position + k)
+            except StreamFormatError as error:
+                return records, str(error)
 
 
 def apply_update(m: DenseMatrix, u: StreamUpdate) -> DenseMatrix:

@@ -415,6 +415,14 @@ def test_oracle_size_guard(tmp_path, capsys):
     assert code == 2 and "size guard" in err
 
 
+def test_oracle_size_guard_reads_only_the_header(tmp_path, capsys):
+    # the guard is checked on the header's model, before any record is read
+    stream = tmp_path / "huge.stream"
+    stream.write_text("ts 20000 20000\nbroken\n")
+    code, out, err = run_cli(capsys, "oracle", "--input", str(stream), "--phi", "0.5", "--k", "0")
+    assert code == 2 and out == "" and "size guard" in err and "line 2" not in err
+
+
 def test_gen_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.stream", tmp_path / "b.stream"
     for path in (a, b):

@@ -68,6 +68,27 @@ def test_residual_norm_trivial_cases():
     assert oracle.residual_norm(c, 0) == pytest.approx(np.sqrt(2) * 0.9)
 
 
+def _residual_norm_by_comprehension(c, k):
+    """residual_norm as first written: the k largest nonzero entries picked in a Python loop."""
+    a = c.values.copy()
+    np.fill_diagonal(a, 0.0)
+    flat = np.abs(a).ravel()
+    order = np.lexsort((np.arange(flat.size), -flat))
+    a.ravel()[[idx for idx in order if flat[idx] > 0][:k]] = 0.0
+    return float(np.sqrt(np.sum(a * a)))
+
+
+def test_residual_norm_selection_matches_the_comprehension(rng):
+    # ties in magnitude (both signs), zeros, and k up to past the nonzero count
+    for _ in range(20):
+        values = rng.choice([0.0, 0.0, 0.25, -0.25, 0.5, -0.5, 0.9], size=(7, 7))
+        c = oracle.CorrelationMatrix(values)
+        nonzero = int(np.count_nonzero(values) - np.count_nonzero(np.diag(values)))
+        for k in (1, 2, 5, nonzero - 1, nonzero, nonzero + 3, 60):
+            if k > 0:
+                assert oracle.residual_norm(c, k) == _residual_norm_by_comprehension(c, k)
+
+
 def test_residual_norm_matches_brute_force(rng):
     values = rng.standard_normal((8, 8))
     c = oracle.correlation(DenseMatrix(values))

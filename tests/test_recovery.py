@@ -582,7 +582,7 @@ def test_gram_pairs_equal_decoded_buckets_under_any_grouping(data):
         gram = np.triu(gram) + np.triu(gram, 1).T
     gram[0, data.draw(st.integers(1, n - 1))] = phi  # a heavy entry on index 0
     cb = ecc.for_index_space(n + data.draw(st.integers(0, 40)))
-    expect = Counter(_gram_pairs(gram, phi))
+    expect = Counter(_gram_pairs(gram, cb, phi))
     for _ in range(2):
         cart = CartesianTransform(n, pi, data.draw(st.integers(0, 2**32 - 1)))
         buckets = _singleton_buckets(gram, cart, cb)

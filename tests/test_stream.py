@@ -4,7 +4,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corrsketch import stream as stream_module
@@ -276,8 +276,15 @@ def streams(draw):
     return model, [draw(space) + line + draw(st.sampled_from(["", " "])) for line in lines]
 
 
+_FULL = ["1.5 0 1", "-2 1 0", "0 2 1"]  # one full 3-line block of ts records
+
+
 @settings(max_examples=300, deadline=None)
 @given(streams())
+@example((StreamModel("ts", 3, 2), [*_FULL, "x 1 1", *_FULL[1:]]))  # bad first line of a full block
+@example((StreamModel("ts", 3, 2), [*_FULL, *_FULL[:2], "1.0 3 0"]))  # bad last line of a full block
+@example((StreamModel("ts", 3, 2), [*_FULL, "# a", "", "  # b", *_FULL]))  # a block of comments only
+@example((StreamModel("rps", 3, 2), ["1", "2", "3", "#", "# c", "\t", "4", "5", "6"]))  # and rps
 def test_block_reader_matches_per_line_reference(case):
     # 3-line blocks put blank, '#' and bad lines before, on and after a block boundary
     model, lines = case
@@ -300,3 +307,32 @@ def test_block_reader_matches_per_line_reference(case):
                 assert (str(err.value), err.value.line_no) == (str(e), None)
             else:
                 assert repr(parse_update(line, model, position)) == repr(expect)
+
+
+@pytest.mark.parametrize("variant", ["ts", "rps"])
+def test_clean_stream_parses_each_block_once(variant):
+    # clean input takes one grammar call per block, whatever its comments;
+    # only a block that fails is re-read, a line at a time
+    calls = []
+
+    def counted(lines, model, position):
+        calls.append(len(lines))
+        return grammar(lines, model, position)
+
+    grammar = stream_module._records
+    values = np.arange(1.0, 17.0).reshape(4, 4)
+    lines = [f"{u.alpha!r} {u.i} {u.j}" if variant == "ts" else repr(u.alpha)
+             for u in matrix_to_updates(DenseMatrix(values), variant)]
+    lines.insert(2, "# a comment")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stream_module, "_BLOCK", 5)
+        mp.setattr(stream_module, "_records", counted)
+        model, updates = iter_stream(["# head", f"{variant} 4 4", *lines])
+        assert np.array_equal(replay(model, updates).values, values)
+        assert calls == [4, 5, 5, 2]  # 17 lines: the first block holds the comment
+        calls.clear()
+        lines[8] = "nan 1 1" if variant == "ts" else "nan"
+        _, updates = iter_stream([f"{variant} 4 4", *lines])
+        with pytest.raises(StreamFormatError, match="line 10: non-finite"):
+            list(updates)
+        assert calls == [4, 5, 1, 1, 1, 1]  # the failed block again, to its bad line
