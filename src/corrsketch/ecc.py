@@ -3,9 +3,11 @@
 Recovery spells out row/column indices one thresholded bit at a time, so
 the bits arriving at the decoder can be noisy. Indices in [n] are encoded
 into blocklength-(2^m - 1) BCH codewords; the decoder corrects up to t bit
-flips algebraically (syndromes, Berlekamp-Massey, Chien search) and
-reports failure rather than guessing when a word is uncorrectable or
-decodes to a message outside [n].
+flips algebraically and reports failure rather than guessing when a word
+is uncorrectable or decodes to a message outside [n]. It is one batched
+pass over the distinct words: syndromes, then Berlekamp-Massey on every
+word with a nonzero syndrome at once, a Chien search over every locator,
+and one message read for clean and corrected words alike.
 
 Codeword bit order is LSB-first (bit l is the coefficient of x^l) and
 fixed, so snapshots and mask tables stay stable across runs.
@@ -29,34 +31,24 @@ _DESIGNS = ((4, 3), (5, 5), (6, 10), (7, 21), (8, 42))
 
 
 class GF2m:
-    """GF(2^m) arithmetic via exp/log tables."""
+    """GF(2^m) as exp/log arrays: ``exp[i] = alpha^i``, ``log[exp[i]] = i``."""
 
     def __init__(self, m: int):
-        prim = _PRIMITIVE[m]
-        self.m = m
         self.order = (1 << m) - 1
-        exp = [0] * self.order
-        log = [-1] * (1 << m)
+        self.exp = np.empty(self.order, dtype=np.int64)
         x = 1
         for i in range(self.order):
-            exp[i] = x
-            log[x] = i
+            self.exp[i] = x
             x <<= 1
-            if x & (1 << m):
-                x ^= prim
-        self.exp = exp
-        self.log = log
-        self.exp_np = np.array(exp, dtype=np.int64)
+            if x >> m:
+                x ^= _PRIMITIVE[m]
+        self.log = np.zeros(1 << m, dtype=np.int64)  # log[0] only feeds masked products
+        self.log[self.exp] = np.arange(self.order)
 
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self.exp[(self.log[a] + self.log[b]) % self.order]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0 in GF(2^m)")
-        return self.exp[(self.order - self.log[a]) % self.order]
+    def product(self, a, b) -> np.ndarray:
+        """Elementwise product of two (broadcastable) arrays of field elements."""
+        logs = (self.log[a] + self.log[b]) % self.order
+        return np.where((a != 0) & (b != 0), self.exp[logs], 0)
 
 
 def _gf2_poly_mul(a: int, b: int) -> int:
@@ -91,20 +83,12 @@ def _bch_generator(field: GF2m, t: int) -> int:
             e = (2 * e) % field.order
         seen.update(coset)
         # minimal polynomial of alpha^c: product of (x + alpha^e) over the coset
-        poly = [1]
+        poly = np.ones(1, dtype=np.int64)
         for e in coset:
-            root = field.exp[e]
-            nxt = [0] * (len(poly) + 1)
-            for deg, coeff in enumerate(poly):
-                nxt[deg + 1] ^= coeff
-                nxt[deg] ^= field.mul(coeff, root)
-            poly = nxt
-        mask = 0
-        for deg, coeff in enumerate(poly):
-            if coeff not in (0, 1):
-                raise AssertionError("minimal polynomial left the base field")
-            if coeff:
-                mask |= 1 << deg
+            poly = np.append(0, poly) ^ np.append(field.product(poly, field.exp[e]), 0)
+        if np.any(poly > 1):
+            raise AssertionError("minimal polynomial left the base field")
+        mask = int(poly @ (1 << np.arange(len(poly))))
         gen = _gf2_poly_mul(gen, mask)  # cosets are disjoint, so lcm = product
     return gen
 
@@ -143,7 +127,7 @@ class Codebook:
         # alpha^(j*l) tables for syndrome computation, j = 1..2t
         j = np.arange(1, 2 * t + 1)[:, None]
         l = np.arange(self.blocklen)[None, :]
-        self._synd_table = self.field.exp_np[(j * l) % self.blocklen]
+        self._synd_table = self.field.exp[(j * l) % self.blocklen]
         self._bit_matrix: Optional[np.ndarray] = None
 
     # -- encoding ------------------------------------------------------
@@ -194,7 +178,8 @@ class Codebook:
         """Batch decode; returns indices, -1 where decoding fails.
 
         Duplicated words (common: most buckets spell the same few words)
-        are decoded once.
+        are decoded once. A unique word decodes to the index whose
+        codeword lies within ``n_correctable`` flips of it, else -1.
         """
         words = np.asarray(words, dtype=np.uint8)
         if words.ndim != 2 or words.shape[1] != self.blocklen:
@@ -206,76 +191,59 @@ class Codebook:
         _, first, inverse = np.unique(
             packed, axis=0, return_index=True, return_inverse=True
         )
-        uniq = words[first]
-        w = uniq.astype(np.int64)
+        fixed = words[first]
         synd = np.bitwise_xor.reduce(
-            w[:, None, :] * self._synd_table[None, :, :], axis=2
+            fixed[:, None, :].astype(np.int64) * self._synd_table[None, :, :], axis=2
         )  # (u, 2t)
-        out = np.full(uniq.shape[0], -1, dtype=np.int64)
-        clean = ~np.any(synd, axis=1)
-        if np.any(clean):
-            weights = (np.int64(1) << np.arange(self.msg_bits, dtype=np.int64))
-            msgs = uniq[clean, self._parity_len :].astype(np.int64) @ weights
-            out[clean] = np.where(msgs < self.n, msgs, -1)
-        for idx in np.nonzero(~clean)[0]:
-            out[idx] = self._correct(uniq[idx], synd[idx])
+        noisy = np.flatnonzero(synd.any(axis=1))
+        ok = np.ones(len(fixed), dtype=bool)
+        if noisy.size:  # a clean batch skips the locator loop and its fixed per-step cost
+            ok[noisy], errors = self._locate_errors(synd[noisy])
+            fixed[noisy] ^= errors
+        weights = np.int64(1) << np.arange(self.msg_bits, dtype=np.int64)
+        msgs = fixed[:, self._parity_len :].astype(np.int64) @ weights
+        out = np.where(ok & (msgs < self.n), msgs, -1)
         return out[inverse.reshape(-1)]
 
-    def _correct(self, word: np.ndarray, synd: np.ndarray) -> int:
-        locator, deg = self._berlekamp_massey(synd.tolist())
-        if deg == 0 or deg > self.n_correctable:
-            return -1
-        while len(locator) > 1 and locator[-1] == 0:
-            locator.pop()
-        if len(locator) - 1 != deg:
-            return -1
-        # Chien search: error at position l iff locator(alpha^{-l}) == 0
-        field = self.field
-        order = field.order
-        pos_exp = (order - np.arange(self.blocklen)) % order
-        vals = np.zeros(self.blocklen, dtype=np.int64)
-        for j, coeff in enumerate(locator):
-            if coeff:
-                vals ^= field.exp_np[(field.log[coeff] + j * pos_exp) % order]
-        err_pos = np.nonzero(vals == 0)[0]
-        if len(err_pos) != deg:
-            return -1
-        fixed = word.copy()
-        fixed[err_pos] ^= 1
-        weights = (np.int64(1) << np.arange(self.msg_bits, dtype=np.int64))
-        msg = int(fixed[self._parity_len :].astype(np.int64) @ weights)
-        return msg if msg < self.n else -1
+    def _locate_errors(self, synd: np.ndarray):
+        """Error positions of every syndrome row at once.
 
-    def _berlekamp_massey(self, synd):
-        """Error locator polynomial from the syndrome sequence."""
-        field = self.field
-        C = [1]
-        B = [1]
-        L = 0
-        m = 1
-        b = 1
-        for step, s in enumerate(synd):
-            d = s
-            for i in range(1, L + 1):
-                if i < len(C) and C[i] and synd[step - i]:
-                    d ^= field.mul(C[i], synd[step - i])
-            if d == 0:
-                m += 1
-                continue
-            coef = field.mul(d, field.inv(b))
-            T = C[:]
-            C.extend([0] * (len(B) + m - len(C)))  # no-op when C is long enough
-            for i, Bi in enumerate(B):
-                if Bi:
-                    C[i + m] ^= field.mul(coef, Bi)
-            if 2 * L <= step:
-                L = step + 1 - L
-                B = T
-                b = d
-                m = 1
-            else:
-                m += 1
-        return C, L
+        Berlekamp-Massey runs on all rows together, on a fixed-width
+        ``(u, 2t+1)`` locator array; a row's update is masked out where its
+        discrepancy is zero. A Chien search then evaluates every locator
+        at every ``alpha^-l``. Returns ``(ok, errors)``: ``ok`` where the
+        locator's length L is at most t, its degree is L and it has
+        exactly L roots; ``errors`` the ``(u, blocklen)`` root mask.
+        """
+        field, (u, two_t) = self.field, synd.shape
+        locator = np.zeros((u, two_t + 1), dtype=np.int64)
+        locator[:, 0] = 1
+        prior = locator.copy()  # B(x): the locator before the last length change
+        length = np.zeros(u, dtype=np.int64)
+        last = np.ones(u, dtype=np.int64)  # the discrepancy at that change
+        for step in range(two_t):
+            # x^m B(x), m steps after that change; Massey's bound keeps its degree <= 2t
+            prior = np.pad(prior[:, :-1], ((0, 0), (1, 0)))
+            d = np.bitwise_xor.reduce(
+                field.product(locator[:, : step + 1], synd[:, step::-1]), axis=1
+            )
+            grow = (d != 0) & (2 * length <= step)
+            scale = field.product(d, field.exp[-field.log[last] % field.order])
+            locator, prior = (
+                locator ^ field.product(scale[:, None], prior),
+                np.where(grow[:, None], locator, prior),
+            )
+            length = np.where(grow, step + 1 - length, length)
+            last = np.where(grow, d, last)
+        degree = two_t - np.argmax(locator[:, ::-1] != 0, axis=1)
+        # position l is in error iff the locator vanishes at alpha^-l
+        inv_pos = -np.arange(self.blocklen) % field.order
+        values = np.zeros((u, self.blocklen), dtype=np.int64)
+        for j in range(self.n_correctable + 1):  # degrees past t are refused below
+            values ^= field.product(locator[:, j, None], field.exp[j * inv_pos % field.order])
+        errors = values == 0
+        ok = (0 < length) & (length <= self.n_correctable) & (degree == length)
+        return ok & (errors.sum(axis=1) == length), errors
 
 
 @lru_cache(maxsize=32)

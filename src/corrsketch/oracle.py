@@ -67,11 +67,14 @@ def residual_norm(c: CorrelationMatrix, k: int) -> float:
     a = c.values.copy()
     np.fill_diagonal(a, 0.0)
     if k > 0:
-        flat = np.abs(a).ravel()
-        # stable sort on (-|value|, row, col): lexsort on descending magnitude
-        order = np.lexsort((np.arange(flat.size), -flat))
-        drop = order[flat[order] > 0][:k]
-        a.ravel()[drop] = 0.0
+        flat = a.ravel()
+        mag = np.abs(flat)
+        k = min(k, mag.size)
+        kth = np.partition(mag, mag.size - k)[mag.size - k]  # k-th largest magnitude
+        above = mag > kth  # fewer than k entries
+        ties = np.flatnonzero((mag == kth) & (mag > 0))[: k - np.count_nonzero(above)]
+        flat[above] = 0.0
+        flat[ties] = 0.0
     return float(np.sqrt(np.sum(a * a)))
 
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ams import RowSketchStore, SketchStateError, seed_stream
+from .ams import RowSketchStore, SketchStateError, accuracy_width, seed_stream
 from .cartesian import CartesianTransform, masked_diag_stack
 from .ecc import Codebook
 
@@ -97,11 +97,21 @@ def min_group_count(
     return bound
 
 
+def _guarantee_bounds(n, phi, groups, lam):
+    """Largest (epsilon, delta) the guarantee allows at pi = ``groups``.
+
+    They are min(1/2, phi*pi*sqrt(lambda)/(828n)) and lambda/(54(2+12n/pi)).
+    """
+    eps = min(0.5, phi * groups * math.sqrt(lam) / (828.0 * n))
+    return eps, lam / (54.0 * (2.0 + 12.0 * n / groups))
+
+
 def _constraint_violations(n, phi, k, residual_bound, groups, epsilon, delta, lam):
     out = []
-    if delta > lam / (54.0 * (2.0 + 12.0 * n / groups)):
+    max_eps, max_delta = _guarantee_bounds(n, phi, groups, lam)
+    if delta > max_delta:
         out.append("delta exceeds lambda/(54(2+12n/pi))")
-    if epsilon > min(0.5, phi * groups * math.sqrt(lam) / (828.0 * n)):
+    if epsilon > max_eps:
         out.append("epsilon exceeds min(1/2, phi*pi*sqrt(lambda)/(828n))")
     need = max(18 * k, 18.0 * residual_bound / (phi * math.sqrt(lam)))
     if groups < need:
@@ -175,14 +185,13 @@ def select_parameters(
             raise FeasibilityError(
                 f"binding constraint pi >= {pi}: pi^2 = {pi*pi} buckets exceeds {MAX_BUCKETS}"
             )
-        eps = min(0.5, phi * pi * math.sqrt(lam) / (828.0 * n))
-        width = math.ceil(4.0 / (eps * eps))
+        eps, dlt = _guarantee_bounds(n, phi, pi, lam)
+        width = accuracy_width(eps)
         if width > MAX_SKETCH_WIDTH:
             raise FeasibilityError(
                 f"binding constraint epsilon <= phi*pi*sqrt(lambda)/(828n) = {eps:.3g}: "
                 f"needs sketch width {width} > {MAX_SKETCH_WIDTH}"
             )
-        dlt = lam / (54.0 * (2.0 + 12.0 * n / pi))
         gamma = math.ceil(10.0 * math.log2(n))
         return QueryParams(phi, pi, eps, dlt, gamma, "strict")
 

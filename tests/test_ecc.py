@@ -180,3 +180,35 @@ def test_decode_design_properties(design, seeds):
             assert int(np.sum(w != cb.encode(int(r)))) <= t
         scalar = cb.decode(w)
         assert (-1 if scalar is None else scalar) == r
+
+
+def _nearest_within_radius(cb, words):
+    """Brute force: the index whose codeword lies within t flips of each word, else -1."""
+    table = cb.bit_matrix().astype(np.float64)
+    w = words.astype(np.float64)
+    dist = w.sum(axis=1)[:, None] + table.sum(axis=1)[None, :] - 2.0 * (w @ table.T)
+    near = dist <= cb.n_correctable  # at most one: the code's distance is 2t + 1
+    return np.where(near.any(axis=1), near.argmax(axis=1), -1)
+
+
+@pytest.mark.parametrize("design", ecc._DESIGNS)
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_decode_is_bounded_distance(design, seed):
+    # codewords and their complements (the complement of index i's codeword
+    # is message 2^msg_bits - 1 - i, outside [n] in the three larger
+    # designs), each with 0..2t+2 flips, then uniform, sparse and dense
+    # random words
+    cb = _design_codebook(*design)
+    t, rng, size = cb.n_correctable, np.random.default_rng(seed), 140
+    words = cb.bit_matrix()[rng.integers(cb.n, size=2 * size)].copy()
+    words[size:] ^= 1
+    for w in words:
+        w[rng.choice(cb.blocklen, size=int(rng.integers(0, 2 * t + 3)), replace=False)] ^= 1
+    density = np.concatenate(
+        [np.full(size, 0.5), 0.3 * rng.random(size), 1 - 0.3 * rng.random(size)]
+    )
+    noise = (rng.random((3 * size, cb.blocklen)) < density[:, None]).astype(np.uint8)
+    edges = np.stack([np.zeros(cb.blocklen, np.uint8), np.ones(cb.blocklen, np.uint8)])
+    words = np.concatenate([words, noise, edges])
+    assert np.array_equal(cb.decode_words(words), _nearest_within_radius(cb, words))

@@ -79,12 +79,13 @@ def _residual_norm_by_comprehension(c, k):
 
 
 def test_residual_norm_selection_matches_the_comprehension(rng):
-    # ties in magnitude (both signs), zeros, and k up to past the nonzero count
+    # ties in magnitude (both signs), zeros, and k up to past the nonzero
+    # count, then every k from 1 to past the entry count
     for _ in range(20):
         values = rng.choice([0.0, 0.0, 0.25, -0.25, 0.5, -0.5, 0.9], size=(7, 7))
         c = oracle.CorrelationMatrix(values)
         nonzero = int(np.count_nonzero(values) - np.count_nonzero(np.diag(values)))
-        for k in (1, 2, 5, nonzero - 1, nonzero, nonzero + 3, 60):
+        for k in (1, 2, 5, nonzero - 1, nonzero, nonzero + 3, 60, *range(1, 7 * 7 + 3)):
             if k > 0:
                 assert oracle.residual_norm(c, k) == _residual_norm_by_comprehension(c, k)
 
