@@ -13,9 +13,10 @@ standardized so that inner products estimate correlations: it records a
 shift and a scale per row and never rewrites a row; each standardized row
 a_i (r_i - mu_i o) is formed where it is read. The all-ones sketch o that
 the shift subtracts is a fixed function of the transform, so the store's
-constructor builds it whole. The rows sit in memory in snapshot order; a
-loaded store maps them from the file (copy-on-write) instead of reading
-them, and save writes a temporary file that then takes the target's name.
+constructor builds it whole. A snapshot holds only the linear state, raw
+rows included, standardized or not. The rows sit in memory in snapshot
+order; a loaded store maps them from the file (copy-on-write) instead of
+reading them, and save writes a temporary file that takes the target's name.
 
 Bucket and sign functions are seeded polynomials, evaluated on demand for
 a chunk of columns at a time (SketchTransform.hash_columns); no (d, p)
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import itertools
 import math
 import operator
 import os
@@ -61,7 +61,7 @@ NORM_TOLERANCE = 1e-12  # squared-norm floor (times p) below which a row is dege
 
 SNAPSHOT_MAGIC = b"CSKSNAP1"
 SNAPSHOT_VERSION = 1
-_FLAG_STANDARDIZED = 1
+_FLAG_STANDARDIZED = 1  # standardized (served) rows: load refuses it
 _FLAG_EXACT = 4
 # magic, version, n, p, width, depth, seed, flags, ones_built; ones_built
 # (columns folded into the all-ones sketch) is always p
@@ -353,8 +353,8 @@ class RowSketchStore:
     ``totals`` is read, so every reader sees all updates applied so far.
 
     Standardizing sets ``mu`` (shift) and ``scale`` (a) per row and leaves
-    the stored rows as they are; ``row_sketch``, ``sketch_row``, ``inner``
-    and ``save`` serve the standardized rows a_i (r_i - mu_i o).
+    the stored rows as they are, as ``save`` writes them; ``row_sketch``,
+    ``sketch_row`` and ``inner`` serve the rows a_i (r_i - mu_i o).
     """
 
     def __init__(self, transform: SketchTransform, n: int):
@@ -363,11 +363,10 @@ class RowSketchStore:
         sketches = np.zeros((n, transform.depth, transform.width))
         self._assign(transform, sketches, np.zeros(n), _ones_sketch(transform))
 
-    def _assign(self, transform, sketches, totals, ones_sketch, standardized=False, norms=None):
-        """Set every field from the store's parts; nothing is buffered.
+    def _assign(self, transform, sketches, totals, ones_sketch, norms=None):
+        """Set every field from the store's parts, unstandardized; nothing is buffered.
 
-        ``norms`` is ``_centered_norms`` of these rows, when known. A
-        standardized snapshot's rows are served as stored: mu = 0, a = 1.
+        ``norms`` is ``_centered_norms`` of these rows, when known.
         """
         n = len(totals)
         self.transform = transform
@@ -378,14 +377,9 @@ class RowSketchStore:
         self._pending = ([], [], [])  # row, column and value of each buffered update
         self._norms = norms  # dropped when an update lands
         self.ones_sketch = ones_sketch
-        self.standardized = standardized
-        self._shifted = False  # set by standardize: rows are served as a_i (r_i - mu_i o)
-        self.mu = np.zeros(n) if standardized else None
-        self.scale = np.ones(n) if standardized else None
-        # a standardized snapshot zeroed its degenerate rows
-        self.degenerate = (
-            ~np.asarray(sketches.any(axis=(1, 2))) if standardized else np.zeros(n, dtype=bool)
-        )
+        self.standardized = False  # set by standardize: rows are served as a_i (r_i - mu_i o)
+        self.mu = self.scale = None
+        self.degenerate = np.zeros(n, dtype=bool)
 
     @property
     def rows(self) -> np.ndarray:
@@ -480,7 +474,7 @@ class RowSketchStore:
         every block gets the same roundings, so every reader the same bits.
         """
         out[...] = raw  # first out of the map, misaligned at byte 61: aligned arithmetic is faster
-        if self._shifted:
+        if self.standardized:
             out -= self.mu[at] * ones
             out *= self.scale[at]
         return out
@@ -523,7 +517,7 @@ class RowSketchStore:
         self.degenerate = norm_sq <= NORM_TOLERANCE * self.p
         safe = np.where(self.degenerate, 1.0, norm_sq)
         self.scale = np.where(self.degenerate, 0.0, 1.0 / np.sqrt(safe))
-        self.standardized = self._shifted = True
+        self.standardized = True
 
     def standardized_copy(self) -> "RowSketchStore":
         """A standardized store over the same rows; this store is unchanged.
@@ -531,13 +525,14 @@ class RowSketchStore:
         The rows are shared, not copied: this store's view of them turns
         read-only, and its next update copies them first.
         """
+        if self.standardized:
+            raise SketchStateError("store already standardized")
         self._flush()
         self._sketches = self._sketches.view()
         self._sketches.flags.writeable = False
         out = type(self).__new__(type(self))
         out._assign(
-            self.transform, self._sketches, self._totals.copy(), self.ones_sketch,
-            self.standardized, self._norms,
+            self.transform, self._sketches, self._totals.copy(), self.ones_sketch, self._norms
         )
         out.standardize()
         return out
@@ -545,18 +540,13 @@ class RowSketchStore:
     # -- snapshot io ---------------------------------------------------
 
     def save(self, path):
-        """Write a snapshot of the rows as queries read them.
+        """Write the linear state (stored rows, totals, o), standardized or not.
 
         The bytes go to a temporary file beside ``path`` that then takes
         its name, so a store mapped from ``path`` (this one included) keeps
         reading the old file, a reader never sees a partial snapshot, and
         a failed write leaves ``path`` as it was.
         """
-        flags = 0
-        if self.standardized:
-            flags |= _FLAG_STANDARDIZED
-        if self.transform.exact:
-            flags |= _FLAG_EXACT
         t = self.transform
         header = _HEADER.pack(
             SNAPSHOT_MAGIC,
@@ -566,11 +556,10 @@ class RowSketchStore:
             t.width,
             t.depth,
             t.seed,
-            flags,
+            _FLAG_EXACT if t.exact else 0,
             self.p,
         )
         self._flush()
-        rows = map(self.row_sketch, range(self.n)) if self._shifted else [self._sketches]
         path = os.path.realpath(path)  # through a symlink to its target, as open() writes
         tmp = f"{path}.{os.urandom(8).hex()}.tmp"
         try:
@@ -578,7 +567,7 @@ class RowSketchStore:
             # at which one raw call may stop
             with open(tmp, "xb") as fh:
                 fh.write(header)
-                for section in itertools.chain(rows, (self._totals, self.ones_sketch)):
+                for section in (self._sketches, self._totals, self.ones_sketch):
                     fh.write(np.ascontiguousarray(section, dtype="<f8"))
             # unlink, then rename: ext4 forces the new file's data out (about
             # 1 s per GB) when a rename replaces an existing file
@@ -600,7 +589,7 @@ class RowSketchStore:
         section is mapped copy-on-write, not read, so updates to a loaded
         store stay private and never reach the file. One pass over the map
         checks every row block for NaN and infinity and finds the norms
-        ``standardize`` takes its scales from.
+        ``standardize`` takes its scales from. Flag 1 (served rows) is refused.
         """
         with open(path, "rb") as fh:
             head = fh.read(_HEADER.size)
@@ -613,6 +602,9 @@ class RowSketchStore:
                 raise SnapshotFormatError(f"unsupported snapshot version {version}")
             if flags & ~(_FLAG_STANDARDIZED | _FLAG_EXACT):
                 raise SnapshotFormatError(f"unknown snapshot flags {flags:#x}")
+            if flags & _FLAG_STANDARDIZED:
+                raise SnapshotFormatError("snapshot flag 1 (standardized rows) is no longer "
+                                          "read: re-save from the unstandardized store")
             exact = bool(flags & _FLAG_EXACT)
             if exact and (width, depth) != (p, 1):
                 raise SnapshotFormatError("exact-transform snapshot with mismatched shape")
@@ -639,7 +631,7 @@ class RowSketchStore:
         # the one pass over the rows checks them and finds what standardize needs
         norms = _centered_norms(rows, totals / p, ones, check=True)
         store = cls.__new__(cls)
-        store._assign(transform, rows, totals, ones, bool(flags & _FLAG_STANDARDIZED), norms)
+        store._assign(transform, rows, totals, ones, norms)
         return store
 
 

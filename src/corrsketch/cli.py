@@ -75,8 +75,7 @@ def cmd_query(args) -> int:
     rows = []
     # no correlation can exceed 1; above it the report is trivially empty
     if not args.phi > 1.0:  # NaN goes on to the range check
-        if not store.standardized:
-            store.standardize()
+        store.standardize()
         cb = ecc.for_index_space(store.n)
         if args.mode == "practical":
             overrides.update(epsilon=store.transform.epsilon, delta=store.transform.delta)

@@ -5,9 +5,10 @@ the bits arriving at the decoder can be noisy. Indices in [n] are encoded
 into blocklength-(2^m - 1) BCH codewords; the decoder corrects up to t bit
 flips algebraically and reports failure rather than guessing when a word
 is uncorrectable or decodes to a message outside [n]. It is one batched
-pass over the distinct words: syndromes, then Berlekamp-Massey on every
-word with a nonzero syndrome at once, a Chien search over every locator,
-and one message read for clean and corrected words alike.
+pass over the distinct words: syndromes and message read from the packed
+bytes by table, then Berlekamp-Massey on every word with a nonzero
+syndrome at once, a Chien search over every locator, and the corrected
+message bits flipped.
 
 Codeword bit order is LSB-first (bit l is the coefficient of x^l) and
 fixed, so snapshots and mask tables stay stable across runs.
@@ -15,7 +16,7 @@ fixed, so snapshots and mask tables stay stable across runs.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Optional
 
 import numpy as np
@@ -123,11 +124,16 @@ class Codebook:
             rem = _gf2_poly_mod(1 << (parity_len + r), gen)
             rem_rows[r] = [(rem >> bit) & 1 for bit in range(parity_len)]
         self._rem_rows = rem_rows
-        self._parity_len = parity_len
-        # alpha^(j*l) tables for syndrome computation, j = 1..2t
-        j = np.arange(1, 2 * t + 1)[:, None]
-        l = np.arange(self.blocklen)[None, :]
-        self._synd_table = self.field.exp[(j * l) % self.blocklen]
+        # per bit l: the syndromes alpha^(j*l), j = 1..2t, then the message value of l
+        l = np.arange(self.blocklen)
+        per_bit = np.zeros(((self.blocklen + 7) // 8 * 8, 2 * t + 1), dtype=np.int64)
+        per_bit[l, :-1] = self.field.exp[np.outer(l, np.arange(1, 2 * t + 1)) % self.blocklen]
+        per_bit[parity_len : self.blocklen, -1] = 1 << np.arange(self.msg_bits, dtype=np.int64)
+        self._weights = per_bit[l, -1]
+        # _byte_table[q, v]: XOR of the rows of v's set bits (byte q: bits 8q.., MSB first)
+        bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)[..., None]
+        blocks = per_bit.reshape(-1, 8, 2 * t + 1)
+        self._byte_table = np.stack([np.bitwise_xor.reduce(bits * b, axis=1) for b in blocks])
         self._bit_matrix: Optional[np.ndarray] = None
 
     # -- encoding ------------------------------------------------------
@@ -168,7 +174,7 @@ class Codebook:
 
     def decode(self, word) -> Optional[int]:
         """Decode one word; None means no index within the correction radius."""
-        word = np.asarray(word, dtype=np.uint8)
+        word = np.asarray(word)
         if word.shape != (self.blocklen,):
             raise ValueError(f"expected word of length {self.blocklen}, got {word.shape}")
         result = self.decode_words(word[None, :])
@@ -177,31 +183,26 @@ class Codebook:
     def decode_words(self, words: np.ndarray) -> np.ndarray:
         """Batch decode; returns indices, -1 where decoding fails.
 
-        Duplicated words (common: most buckets spell the same few words)
-        are decoded once. A unique word decodes to the index whose
-        codeword lies within ``n_correctable`` flips of it, else -1.
+        Duplicated words (most buckets spell the same few) are decoded once.
+        A word decodes to the index whose codeword lies within
+        ``n_correctable`` flips of it, else -1; a bit not 0 or 1 is refused.
         """
-        words = np.asarray(words, dtype=np.uint8)
+        words = np.asarray(words)
         if words.ndim != 2 or words.shape[1] != self.blocklen:
             raise ValueError(f"expected (m, {self.blocklen}) words, got {words.shape}")
-        if words.shape[0] == 0:
-            return np.empty(0, dtype=np.int64)
-        # dedupe on the packed form: unique-ing 16x fewer bytes
-        packed = np.packbits(words, axis=1)
-        _, first, inverse = np.unique(
-            packed, axis=0, return_index=True, return_inverse=True
-        )
-        fixed = words[first]
-        synd = np.bitwise_xor.reduce(
-            fixed[:, None, :].astype(np.int64) * self._synd_table[None, :, :], axis=2
-        )  # (u, 2t)
+        bad = (words != 0) & (words != 1)
+        if bad.any():
+            raise ValueError(f"word bits must be 0 or 1, got {words[bad][0]}")
+        # dedupe on the packed bytes; the unused return_index makes np.unique faster
+        packed = np.packbits(words.astype(np.uint8, copy=False), axis=1)
+        unique, _, inverse = np.unique(packed, axis=0, return_index=True, return_inverse=True)
+        found = reduce(np.bitwise_xor, (tab[col] for tab, col in zip(self._byte_table, unique.T)))
+        synd, msgs = found[:, :-1], found[:, -1]  # (u, 2t) syndromes, (u,) message
         noisy = np.flatnonzero(synd.any(axis=1))
-        ok = np.ones(len(fixed), dtype=bool)
+        ok = np.ones(len(unique), dtype=bool)
         if noisy.size:  # a clean batch skips the locator loop and its fixed per-step cost
             ok[noisy], errors = self._locate_errors(synd[noisy])
-            fixed[noisy] ^= errors
-        weights = np.int64(1) << np.arange(self.msg_bits, dtype=np.int64)
-        msgs = fixed[:, self._parity_len :].astype(np.int64) @ weights
+            msgs[noisy] ^= errors @ self._weights
         out = np.where(ok & (msgs < self.n), msgs, -1)
         return out[inverse.reshape(-1)]
 

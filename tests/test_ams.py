@@ -421,13 +421,19 @@ def test_snapshot_roundtrip_bit_exact(tmp_path, rng):
     assert np.array_equal(back.ones_sketch, store.ones_sketch)
     assert not back.standardized
 
+    # a standardized store saves its linear state: it loads unstandardized, and
+    # standardizing it again serves every bit the original serves
     store.standardize()
     spath = tmp_path / "std.snap"
     store.save(spath)
+    assert spath.read_bytes() == path.read_bytes()
     sback = RowSketchStore.load(spath)
-    assert sback.standardized
-    assert np.array_equal(sback.rows, store.rows)
-    assert np.array_equal(sback.degenerate, store.degenerate)
+    assert not sback.standardized
+    sback.standardize()
+    for i in range(store.n):
+        assert sback.row_sketch(i).tobytes() == store.row_sketch(i).tobytes(), i
+    for name in ("mu", "scale", "degenerate"):
+        assert getattr(sback, name).tobytes() == getattr(store, name).tobytes(), name
 
 
 def test_snapshot_roundtrip_identity_transform(tmp_path, rng):
@@ -446,14 +452,15 @@ def test_snapshot_roundtrip_identity_transform(tmp_path, rng):
 # SHA-256 of v1 snapshot files; any change here is a snapshot format change
 _GOLDEN_SHA256 = {
     "ingest": "6690248b6ad204056e8cec7f57d470f6c2f15a42125385c5914faf3e3f25b6b3",
-    "standardized": "5965adb45fb070b6b8d6ee596deec89f7353bf0ffab681679b66bf7545ab48e6",
+    "standardized": "85c54b82b28029fca15ffe2025c48ea4c06560fec06951f06980b305bc1d055f",
     "identity": "d4a1aa40386d1edd4b2ad0df1eadf2368d46f81f572d7fe7edc5d17fd06202b9",
 }
 
 
 def test_snapshot_bytes_golden(tmp_path):
-    # a CLI ingest, a standardized snapshot with one degenerate row and an
-    # identity-transform snapshot: fixed bytes, and load then save reproduces each
+    # a CLI ingest, a standardized store with one degenerate row (it saves the
+    # bytes it saved before standardize) and an identity-transform snapshot:
+    # fixed bytes, and load then save reproduces each
     values = (np.arange(6 * 40).reshape(6, 40) * 7919 % 23 - 11).astype(np.float64)
     stream = tmp_path / "g.stream"
     write_stream_file(
@@ -466,9 +473,11 @@ def test_snapshot_bytes_golden(tmp_path):
     flat = values.copy()
     flat[2] = 3.0
     std = RowSketchStore.from_matrix(SketchTransform(40, 16, 5, seed=11), flat)
+    std.save(tmp_path / "raw.snap")
     std.standardize()
     assert std.degenerate.tolist() == [False, False, True, False, False, False]
     std.save(tmp_path / "standardized.snap")
+    assert (tmp_path / "standardized.snap").read_bytes() == (tmp_path / "raw.snap").read_bytes()
     RowSketchStore.from_matrix(SketchTransform.identity(40), values).save(
         tmp_path / "identity.snap"
     )
@@ -564,27 +573,43 @@ def test_median_gram_matches_standardized_rows(tmp_path, rng, offset):
     expect = np.median(np.stack([rt @ rt.T for rt in reference]), axis=0)
     store.standardize()
     assert np.abs(_median_gram(store) - expect).max() <= 1e-12
-    flag1 = tmp_path / "std.snap"
-    store.save(flag1)
-    assert np.abs(_median_gram(RowSketchStore.load(flag1)) - expect).max() <= 1e-12
+    again = tmp_path / "std.snap"
+    store.save(again)
+    back = RowSketchStore.load(again)
+    back.standardize()
+    assert np.abs(_median_gram(back) - expect).max() <= 1e-12
 
 
-def test_standardized_snapshot_served_as_stored(tmp_path, rng):
+def test_standardized_store_round_trips_its_linear_state(tmp_path, rng):
+    # a standardized store saves the raw rows; the reloaded store standardizes
+    # to the same served bits, takes updates, and a flag-1 file is refused
     path, store = _mapped_store(tmp_path, rng)
     store.standardize()
-    flag1 = tmp_path / "std.snap"
-    store.save(flag1)
-    back = RowSketchStore.load(flag1)
-    assert back.standardized
-    assert np.all(back.mu == 0.0) and np.all(back.scale == 1.0)
+    again = tmp_path / "std.snap"
+    store.save(again)
+    assert again.read_bytes() == path.read_bytes()
+    back = RowSketchStore.load(again)
+    assert not back.standardized
+    back.standardize()
     assert np.array_equal(back.degenerate, store.degenerate)
     for i in range(store.n):
-        stored = back.rows[:, i]
-        assert np.array_equal(back.row_sketch(i), stored)
         # served bit for bit, signed zeros of the degenerate rows included
-        assert back.row_sketch(i).tobytes() == store.row_sketch(i).tobytes()
-    back.save(tmp_path / "again.snap")
-    assert (tmp_path / "again.snap").read_bytes() == flag1.read_bytes()
+        assert back.row_sketch(i).tobytes() == store.row_sketch(i).tobytes(), i
+    updated = RowSketchStore.load(again)
+    before = np.array(updated.rows)
+    updated.apply(StreamUpdate(3.0, 0, 5))
+    assert updated.totals[0] == store.totals[0] + 3.0
+    basis = updated.transform.sketch_vector(np.eye(1, store.p, 5)[0])
+    assert np.array_equal(updated.rows[:, 0], before[:, 0] + 3.0 * basis)
+    assert np.array_equal(updated.rows[:, 1:], before[:, 1:])
+    raw = bytearray(again.read_bytes())
+    parts = list(struct.unpack_from(_HEADER_FORMAT, raw))
+    parts[7] |= 1
+    struct.pack_into(_HEADER_FORMAT, raw, 0, *parts)
+    flag1 = tmp_path / "flag1.snap"
+    flag1.write_bytes(bytes(raw))
+    with pytest.raises(SnapshotFormatError, match="flag 1 .*re-save from the unstandardized"):
+        RowSketchStore.load(flag1)
 
 
 def test_save_over_the_mapped_file(tmp_path, rng, monkeypatch):
@@ -596,7 +621,9 @@ def test_save_over_the_mapped_file(tmp_path, rng, monkeypatch):
     assert path.read_bytes() == raw
     store.standardize()
     with monkeypatch.context() as mp:  # a write that fails half way leaves the file as it was
-        mp.setattr(RowSketchStore, "row_sketch", lambda self, i: 1 / 0)
+        # the all-ones sketch is written after the rows and totals sections
+        failing = type("Failing", (), {"__array__": lambda *args, **kwargs: 1 / 0})
+        mp.setattr(store, "ones_sketch", failing())
         with pytest.raises(ZeroDivisionError):
             store.save(path)
     assert path.read_bytes() == raw

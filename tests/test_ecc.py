@@ -62,6 +62,19 @@ def test_decode_rejects_wrong_length(cb16):
         cb16.decode(np.zeros(cb16.blocklen + 1, dtype=np.uint8))
 
 
+def test_decode_refuses_non_binary_words():
+    # a codeword with its ones written as 2 must not decode to another index, nor
+    # a single 3 fail inside the field product: each word is refused, naming the value
+    cb = ecc.for_index_space(100)
+    word = cb.encode(5)
+    for bad, value in ((word * 2, "2"), (np.where(np.arange(cb.blocklen) == 3, 3, word), "3")):
+        with pytest.raises(ValueError, match=f"0 or 1, got {value}$"):
+            cb.decode(bad)
+        with pytest.raises(ValueError, match=f"0 or 1, got {value}$"):
+            cb.decode_words(np.stack([word, bad]))
+    assert cb.decode(word.astype(bool)) == 5
+
+
 def test_decode_within_radius(cb16, rng):
     word = cb16.encode(7)
     radius = cb16.n_correctable

@@ -504,15 +504,17 @@ def test_query_never_reads_materialized_rows(tmp_path, monkeypatch):
     RowSketchStore.from_matrix(transform, m.values).save(path)
     store = RowSketchStore.load(path)
     store.standardize()
-    flag1 = tmp_path / "std.snap"
-    store.save(flag1)
+    again = tmp_path / "std.snap"
+    store.save(again)
+    reloaded = RowSketchStore.load(again)
+    reloaded.standardize()
 
     def refuse(self):
         raise AssertionError("a query step materialized rows")
 
     monkeypatch.setattr(RowSketchStore, "rows", property(refuse))
     cb = ecc.for_index_space(48)
-    for query_store in (store, RowSketchStore.load(flag1)):
+    for query_store in (store, reloaded):
         for groups in (48, 12):  # singleton and grouped
             params = practical(48, 0.8, cb, groups=groups, reps=3)
             assert recover(query_store, params, cb, seed=5, verify=True) == {(3, 17)}
