@@ -44,7 +44,6 @@ from .stream import (
     StreamUpdate,
     apply_update,
     parse_update,
-    read_stream,
 )
 
 __version__ = "0.1.0"

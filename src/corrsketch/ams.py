@@ -25,10 +25,13 @@ floor division rather than np.remainder (see _reduce). The constructor
 folds the all-ones sketch over contiguous column ranges on a thread pool,
 one worker per usable core, each hashing cache-sized steps through one
 reused work array; its cells are sums of +-1, exact in any order, so the
-bits do not depend on the core count. ``apply`` buffers checked updates
-and adds each full buffer with one np.add.at in stream order, hashing
-each distinct column of the buffer once, so every cell sums its
-increments in the same order as one update at a time would, bit for bit.
+bits do not depend on the core count. Every other write goes through
+_add_cells, which hashes each distinct column of a batch once and adds
+the batch with np.add.at in the order given, so every cell sums its
+increments as one update at a time would, bit for bit: ``apply`` buffers
+checked updates and adds each full buffer in stream order, and
+``from_matrix`` adds its matrix in rps order, so a store built from a
+matrix is the rps ingest of that matrix, rows and totals alike.
 A query reads only the row sketches and never hashes.
 """
 
@@ -52,9 +55,10 @@ from .stream import StreamUpdate
 _MERSENNE = np.uint64((1 << 31) - 1)
 _MASK64 = (1 << 64) - 1
 
-# cells per vectorized step: the constructor and a flush hash, and
-# from_matrix scatters, at most _CHUNK cells per step, so their
-# temporaries stay in cache; apply buffers _CHUNK updates
+# cells per vectorized step: the constructor and _add_cells hash, and
+# _add_cells adds, at most _CHUNK cells per step, so their temporaries
+# stay in cache; apply buffers _CHUNK updates and from_matrix adds
+# _CHUNK cells per block
 _CHUNK = 1 << 15
 
 NORM_TOLERANCE = 1e-12  # squared-norm floor (times p) below which a row is degenerate
@@ -243,39 +247,40 @@ class SketchTransform:
         v = np.asarray(v, dtype=np.float64)
         if v.shape != (self.p,):
             raise ValueError(f"expected vector of length {self.p}, got shape {v.shape}")
+        bad = np.flatnonzero(~np.isfinite(v))
+        if bad.size:
+            raise ValueError(f"non-finite value {v[bad[0]]} at column {bad[0]}")
         out = np.zeros((1, self.depth, self.width))
-        _sketch_matrix(self, v[None, :], out)
+        for start in range(0, self.p, _CHUNK):  # _add_cells holds tables for all its columns
+            cols = np.arange(start, min(start + _CHUNK, self.p))
+            _add_cells(self, out, np.zeros_like(cols), cols, v[cols])
         return out[0]
 
 
-def _scatter(out: np.ndarray, rows, buckets: np.ndarray, signs: np.ndarray, alpha):
-    """Add ``alpha * signs[s]`` to ``out[row, s, buckets[s]]`` for every sketch row s.
+def _add_cells(t: SketchTransform, out: np.ndarray, rows, cols, alpha):
+    """Add ``alpha[k] * S e_cols[k]`` into ``out[rows[k]]`` for every cell k, in order.
 
-    ``buckets`` and ``signs`` are the (depth, k) hashes of k columns; ``rows``
-    and ``alpha`` broadcast against the k columns, and ``out`` is a
-    C-contiguous (rows, depth, width) array. np.add.at applies repeated
-    indices one after another in index order, and the last axis runs over
-    the columns, so each cell takes its increments in stream order, exactly
-    as one update at a time would.
+    ``out`` is a C-contiguous (rows, depth, width) array. Each distinct
+    column is hashed once, in cache-sized steps through one work array;
+    every cell gathers its column's buckets and signs. np.add.at applies
+    repeated indices one after another in index order, so each sketch cell
+    takes its increments in the order given, exactly as one update at a
+    time would.
     """
-    depth, width = out.shape[1:]
-    base = np.expand_dims(np.asarray(rows) * depth, -2) + np.arange(depth)[:, None]
-    index = base * width + buckets
-    values = signs * np.expand_dims(alpha, -2)
-    np.add.at(out.reshape(-1), index.ravel(), values.ravel())
-
-
-def _sketch_matrix(t: SketchTransform, values: np.ndarray, out: np.ndarray):
-    """Add the sketch of every row of an (m, p) matrix into the (m, depth, width) ``out``.
-
-    Column chunks of at most _CHUNK cells are hashed once for all m rows;
-    each row's cells take its values in column order, as its rps stream would.
-    """
-    m, p = values.shape
-    step = max(1, _CHUNK // m)
-    for start in range(0, p, step):
-        buckets, signs = t.hash_columns(np.arange(start, min(start + step, p)))
-        _scatter(out, np.arange(m)[:, None], buckets, signs, values[:, start : start + step])
+    depth, width = t.depth, t.width
+    distinct, at = np.unique(cols, return_inverse=True)
+    buckets = np.empty((depth, distinct.size), dtype=np.int64)
+    signs = np.empty((depth, distinct.size))
+    step = max(1, _CHUNK // depth)
+    work = np.empty(4 * depth * min(step, distinct.size), dtype=np.uint64)
+    for start in range(0, distinct.size, step):
+        part = slice(start, start + step)
+        buckets[:, part], signs[:, part] = t.hash_columns(distinct[part], work)
+    cells = out.reshape(-1)
+    for start in range(0, len(rows), step):
+        part = slice(start, start + step)
+        index = (rows[part] * depth + np.arange(depth)[:, None]) * width + buckets[:, at[part]]
+        np.add.at(cells, index.ravel(), (signs[:, at[part]] * alpha[part]).ravel())
 
 
 def _usable_cores() -> int:
@@ -400,7 +405,7 @@ class RowSketchStore:
 
     @classmethod
     def from_matrix(cls, transform: SketchTransform, values) -> "RowSketchStore":
-        """Sketch every row of a dense matrix (test and bench convenience)."""
+        """Sketch every row of a dense matrix as its rps ingest: rows and totals, bit for bit."""
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 2 or values.shape[1] != transform.p:
             raise ValueError(
@@ -411,8 +416,10 @@ class RowSketchStore:
             i, j = bad[0]
             raise ValueError(f"non-finite value {values[i, j]} at cell ({i}, {j})")
         store = cls(transform, values.shape[0])
-        _sketch_matrix(transform, values, store._sketches)
-        store._totals[:] = values.sum(axis=1)
+        flat = values.reshape(-1)
+        for start in range(0, flat.size, _CHUNK):
+            rows, cols = np.divmod(np.arange(start, min(start + _CHUNK, flat.size)), transform.p)
+            store._add(rows, cols, flat[start : start + _CHUNK])
         return store
 
     def apply(self, u: StreamUpdate):
@@ -438,31 +445,18 @@ class RowSketchStore:
             self._flush()
 
     def _flush(self):
-        """Add the buffered updates to the sketches and totals, in stream order.
+        """Add the buffered updates to the sketches and totals, in stream order."""
+        if self._pending[0]:
+            self._add(*(np.array(column) for column in self._pending))
+            self._pending = ([], [], [])
 
-        Each distinct column is hashed once; every update gathers its
-        column's buckets and signs.
-        """
-        if not self._pending[0]:
-            return
+    def _add(self, rows, cols, alpha):
+        """Add cells (row, column, value) to the sketches and totals, in the order given."""
         if not self._sketches.flags.writeable:  # shared with a standardized copy
             self._sketches = np.array(self._sketches)
         self._norms = None
-        t = self.transform
-        i, j, alpha = (np.array(column) for column in self._pending)
-        cols, at = np.unique(j, return_inverse=True)
-        buckets = np.empty((t.depth, cols.size), dtype=np.int64)
-        signs = np.empty((t.depth, cols.size))
-        step = max(1, _CHUNK // t.depth)  # cache-sized steps, each through one work array
-        work = np.empty(4 * t.depth * min(step, cols.size), dtype=np.uint64)
-        for start in range(0, cols.size, step):
-            part = slice(start, start + step)
-            buckets[:, part], signs[:, part] = t.hash_columns(cols[part], work)
-        for start in range(0, len(i), step):
-            part = slice(start, start + step)
-            _scatter(self._sketches, i[part], buckets[:, at[part]], signs[:, at[part]], alpha[part])
-        np.add.at(self._totals, i, alpha)
-        self._pending = ([], [], [])
+        _add_cells(self.transform, self._sketches, rows, cols, alpha)
+        np.add.at(self._totals, rows, alpha)
 
     def finalize_ones(self):
         """No-op: the constructor already built the whole all-ones sketch."""

@@ -168,6 +168,8 @@ class Codebook:
     def mask_bit(self, l: int, i: int) -> int:
         if not 0 <= l < self.blocklen:
             raise IndexError(f"bit position {l} out of range [0, {self.blocklen})")
+        if not 0 <= i < self.n:
+            raise IndexError(f"index {i} out of range [0, {self.n})")
         return int(self.bit_matrix()[i, l])
 
     # -- decoding ------------------------------------------------------

@@ -113,9 +113,9 @@ def _constraint_violations(n, phi, k, residual_bound, groups, epsilon, delta, la
         out.append("delta exceeds lambda/(54(2+12n/pi))")
     if epsilon > max_eps:
         out.append("epsilon exceeds min(1/2, phi*pi*sqrt(lambda)/(828n))")
-    need = max(18 * k, 18.0 * residual_bound / (phi * math.sqrt(lam)))
+    need = min_group_count(n, phi, k, residual_bound, lam)
     if groups < need:
-        out.append(f"pi below max(18k, 18R/(phi*sqrt(lambda))) = {need:.1f}")
+        out.append(f"pi below max(18k, 18R/(phi*sqrt(lambda))) = {need}")
     return out
 
 

@@ -229,12 +229,6 @@ def iter_stream(lines: Iterable[str]) -> tuple[StreamModel, Iterator[StreamUpdat
     return model, updates()
 
 
-def read_stream(path) -> tuple[StreamModel, list[StreamUpdate]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        model, updates = iter_stream(fh)
-        return model, list(updates)
-
-
 def replay(model: StreamModel, updates: Iterable[StreamUpdate]) -> DenseMatrix:
     """Accumulate a full update stream into a dense matrix."""
     m = DenseMatrix.zeros(model.n, model.p)

@@ -189,6 +189,18 @@ def test_rps_replay_matches_dense_sketch_bit_exact(rng):
         store.apply(u)
     for i in range(8):
         assert np.array_equal(store.row_sketch(i), t.sketch_vector(values[i]))
+    # from_matrix is the rps ingest of its matrix: rows and totals, bit for bit
+    built = RowSketchStore.from_matrix(t, values)
+    assert built.rows.tobytes() == store.rows.tobytes()
+    assert built.totals.tobytes() == store.totals.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sketch_vector_refuses_non_finite_value(bad):
+    v = np.ones(16)
+    v[3] = bad
+    with pytest.raises(ValueError, match=r"non-finite value .* at column 3"):
+        SketchTransform(16, 8, 5, seed=1).sketch_vector(v)
 
 
 def test_sketch_vector_zero_and_basis():

@@ -55,6 +55,9 @@ def test_encode_bounds():
         cb.encode(-1)
     with pytest.raises(IndexError):
         cb.mask_bit(cb.blocklen, 3)
+    for i in (-1, 16):  # -1 would read index 15's bit
+        with pytest.raises(IndexError, match=rf"index {i} out of range \[0, 16\)"):
+            cb.mask_bit(0, i)
 
 
 def test_decode_rejects_wrong_length(cb16):

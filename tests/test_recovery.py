@@ -73,7 +73,8 @@ def test_select_parameters_practical_defaults():
 
 def test_select_parameters_practical_warns_on_violations():
     cb = ecc.for_index_space(1024)
-    with pytest.warns(UserWarning, match="pi below"):
+    # the bound is min_group_count's integer pi floor: ceil(179.3) = 180
+    with pytest.warns(UserWarning, match=r"pi below .* = 180$"):
         select_parameters(
             1024, 0.5, 4, 2.0, 0.0, cb, "practical", groups=64, reps=4, epsilon=0.1, delta=0.1
         )
