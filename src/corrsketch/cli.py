@@ -70,11 +70,12 @@ def cmd_query(args) -> int:
     overrides = dict(groups=args.pi, reps=args.gamma)
     recovery.check_settings(args.k, args.R, args.theta, args.mode, **overrides)
     recovery.require_count("threads", args.threads)
+    recovery.require_phi(args.phi)
     store = RowSketchStore.load(args.snapshot)
     header = {"seed": seed, "phi": args.phi}
     rows = []
     # no correlation can exceed 1; above it the report is trivially empty
-    if not args.phi > 1.0:  # NaN goes on to the range check
+    if args.phi <= 1.0:
         store.standardize()
         cb = ecc.for_index_space(store.n)
         if args.mode == "practical":
@@ -119,6 +120,7 @@ def cmd_query(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    recovery.require_phi(args.phi)
     with open(args.input, "r", encoding="utf-8") as fh:
         model, updates = iter_stream(fh)  # the guard reads the header alone
         if model.n * model.p > ORACLE_CELL_GUARD:

@@ -22,11 +22,12 @@ elementwise median over sketch rows of the Gram matrices r_t r_t^T (or
 of the difference of two such medians) and every repetition emits the
 same pairs, read off that median once per query without grouping or
 decoding buckets (``_gram_pairs``). Otherwise the heavy lifting in step 2 is
-batched: per sketch row, one (n x b) @ (b x 2 pi) matrix product yields
-every row-vs-group inner product. One contraction (``_contract``) forms
-every masked bucket from such cross products, singleton buckets from a
-depth-1 one built from the median Gram. The multiply is injectable so a
-different kernel can be swapped in.
+batched: per sketch row, two (n x b) @ (b x pi) matrix products, one per
+side, yield every row-vs-group inner product, and one contraction
+(``_contract``) forms every masked bucket from such cross products
+(singleton buckets from a depth-1 one built from the median Gram). Both
+paths read the standardized rows one sketch row at a time into a reused
+buffer, so no query holds a copy of the rows. The multiply is injectable.
 """
 
 from __future__ import annotations
@@ -60,6 +61,12 @@ def require_count(name: str, value: int | None):
     """Refuse a group, repetition or thread count below 1 (None means unset)."""
     if value is not None and value < 1:
         raise ParameterError(f"{name} must be at least 1, got {value}")
+
+
+def require_phi(phi: float):
+    """Refuse a NaN or nonpositive phi; above 1 a report is merely empty."""
+    if not phi > 0:
+        raise ParameterError(f"phi must be in (0, 1], got {phi}")
 
 
 @dataclass
@@ -223,37 +230,29 @@ def _require_codebook(cb: Codebook, n: int):
         raise ValueError(f"codebook addresses {cb.n} indices, store has {n}")
 
 
-def _standardized_tiles(store: RowSketchStore) -> np.ndarray:
-    """Every sketch row's standardized rows, (depth, n, width): one copy of the rows."""
-    tiles = np.empty((store.transform.depth, store.n, store.transform.width))
-    for t, tile in enumerate(tiles):
-        store.sketch_row(t, tile)
-    return tiles
-
-
-def _cross_products(tiles: np.ndarray, cart: CartesianTransform, multiply=None):
-    """Row-vs-group inner products, per sketch row, from ``_standardized_tiles``.
+def _cross_products(store: RowSketchStore, cart: CartesianTransform, multiply=None):
+    """Row-vs-group inner products, per sketch row, of a standardized store.
 
     Returns (cross_right, cross_left), each (depth, n_padded, pi):
     cross_right[t][i, g] = <r_t^(i), right-group g of sketch row t> and
-    cross_left[t][j, h] = <r_t^(j), left-group h>. Matrix products go
-    through ``multiply`` (numpy kernel by default).
+    cross_left[t][j, h] = <r_t^(j), left-group h>. Each sketch row is read
+    and grouped in reused buffers, as in ``_median_gram``; matrix products
+    go through ``multiply`` (numpy kernel by default).
     """
-    if multiply is None:
-        multiply = np.matmul
-    depth, n, width = tiles.shape
+    multiply = np.matmul if multiply is None else multiply
+    depth, width = store.transform.depth, store.transform.width
     n_pad, pi = cart.n_padded, cart.pi
     cross_right = np.empty((depth, n_pad, pi))
     cross_left = np.empty((depth, n_pad, pi))
-    buf = np.zeros((n_pad, width)) if n_pad != n else None  # phantom rows stay zero
-    s1o = cart.s1[cart.order1, None]
-    s2o = cart.s2[cart.order2, None]
-    for t, rt in enumerate(tiles):
-        if buf is not None:
-            buf[:n] = rt
-            rt = buf
-        left = (rt[cart.order1] * s1o).reshape(pi, cart.block, width).sum(axis=1)
-        right = (rt[cart.order2] * s2o).reshape(pi, cart.block, width).sum(axis=1)
+    rt = np.zeros((n_pad, width))  # phantom rows stay zero
+    signed = np.empty((n_pad, width))  # one side's signed rows, in group order
+    left, right = np.empty((2, pi, width))
+    for t in range(depth):
+        store.sketch_row(t, rt[: store.n])
+        for group, s, order in ((left, cart.s1, cart.order1), (right, cart.s2, cart.order2)):
+            # order permutes the padded rows, so "clip" never clips; it spares a buffered copy
+            np.multiply(rt.take(order, axis=0, out=signed, mode="clip"), s[order, None], out=signed)
+            signed.reshape(pi, cart.block, width).sum(axis=1, out=group)
         cross_right[t] = multiply(rt, right.T)
         cross_left[t] = multiply(rt, left.T)
     return cross_right, cross_left
@@ -378,15 +377,14 @@ def approximate(
     _require_grouping(store, cart)
     if cart.block == 1:
         return _singleton_buckets(_median_gram(store, multiply), cart, cb)
-    return _grouped_buckets(_standardized_tiles(store), cart, cb, multiply)
+    return _grouped_buckets(store, cart, cb, multiply)
 
 
-def _grouped_buckets(tiles: np.ndarray, cart: CartesianTransform, cb: Codebook, multiply=None):
-    """``approximate`` with groups of two or more, from ``_standardized_tiles``."""
-    depth, n, _ = tiles.shape
-    mid = depth // 2  # odd depth: the median is the middle order statistic
+def _grouped_buckets(store: RowSketchStore, cart: CartesianTransform, cb: Codebook, multiply=None):
+    """``approximate`` with groups of two or more."""
+    mid = store.transform.depth // 2  # odd depth: the median is the middle order statistic
     out = np.empty((2, cb.codeword_len, cart.pi, cart.pi))
-    sides = _sides(*_cross_products(tiles, cart, multiply), cart, cb, n)
+    sides = _sides(*_cross_products(store, cart, multiply), cart, cb, store.n)
     for med, (w, blocks) in zip((out[0], out[1].swapaxes(1, 2)), sides):
         for l in range(cb.codeword_len):  # one bit at a time bounds the buffer
             buf = _contract(w[:, :, l : l + 1], blocks)[0]
@@ -405,7 +403,7 @@ def approximate_per_row(
     force. Materializes the full stack; small inputs only.
     """
     _require_grouping(store, cart)
-    rows, cols = _sides(*_cross_products(_standardized_tiles(store), cart), cart, cb, store.n)
+    rows, cols = _sides(*_cross_products(store, cart), cart, cb, store.n)
     return _contract(*rows), _contract(*cols).swapaxes(2, 3)
 
 
@@ -471,12 +469,10 @@ def _vote(
         scan = _gram_pairs(gram, cb, params.phi)
         step = lambda _: (scan, 0)
     else:
-        tiles = [_standardized_tiles(s) for s in stores]  # once; every repetition regroups them
-
         def step(rep_seed: int):
             cart = CartesianTransform(n, params.groups, rep_seed)
-            buckets = _grouped_buckets(tiles[0], cart, cb)
-            for other in tiles[1:]:
+            buckets = _grouped_buckets(stores[0], cart, cb)
+            for other in stores[1:]:
                 buckets -= _grouped_buckets(other, cart, cb)
             return _recovery_step_counted(
                 buckets, cart, cb, params.phi, subtract_baseline=len(stores) == 1

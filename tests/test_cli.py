@@ -389,6 +389,22 @@ def test_query_threads_flag_reproducible(tmp_path, capsys, planted_stream):
 def test_query_refuses_settings_below_one(
     tmp_path, capsys, monkeypatch, planted_stream, flag, value, message
 ):
+    code, out, err = _query_without_load(
+        tmp_path, capsys, monkeypatch, planted_stream, "--phi", "0.7", flag, value
+    )
+    assert code == 2 and out == ""
+    assert f"error: {message} must be at least 1, got {value}" in err
+
+
+@pytest.mark.parametrize("phi", ["0", "-0.5", "nan"])
+def test_query_refuses_bad_phi_before_load(tmp_path, capsys, monkeypatch, planted_stream, phi):
+    code, out, err = _query_without_load(tmp_path, capsys, monkeypatch, planted_stream, "--phi", phi)
+    assert code == 2 and out == ""
+    assert f"error: phi must be in (0, 1], got {float(phi)}" in err
+
+
+def _query_without_load(tmp_path, capsys, monkeypatch, planted_stream, *flags):
+    """Query a real snapshot with RowSketchStore.load made to fail."""
     stream, _ = planted_stream
     snap = tmp_path / "p.snap"
     run_cli(
@@ -400,12 +416,24 @@ def test_query_refuses_settings_below_one(
         raise AssertionError("snapshot loaded before the settings were checked")
 
     monkeypatch.setattr(RowSketchStore, "load", refuse)
-    code, out, err = run_cli(
-        capsys, "query", "--snapshot", str(snap), "--phi", "0.7", "--k", "2", "--R", "0",
-        "--seed", "3", flag, value,
+    return run_cli(
+        capsys, "query", "--snapshot", str(snap), "--k", "2", "--R", "0", "--seed", "3", *flags
     )
+
+
+@pytest.mark.parametrize("phi", ["nan", "0", "-1"])
+def test_oracle_refuses_bad_phi(capsys, planted_stream, phi):
+    stream, _ = planted_stream
+    code, out, err = run_cli(capsys, "oracle", "--input", str(stream), "--phi", phi, "--k", "2")
     assert code == 2 and out == ""
-    assert f"error: {message} must be at least 1, got {value}" in err
+    assert f"error: phi must be in (0, 1], got {float(phi)}" in err
+
+
+def test_oracle_above_one_lists_no_pair(capsys, planted_stream):
+    stream, _ = planted_stream
+    code, out, _ = run_cli(capsys, "oracle", "--input", str(stream), "--phi", "1.5", "--k", "2")
+    assert code == 0
+    assert [line.split()[0] for line in out.splitlines()] == ["residual_norm"]
 
 
 def test_oracle_size_guard(tmp_path, capsys):

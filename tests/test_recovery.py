@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -521,6 +522,30 @@ def test_query_never_reads_materialized_rows(tmp_path, monkeypatch):
             assert recover(query_store, params, cb, seed=5, verify=True) == {(3, 17)}
         checked = verify_candidates(query_store, [(3, 17), (1, 2)], 0.8)
         assert [(i, j, ok) for i, j, _, ok in checked] == [(1, 2, False), (3, 17, True)]
+
+
+def test_grouped_query_holds_no_copy_of_the_rows():
+    # each grouped repetition reads the standardized rows one sketch row at a
+    # time, so recover and recover_diff peak well below one copy of the rows
+    rng = np.random.default_rng(41)
+    transform = SketchTransform.from_accuracy(256, 0.02, 0.2, 42)
+    assert (transform.depth, transform.width) == (13, 10**4)
+    stores = [RowSketchStore.from_matrix(transform, rng.standard_normal((64, 256)))
+              for _ in range(2)]
+    for store in stores:
+        store.standardize()
+    rows_bytes = 64 * transform.depth * transform.width * 8  # 63.5 MiB
+    cb = ecc.for_index_space(64)
+    params = practical(64, 0.8, cb, groups=8, reps=2, transform=transform)
+    for query in (lambda: recover(stores[0], params, cb, seed=5),
+                  lambda: recover_diff(*stores, params, cb, seed=5)):
+        tracemalloc.start()
+        try:
+            query()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < rows_bytes / 2, peak / rows_bytes
 
 
 # -- singleton groups: one median Gram per query ------------------------------
