@@ -257,6 +257,16 @@ class SketchTransform:
         return out[0]
 
 
+@contextlib.contextmanager
+def _refuse_overflow(what: str):
+    """Turn a float64 overflow in the block into a ValueError naming ``what``."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError:
+        raise ValueError(f"{what} overflows float64") from None
+
+
 def _add_cells(t: SketchTransform, out: np.ndarray, rows, cols, alpha):
     """Add ``alpha[k] * S e_cols[k]`` into ``out[rows[k]]`` for every cell k, in order.
 
@@ -265,7 +275,7 @@ def _add_cells(t: SketchTransform, out: np.ndarray, rows, cols, alpha):
     every cell gathers its column's buckets and signs. np.add.at applies
     repeated indices one after another in index order, so each sketch cell
     takes its increments in the order given, exactly as one update at a
-    time would.
+    time would. A sum that overflows raises ValueError, part way through.
     """
     depth, width = t.depth, t.width
     distinct, at = np.unique(cols, return_inverse=True)
@@ -277,10 +287,11 @@ def _add_cells(t: SketchTransform, out: np.ndarray, rows, cols, alpha):
         part = slice(start, start + step)
         buckets[:, part], signs[:, part] = t.hash_columns(distinct[part], work)
     cells = out.reshape(-1)
-    for start in range(0, len(rows), step):
-        part = slice(start, start + step)
-        index = (rows[part] * depth + np.arange(depth)[:, None]) * width + buckets[:, at[part]]
-        np.add.at(cells, index.ravel(), (signs[:, at[part]] * alpha[part]).ravel())
+    with _refuse_overflow("a sketch cell sum"):
+        for start in range(0, len(rows), step):
+            part = slice(start, start + step)
+            index = (rows[part] * depth + np.arange(depth)[:, None]) * width + buckets[:, at[part]]
+            np.add.at(cells, index.ravel(), (signs[:, at[part]] * alpha[part]).ravel())
 
 
 def _usable_cores() -> int:
@@ -405,7 +416,10 @@ class RowSketchStore:
 
     @classmethod
     def from_matrix(cls, transform: SketchTransform, values) -> "RowSketchStore":
-        """Sketch every row of a dense matrix as its rps ingest: rows and totals, bit for bit."""
+        """Sketch every row of a dense matrix as its rps ingest: rows and totals, bit for bit.
+
+        A sum that overflows float64 raises ValueError, and no store is returned.
+        """
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 2 or values.shape[1] != transform.p:
             raise ValueError(
@@ -423,7 +437,12 @@ class RowSketchStore:
         return store
 
     def apply(self, u: StreamUpdate):
-        """Algorithm-style turnstile update: checked now, added in stream order later."""
+        """Algorithm-style turnstile update: checked now, added in stream order later.
+
+        A buffer is added when it fills and before any read or save; a sum
+        that overflows float64 then raises ValueError, part way through the
+        buffer, and the store must be discarded.
+        """
         if self.standardized:
             raise SketchStateError("store already standardized; no further updates")
         alpha, i, j = u
@@ -456,7 +475,8 @@ class RowSketchStore:
             self._sketches = np.array(self._sketches)
         self._norms = None
         _add_cells(self.transform, self._sketches, rows, cols, alpha)
-        np.add.at(self._totals, rows, alpha)
+        with _refuse_overflow("a row total"):
+            np.add.at(self._totals, rows, alpha)
 
     def finalize_ones(self):
         """No-op: the constructor already built the whole all-ones sketch."""

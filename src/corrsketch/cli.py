@@ -121,6 +121,8 @@ def cmd_query(args) -> int:
 
 def cmd_oracle(args) -> int:
     recovery.require_phi(args.phi)
+    if args.k < 0:  # residual_norm refuses it too, but only after the pairs are printed
+        raise recovery.ParameterError("k must be nonnegative")
     with open(args.input, "r", encoding="utf-8") as fh:
         model, updates = iter_stream(fh)  # the guard reads the header alone
         if model.n * model.p > ORACLE_CELL_GUARD:

@@ -21,13 +21,14 @@ index pair has its own bucket, so a repetition is an exact scan of the
 elementwise median over sketch rows of the Gram matrices r_t r_t^T (or
 of the difference of two such medians) and every repetition emits the
 same pairs, read off that median once per query without grouping or
-decoding buckets (``_gram_pairs``). Otherwise the heavy lifting in step 2 is
-batched: per sketch row, two (n x b) @ (b x pi) matrix products, one per
-side, yield every row-vs-group inner product, and one contraction
-(``_contract``) forms every masked bucket from such cross products
-(singleton buckets from a depth-1 one built from the median Gram). Both
-paths read the standardized rows one sketch row at a time into a reused
-buffer, so no query holds a copy of the rows. The multiply is injectable.
+decoding buckets (``_gram_pairs``). Otherwise one builder
+(``_group_products``) reads the standardized rows one sketch row at a time
+into a reused buffer, as the Gram scan does, so no query holds a copy of
+the rows; per sketch row, two (n x b) @ (b x pi) matrix products, one per
+side, give every row-vs-group inner product and go straight into group
+order. One contraction (``_contract``) per codeword bit forms the masked
+buckets from them (singleton buckets from depth-1 products built from the
+median Gram). The multiply is injectable.
 """
 
 from __future__ import annotations
@@ -230,32 +231,48 @@ def _require_codebook(cb: Codebook, n: int):
         raise ValueError(f"codebook addresses {cb.n} indices, store has {n}")
 
 
-def _cross_products(store: RowSketchStore, cart: CartesianTransform, multiply=None):
-    """Row-vs-group inner products, per sketch row, of a standardized store.
+def _masks(cart: CartesianTransform, cb: Codebook, n: int) -> np.ndarray:
+    """Both sides' signed codeword bits in group order, (2, pi, block, codeword_len).
 
-    Returns (cross_right, cross_left), each (depth, n_padded, pi):
-    cross_right[t][i, g] = <r_t^(i), right-group g of sketch row t> and
-    cross_left[t][j, h] = <r_t^(j), left-group h>. Each sketch row is read
-    and grouped in reused buffers, as in ``_median_gram``; matrix products
-    go through ``multiply`` (numpy kernel by default).
+    [0, h, r, l] is bit l of the codeword of the r-th index in row-group
+    h, times s1; [1] likewise for column groups and s2. Phantom indices
+    carry zero bits.
     """
+    _require_codebook(cb, n)
+    bits = np.zeros((cart.n_padded, cb.codeword_len))
+    bits[:n] = cb.bit_matrix()[:n]
+    sides = ((cart.s1, cart.order1), (cart.s2, cart.order2))
+    masks = np.stack([(bits * s[:, None])[order] for s, order in sides])
+    return masks.reshape(2, cart.pi, cart.block, cb.codeword_len)
+
+
+def _group_products(store: RowSketchStore, cart: CartesianTransform, cb: Codebook, multiply=None):
+    """``_masks`` and the row-vs-group inner products of a standardized store.
+
+    cross[0, h*block + r, t, g] = <r_t^(i), right-group g of sketch row t>
+    for the r-th index i of row-group h; cross[1] reads each column
+    group's indices against the left groups. Each sketch row is read and
+    grouped in reused buffers, and its products, through ``multiply``
+    (numpy kernel by default), go straight into group order.
+    """
+    masks = _masks(cart, cb, store.n)
     multiply = np.matmul if multiply is None else multiply
     depth, width = store.transform.depth, store.transform.width
-    n_pad, pi = cart.n_padded, cart.pi
-    cross_right = np.empty((depth, n_pad, pi))
-    cross_left = np.empty((depth, n_pad, pi))
-    rt = np.zeros((n_pad, width))  # phantom rows stay zero
-    signed = np.empty((n_pad, width))  # one side's signed rows, in group order
-    left, right = np.empty((2, pi, width))
+    # index-major, the layout the per-bit einsum reads fastest: depth-major is about 3x slower
+    cross = np.empty((2, cart.n_padded, depth, cart.pi))
+    rt = np.zeros((cart.n_padded, width))  # phantom rows stay zero
+    signed = np.empty_like(rt)  # one grouping's signed rows, in group order
+    group = np.empty((cart.pi, width))
+    # each side lists its indices in its own group order, against the other's groups
+    sides = ((cart.order1, cart.s2, cart.order2), (cart.order2, cart.s1, cart.order1))
     for t in range(depth):
         store.sketch_row(t, rt[: store.n])
-        for group, s, order in ((left, cart.s1, cart.order1), (right, cart.s2, cart.order2)):
-            # order permutes the padded rows, so "clip" never clips; it spares a buffered copy
+        for k, (own, s, order) in enumerate(sides):
+            # order permutes the padded rows, so "clip" never clips; "raise" always buffers
             np.multiply(rt.take(order, axis=0, out=signed, mode="clip"), s[order, None], out=signed)
-            signed.reshape(pi, cart.block, width).sum(axis=1, out=group)
-        cross_right[t] = multiply(rt, right.T)
-        cross_left[t] = multiply(rt, left.T)
-    return cross_right, cross_left
+            signed.reshape(cart.pi, cart.block, width).sum(axis=1, out=group)
+            np.take(multiply(rt, group.T), own, axis=0, out=cross[k, :, t], mode="clip")
+    return masks, cross
 
 
 def _median_gram(store: RowSketchStore, multiply=None) -> np.ndarray:
@@ -275,33 +292,16 @@ def _median_gram(store: RowSketchStore, multiply=None) -> np.ndarray:
     return grams[mid].copy()  # a view would keep the whole stack alive
 
 
-def _sides(cross_right, cross_left, cart: CartesianTransform, cb: Codebook, n: int):
-    """Each side's signed masks and cross products, gathered into its groups.
+def _contract(w: np.ndarray, cross: np.ndarray) -> np.ndarray:
+    """Masked group sums of one side, (bits, depth, pi, pi).
 
-    W1[h, r, l] (pi, block, codeword_len) is bit l of the codeword of the
-    r-th index in row-group h, times s1, beside that index's cross_right
-    rows (depth, pi, block, pi). The column side (s2, order2, cross_left)
-    contracts to [l, t, g, h], so callers swap its last two axes.
-    """
-    _require_codebook(cb, n)
-    bits = np.zeros((cart.n_padded, cb.codeword_len))
-    bits[:n] = cb.bit_matrix()[:n]
-    shape = (len(cross_right), cart.pi, cart.block, cart.pi)
-
-    def side(s, order, cross):
-        w = (bits * s[:, None])[order].reshape(cart.pi, cart.block, cb.codeword_len)
-        return w, cross[:, order].reshape(shape)
-
-    return side(cart.s1, cart.order1, cross_right), side(cart.s2, cart.order2, cross_left)
-
-
-def _contract(w: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """Masked group sums of one side from ``_sides``, (bits, depth, pi, pi).
-
+    ``w`` is the side's (pi, block, bits) masks and ``cross`` its
+    (n_padded, depth, pi) products from ``_group_products``. The column
+    side contracts to [l, t, g, h], so callers swap its last two axes.
     Each entry sums over its block in index order, so a bit's values do
     not depend on which other bits are contracted with it.
     """
-    return np.einsum("hil,thig->lthg", w, blocks)
+    return np.einsum("hil,hitg->lthg", w, cross.reshape(w.shape[:2] + cross.shape[1:]))
 
 
 def _singleton_buckets(med: np.ndarray, cart: CartesianTransform, cb: Codebook):
@@ -314,10 +314,10 @@ def _singleton_buckets(med: np.ndarray, cart: CartesianTransform, cb: Codebook):
     """
     n = len(med)
     gram = np.pad(med, (0, cart.n_padded - n))  # phantom indices carry zeros
-    right = gram[:, cart.order2] * cart.s2[cart.order2]
-    left = gram[:, cart.order1] * cart.s1[cart.order1]
-    rows, cols = _sides(right[None], left[None], cart, cb, n)
-    return np.stack([_contract(*rows)[:, 0], _contract(*cols)[:, 0].swapaxes(1, 2)])
+    o1, o2 = cart.order1, cart.order2
+    cross = (gram[np.ix_(o1, o2)] * cart.s2[o2], gram[np.ix_(o2, o1)] * cart.s1[o1])
+    rows, cols = (_contract(w, c[:, None])[:, 0] for w, c in zip(_masks(cart, cb, n), cross))
+    return np.stack([rows, cols.swapaxes(1, 2)])
 
 
 def _gram_pairs(gram: np.ndarray, cb: Codebook, phi: float) -> list[tuple[int, int]]:
@@ -359,11 +359,7 @@ def _require_grouping(store: RowSketchStore, cart: CartesianTransform):
 
 
 def approximate(
-    store: RowSketchStore,
-    cart: CartesianTransform,
-    cb: Codebook,
-    *,
-    multiply=None,
+    store: RowSketchStore, cart: CartesianTransform, cb: Codebook, *, multiply=None
 ) -> np.ndarray:
     """Estimate the masked grouped sketches, (2, codeword_len, pi, pi).
 
@@ -377,17 +373,12 @@ def approximate(
     _require_grouping(store, cart)
     if cart.block == 1:
         return _singleton_buckets(_median_gram(store, multiply), cart, cb)
-    return _grouped_buckets(store, cart, cb, multiply)
-
-
-def _grouped_buckets(store: RowSketchStore, cart: CartesianTransform, cb: Codebook, multiply=None):
-    """``approximate`` with groups of two or more."""
+    masks, cross = _group_products(store, cart, cb, multiply)
     mid = store.transform.depth // 2  # odd depth: the median is the middle order statistic
     out = np.empty((2, cb.codeword_len, cart.pi, cart.pi))
-    sides = _sides(*_cross_products(store, cart, multiply), cart, cb, store.n)
-    for med, (w, blocks) in zip((out[0], out[1].swapaxes(1, 2)), sides):
+    for med, w, side in zip((out[0], out[1].swapaxes(1, 2)), masks, cross):
         for l in range(cb.codeword_len):  # one bit at a time bounds the buffer
-            buf = _contract(w[:, :, l : l + 1], blocks)[0]
+            buf = _contract(w[:, :, l : l + 1], side)[0]
             buf.partition(mid, axis=0)
             med[l] = buf[mid]
     return out
@@ -403,8 +394,8 @@ def approximate_per_row(
     force. Materializes the full stack; small inputs only.
     """
     _require_grouping(store, cart)
-    rows, cols = _sides(*_cross_products(store, cart), cart, cb, store.n)
-    return _contract(*rows), _contract(*cols).swapaxes(2, 3)
+    rows, cols = (_contract(w, side) for w, side in zip(*_group_products(store, cart, cb)))
+    return rows, cols.swapaxes(2, 3)
 
 
 def _recovery_step_counted(
@@ -471,9 +462,9 @@ def _vote(
     else:
         def step(rep_seed: int):
             cart = CartesianTransform(n, params.groups, rep_seed)
-            buckets = _grouped_buckets(stores[0], cart, cb)
+            buckets = approximate(stores[0], cart, cb)
             for other in stores[1:]:
-                buckets -= _grouped_buckets(other, cart, cb)
+                buckets -= approximate(other, cart, cb)
             return _recovery_step_counted(
                 buckets, cart, cb, params.phi, subtract_baseline=len(stores) == 1
             )

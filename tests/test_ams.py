@@ -170,6 +170,22 @@ def test_from_matrix_refuses_non_finite_value(bad):
         RowSketchStore.from_matrix(SketchTransform(16, 8, 7, seed=1), values)
 
 
+def test_from_matrix_refuses_overflowing_row_total():
+    # the identity sketch never sums two columns, so only the total overflows
+    values = np.array([[1.0, 2.0, 3.0, 4.0], [1e308, 1e308, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="^a row total overflows float64$"):
+        RowSketchStore.from_matrix(SketchTransform.identity(4), values)
+
+
+def test_sketch_cell_overflow_is_refused():
+    # one bucket: two values signed to agree sum past float64's range
+    t = SketchTransform(2, 1, 1, seed=3)
+    v = 1e308 * np.array([t.sketch_vector(e)[0, 0] for e in np.eye(2)])
+    for build in (lambda: t.sketch_vector(v), lambda: RowSketchStore.from_matrix(t, v[None])):
+        with pytest.raises(ValueError, match="^a sketch cell sum overflows float64$"):
+            build()
+
+
 def test_from_matrix_refuses_wrong_shape(tmp_path):
     t = SketchTransform(8, 4, 3, seed=1)
     for shape in [(2, 12), (2, 5), (8,)]:

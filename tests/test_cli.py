@@ -166,6 +166,20 @@ def test_gen_ingest_query_oracle_pipeline(tmp_path, capsys):
     assert lines[-1].startswith("residual_norm ")
 
 
+def test_ingest_refuses_overflowing_sum(tmp_path, capsys):
+    # row 0's sums reach 2e308, past float64's range: refused before a snapshot is written
+    stream = tmp_path / "over.stream"
+    stream.write_text("ts 2 4\n1e308 0 0\n1e308 0 1\n")
+    snap = tmp_path / "over.snap"
+    code, out, err = run_cli(
+        capsys, "ingest", "--model", "ts", "--input", str(stream), "--out", str(snap),
+        "--epsilon", "0.5", "--delta", "0.5", "--seed", "1",
+    )
+    assert code == 2 and out == ""
+    assert "overflows float64" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["over.stream"]
+
+
 def test_query_reproducible_and_json(tmp_path, capsys, planted_stream):
     stream, _ = planted_stream
     snap = tmp_path / "p.snap"
@@ -427,6 +441,18 @@ def test_oracle_refuses_bad_phi(capsys, planted_stream, phi):
     code, out, err = run_cli(capsys, "oracle", "--input", str(stream), "--phi", phi, "--k", "2")
     assert code == 2 and out == ""
     assert f"error: phi must be in (0, 1], got {float(phi)}" in err
+
+
+def test_oracle_refuses_negative_k_before_reading(capsys, monkeypatch, planted_stream):
+    stream, _ = planted_stream
+
+    def refuse(fh):
+        raise AssertionError("stream read before k was checked")
+
+    monkeypatch.setattr(cli, "iter_stream", refuse)
+    code, out, err = run_cli(capsys, "oracle", "--input", str(stream), "--phi", "0.5", "--k", "-1")
+    assert code == 2 and out == ""
+    assert "error: k must be nonnegative" in err
 
 
 def test_oracle_above_one_lists_no_pair(capsys, planted_stream):

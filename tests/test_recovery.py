@@ -548,6 +548,27 @@ def test_grouped_query_holds_no_copy_of_the_rows():
         assert peak < rows_bytes / 2, peak / rows_bytes
 
 
+def test_grouped_products_are_held_once():
+    # each sketch row's products go straight into group order, so one
+    # approximate call holds one copy of them beside small per-row and
+    # per-bit buffers, not a second, gathered copy
+    rng = np.random.default_rng(43)
+    transform = SketchTransform.from_accuracy(64, 0.2, 0.2, 44)
+    assert (transform.depth, transform.width) == (13, 100)
+    store = RowSketchStore.from_matrix(transform, rng.standard_normal((512, 64)))
+    store.standardize()
+    cart = CartesianTransform(512, 64, 45)
+    products_bytes = 2 * transform.depth * cart.n_padded * cart.pi * 8  # 6.5 MiB
+    cb = ecc.for_index_space(512)
+    tracemalloc.start()
+    try:
+        approximate(store, cart, cb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.75 * products_bytes, peak / products_bytes
+
+
 # -- singleton groups: one median Gram per query ------------------------------
 
 
