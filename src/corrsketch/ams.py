@@ -47,7 +47,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .stream import StreamUpdate
+from .stream import StreamUpdate, _refuse_overflow
 
 # Mersenne prime field for the seeded polynomial hash family. Degree-3
 # polynomials give 4-wise independence, more than the pairwise the
@@ -255,16 +255,6 @@ class SketchTransform:
             cols = np.arange(start, min(start + _CHUNK, self.p))
             _add_cells(self, out, np.zeros_like(cols), cols, v[cols])
         return out[0]
-
-
-@contextlib.contextmanager
-def _refuse_overflow(what: str):
-    """Turn a float64 overflow in the block into a ValueError naming ``what``."""
-    try:
-        with np.errstate(over="raise"):
-            yield
-    except FloatingPointError:
-        raise ValueError(f"{what} overflows float64") from None
 
 
 def _add_cells(t: SketchTransform, out: np.ndarray, rows, cols, alpha):
@@ -519,7 +509,8 @@ class RowSketchStore:
         over sketch rows of ||r_i - mu_i o||^2 (found by ``load`` when
         no update has landed since). Rows whose squared norm falls below
         1e-12 * p are flagged degenerate and get scale 0, so they drop out
-        of recovery.
+        of recovery. A squared norm that overflows float64 raises
+        ValueError naming its row, and the store stays unstandardized.
         """
         if self.standardized:
             raise SketchStateError("store already standardized")
@@ -527,6 +518,9 @@ class RowSketchStore:
         if self._norms is None:
             self._norms = _centered_norms(self._sketches, mu, self.ones_sketch)
         norm_sq = _middle(self._norms)
+        bad = np.flatnonzero(~np.isfinite(norm_sq))
+        if bad.size:
+            raise ValueError(f"row {bad[0]}'s squared sketch norm overflows float64")
         self.mu = mu
         self.degenerate = norm_sq <= NORM_TOLERANCE * self.p
         safe = np.where(self.degenerate, 1.0, norm_sq)

@@ -1,7 +1,9 @@
 """Size-grid benchmark: ingest and query costs versus n.
 
-Groups scale as n^theta * (k + R/phi) while the sketch accuracy stays
-fixed, so sketch bytes grow linearly in n and query time subquadratically.
+Groups scale as n^theta * (k + R/phi) while the sketch accuracy and the
+declared R stay fixed, so sketch bytes grow linearly in n and query time,
+for theta < 1, subquadratically. A dataset's own R grows linearly in n at
+fixed p, and at the guarantee's pi floor grouping is then not subquadratic.
 The runner times the real update path (one turnstile update at a time)
 and the full voting query, then fits log-log growth exponents.
 """

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .stream import DenseMatrix
+from .stream import DenseMatrix, _refuse_overflow
 
 DEGENERATE_VAR = 1e-24
 
@@ -34,12 +34,17 @@ def correlation(m: DenseMatrix) -> CorrelationMatrix:
 
     Rows with zero sample variance are flagged degenerate; their
     off-diagonal correlations are set to 0 and the diagonal kept at 1.
+    A covariance that overflows float64 raises ValueError.
     """
     x = m.values
     n, p = x.shape
-    centered = x - x.mean(axis=1, keepdims=True)
-    cov = (centered @ centered.T) / (p - 1)
+    with _refuse_overflow("a sample covariance"):
+        centered = x - x.mean(axis=1, keepdims=True)
+        cov = (centered @ centered.T) / (p - 1)
     var = np.diag(cov).copy()
+    # BLAS worker threads keep their own overflow flags; any overflow reaches a variance
+    if not np.isfinite(var).all():
+        raise ValueError("a sample covariance overflows float64")
     degenerate = var <= DEGENERATE_VAR
     scale = np.where(degenerate, 1.0, 1.0 / np.sqrt(np.where(degenerate, 1.0, var)))
     corr = cov * np.outer(scale, scale)

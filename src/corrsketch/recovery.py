@@ -27,8 +27,9 @@ into a reused buffer, as the Gram scan does, so no query holds a copy of
 the rows; per sketch row, two (n x b) @ (b x pi) matrix products, one per
 side, give every row-vs-group inner product and go straight into group
 order. One contraction (``_contract``) per codeword bit forms the masked
-buckets from them (singleton buckets from depth-1 products built from the
-median Gram). The multiply is injectable.
+buckets from them. ``approximate`` builds every pi this way, singleton
+groups included, so ``_vote``'s pi >= n test is the one place that takes
+the median-Gram scan. The multiply is injectable.
 """
 
 from __future__ import annotations
@@ -275,18 +276,16 @@ def _group_products(store: RowSketchStore, cart: CartesianTransform, cb: Codeboo
     return masks, cross
 
 
-def _median_gram(store: RowSketchStore, multiply=None) -> np.ndarray:
+def _median_gram(store: RowSketchStore) -> np.ndarray:
     """Elementwise median over sketch rows of r_t r_t^T, (n, n).
 
     The standardized rows of one sketch row at a time go through one
-    reused buffer, so the rows are never held whole. Products go through
-    ``multiply`` (numpy kernel by default). Depth is odd, so the median is
-    the middle order statistic.
+    reused buffer, so the rows are never held whole. Depth is odd, so the
+    median is the middle order statistic.
     """
-    multiply = np.matmul if multiply is None else multiply
     rt = np.empty((store.n, store.transform.width))
     depth = store.transform.depth
-    grams = np.stack([multiply(store.sketch_row(t, rt), rt.T) for t in range(depth)])
+    grams = np.stack([np.matmul(store.sketch_row(t, rt), rt.T) for t in range(depth)])
     mid = len(grams) // 2
     grams.partition(mid, axis=0)
     return grams[mid].copy()  # a view would keep the whole stack alive
@@ -296,28 +295,12 @@ def _contract(w: np.ndarray, cross: np.ndarray) -> np.ndarray:
     """Masked group sums of one side, (bits, depth, pi, pi).
 
     ``w`` is the side's (pi, block, bits) masks and ``cross`` its
-    (n_padded, depth, pi) products from ``_group_products``. The column
+    (n_padded, depth, pi) products, both from ``_group_products``. The column
     side contracts to [l, t, g, h], so callers swap its last two axes.
     Each entry sums over its block in index order, so a bit's values do
     not depend on which other bits are contracted with it.
     """
     return np.einsum("hil,hitg->lthg", w, cross.reshape(w.shape[:2] + cross.shape[1:]))
-
-
-def _singleton_buckets(med: np.ndarray, cart: CartesianTransform, cb: Codebook):
-    """Masked buckets for singleton groups (block == 1), from the median Gram.
-
-    Right-group g is s2(j) r^(j) for j = order2[g], so the depth-1 cross
-    product [i, g] is s2(j) med[i, j], and the left side likewise. The
-    buckets equal the median of the per-row products exactly, because
-    the weights are in {0, +1, -1}.
-    """
-    n = len(med)
-    gram = np.pad(med, (0, cart.n_padded - n))  # phantom indices carry zeros
-    o1, o2 = cart.order1, cart.order2
-    cross = (gram[np.ix_(o1, o2)] * cart.s2[o2], gram[np.ix_(o2, o1)] * cart.s1[o1])
-    rows, cols = (_contract(w, c[:, None])[:, 0] for w, c in zip(_masks(cart, cb, n), cross))
-    return np.stack([rows, cols.swapaxes(1, 2)])
 
 
 def _gram_pairs(gram: np.ndarray, cb: Codebook, phi: float) -> list[tuple[int, int]]:
@@ -371,8 +354,6 @@ def approximate(
     and [1, l, h, g] is the column-masked one, masking by bit_l(j).
     """
     _require_grouping(store, cart)
-    if cart.block == 1:
-        return _singleton_buckets(_median_gram(store, multiply), cart, cb)
     masks, cross = _group_products(store, cart, cb, multiply)
     mid = store.transform.depth // 2  # odd depth: the median is the middle order statistic
     out = np.empty((2, cb.codeword_len, cart.pi, cart.pi))

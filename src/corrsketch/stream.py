@@ -21,6 +21,7 @@ for tests; the sketching path never materializes it.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -176,6 +177,16 @@ def _parse_block(lines, model: StreamModel, position: int) -> tuple[list[StreamU
                 return records, str(error)
 
 
+@contextlib.contextmanager
+def _refuse_overflow(what: str):
+    """Turn a float64 overflow in the block into a ValueError naming ``what``."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError:
+        raise ValueError(f"{what} overflows float64") from None
+
+
 def apply_update(m: DenseMatrix, u: StreamUpdate) -> DenseMatrix:
     """Increment entry (i, j) by alpha, in place."""
     if not (0 <= u.i < m.n and 0 <= u.j < m.p):
@@ -230,10 +241,11 @@ def iter_stream(lines: Iterable[str]) -> tuple[StreamModel, Iterator[StreamUpdat
 
 
 def replay(model: StreamModel, updates: Iterable[StreamUpdate]) -> DenseMatrix:
-    """Accumulate a full update stream into a dense matrix."""
+    """Accumulate a full update stream into a dense matrix; refuse a sum that overflows."""
     m = DenseMatrix.zeros(model.n, model.p)
-    for u in updates:
-        apply_update(m, u)
+    with _refuse_overflow("a matrix cell sum"):
+        for u in updates:
+            apply_update(m, u)
     return m
 
 

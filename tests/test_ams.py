@@ -321,6 +321,15 @@ def test_standardize_flags_degenerate_rows(rng):
     assert store.inner(1, 0) == 0.0
 
 
+def test_standardize_refuses_an_overflowing_squared_norm():
+    # row 0 sums fine, but its squared norm (5e400) is past float64's range
+    values = np.array([[1e200, 2e200, 0.0, 0.0], [0.0, 1.0, 2.0, 0.0], [1.0, 0.0, 0.0, 3.0]])
+    store = RowSketchStore.from_matrix(SketchTransform.identity(4), values)
+    with pytest.raises(ValueError, match="^row 0's squared sketch norm overflows float64$"):
+        store.standardize()
+    assert not store.standardized and store.scale is None
+
+
 def test_no_updates_after_standardize(rng):
     store = build_store(rng.standard_normal((2, 32)))
     store.standardize()

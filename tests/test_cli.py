@@ -180,6 +180,38 @@ def test_ingest_refuses_overflowing_sum(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["over.stream"]
 
 
+# row 0's values fit, but its squares pass float64's range
+BIG_ROW_STREAM = "ts 3 4\n1e200 0 0\n2e200 0 1\n1 1 1\n2 1 2\n3 2 3\n1 2 0\n"
+
+
+def test_query_refuses_a_row_whose_squared_norm_overflows(tmp_path, capsys):
+    stream, snap = tmp_path / "big.stream", tmp_path / "big.snap"
+    stream.write_text(BIG_ROW_STREAM)
+    code, _, _ = run_cli(
+        capsys, "ingest", "--model", "ts", "--input", str(stream), "--out", str(snap),
+        "--epsilon", "0.5", "--delta", "0.5", "--seed", "1",
+    )
+    assert code == 0
+    code, out, err = run_cli(
+        capsys, "query", "--snapshot", str(snap), "--phi", "0.5", "--k", "1", "--R", "0",
+        "--seed", "1",
+    )
+    assert (code, out) == (2, "")
+    assert "error: row 0's squared sketch norm overflows float64" in err
+
+
+@pytest.mark.parametrize("text, what", [
+    ("ts 3 4\n1e308 0 0\n1e308 0 0\n", "a matrix cell sum"),
+    (BIG_ROW_STREAM, "a sample covariance"),
+], ids=["cell-sum", "covariance"])
+def test_oracle_refuses_overflow(tmp_path, capsys, text, what):
+    stream = tmp_path / "over.stream"
+    stream.write_text(text)
+    code, out, err = run_cli(capsys, "oracle", "--input", str(stream), "--phi", "0.5", "--k", "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: {what} overflows float64\n"
+
+
 def test_query_reproducible_and_json(tmp_path, capsys, planted_stream):
     stream, _ = planted_stream
     snap = tmp_path / "p.snap"

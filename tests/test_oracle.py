@@ -140,6 +140,17 @@ def test_planted_spec_validation():
         oracle.PlantedSpec(8, 64, [(0, 9, 0.5)])
 
 
+@pytest.mark.parametrize("flags", ["kept", "lost"])
+def test_correlation_refuses_an_overflowing_covariance(monkeypatch, flags):
+    # row 0's squares (about 1e400) pass float64's range; "lost" stands for a
+    # threaded BLAS whose worker threads raise no overflow in this thread
+    if flags == "lost":
+        monkeypatch.setattr(oracle, "_refuse_overflow", lambda what: np.errstate(all="ignore"))
+    m = DenseMatrix([[1e200, 2e200, 0.0, 0.0], [0.0, 1.0, 2.0, 0.0], [1.0, 0.0, 0.0, 3.0]])
+    with pytest.raises(ValueError, match="^a sample covariance overflows float64$"):
+        oracle.correlation(m)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     st.integers(0, 2**32 - 1),

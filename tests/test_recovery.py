@@ -17,7 +17,6 @@ from corrsketch.recovery import (
     ParameterError,
     _gram_pairs,
     _recovery_step_counted,
-    _singleton_buckets,
     approximate,
     approximate_per_row,
     min_group_count,
@@ -234,10 +233,8 @@ def test_approximate_median_of_per_row(rng):
         buckets = approximate(store, cart, cb)
         rows_l, rows_r = approximate_per_row(store, cart, cb)
         for got, rows in ((buckets[0], rows_l), (buckets[1], rows_r)):
-            if cart.block > 1:  # one contraction forms both, so the median is exact
-                assert np.array_equal(got, np.median(rows, axis=1))
-            else:  # singleton buckets come from the median Gram
-                assert np.allclose(got, np.median(rows, axis=1), atol=1e-12)
+            # one contraction forms both at every pi, so the median is exact
+            assert np.array_equal(got, np.median(rows, axis=1))
 
 
 def test_approximate_custom_multiply_kernel(rng):
@@ -250,11 +247,13 @@ def test_approximate_custom_multiply_kernel(rng):
     store = build_store(rng.standard_normal((8, 32)))
     store.standardize()
     cb = ecc.for_index_space(8)
-    for pi in (4, 8):  # grouped and singleton-group code paths
+    for pi in (4, 8):  # grouped and singleton groups share one builder
         calls.clear()
         cart = CartesianTransform(8, pi, seed=11)
         buckets = approximate(store, cart, cb, multiply=kernel)
-        assert calls, "every product must go through the injected kernel"
+        # two products, one per side, per sketch row: rows (n_pad, b) by groups (b, pi)
+        depth, width = store.transform.depth, store.transform.width
+        assert calls == [((8, width), (width, pi))] * (2 * depth)
         base = approximate(store, cart, cb)
         assert np.array_equal(buckets, base)
 
@@ -636,7 +635,8 @@ def test_gram_pairs_equal_decoded_buckets_under_any_grouping(data):
     expect = Counter(_gram_pairs(gram, cb, phi))
     for _ in range(2):
         cart = CartesianTransform(n, pi, data.draw(st.integers(0, 2**32 - 1)))
-        buckets = _singleton_buckets(gram, cart, cb)
+        # the column side's bucket for (i, j) reads G[j, i], masked by bit_l(j)
+        buckets = np.stack([_exact_buckets(g, cart, cb)[k] for k, g in enumerate((gram, gram.T))])
         for subtract in (True, False):
             pairs, failures = _recovery_step_counted(
                 buckets, cart, cb, phi, subtract_baseline=subtract

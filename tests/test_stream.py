@@ -150,6 +150,12 @@ def test_turnstile_permutation_invariance(case, shuffler):
     assert replay(model, updates) == replay(model, shuffled)
 
 
+def test_replay_refuses_an_overflowing_cell_sum():
+    updates = [StreamUpdate(1e308, 0, 0), StreamUpdate(1e308, 0, 0)]
+    with pytest.raises(ValueError, match="^a matrix cell sum overflows float64$"):
+        replay(StreamModel("ts", 3, 4), updates)
+
+
 @settings(max_examples=40, deadline=None)
 @given(matrices)
 def test_rps_and_cps_agree(values):
