@@ -19,20 +19,24 @@ order; a loaded store maps them from the file (copy-on-write) instead of
 reading them, and save writes a temporary file that takes the target's name.
 
 Bucket and sign functions are seeded polynomials, evaluated on demand for
-a chunk of columns at a time (SketchTransform.hash_columns); no (d, p)
-table is ever held. Each value takes one reduction modulo 2^31 - 1, by
-floor division rather than np.remainder (see _reduce). The constructor
-folds the all-ones sketch over contiguous column ranges on a thread pool,
-one worker per usable core, each hashing cache-sized steps through one
-reused work array; its cells are sums of +-1, exact in any order, so the
-bits do not depend on the core count. Every other write goes through
+a chunk of columns at a time (SketchTransform.hash_columns); a (d, p)
+table is held only by the occupied-bucket search, and only when p < width.
+Each value takes one reduction modulo 2^31 - 1, by floor division rather
+than np.remainder (see _reduce). The constructor folds the all-ones
+sketch over contiguous column ranges on a thread pool, one worker per
+usable core, each hashing cache-sized steps through one reused work
+array; its cells are sums of +-1, exact in any order, so the bits do not
+depend on the core count. Every other write goes through
 _add_cells, which hashes each distinct column of a batch once and adds
 the batch with np.add.at in the order given, so every cell sums its
 increments as one update at a time would, bit for bit: ``apply`` buffers
 checked updates and adds each full buffer in stream order, and
 ``from_matrix`` adds its matrix in rps order, so a store built from a
 matrix is the rps ingest of that matrix, rows and totals alike.
-A query reads only the row sketches and never hashes.
+Loading a snapshot never hashes. A query multiplies only each sketch
+row's occupied buckets (SketchTransform.occupied), the ones some column
+in [0, p) hashes to: every sketch, o included, is exactly 0 elsewhere.
+When p < width a query hashes the p columns once to find them.
 """
 
 from __future__ import annotations
@@ -183,8 +187,8 @@ class SketchTransform:
         """Per sketch row, four bucket (h) then four sign (g) coefficients
         drawn from the seed stream, stored (degree, h|g, row, 1) so that one
         _poly_values call evaluates all 2 * depth polynomials over a column
-        chunk. Drawn on first use, so loading and querying a snapshot never
-        draw them.
+        chunk. Drawn on first use, so loading a snapshot never draws them;
+        a query draws them only to find ``occupied`` when p < width.
         """
         draws = seed_stream(self.seed)
         coeffs = [next(draws) % int(_MERSENNE) for _ in range(8 * self.depth)]
@@ -213,6 +217,26 @@ class SketchTransform:
         np.multiply(values[1], -2.0, out=signs)
         signs += 1.0
         return _reduce(values[0], self.width, scratch[1]).view(np.int64), signs
+
+    @functools.cached_property
+    def occupied(self) -> tuple[np.ndarray, ...]:
+        """Per sketch row, the sorted buckets that some column in [0, p) hashes to.
+
+        Every sketch is exactly 0 in the other buckets, so queries read
+        only these. When p >= width every bucket counts and nothing is
+        hashed; otherwise the p columns are hashed once, in cache-sized
+        steps, into a (depth, p) table smaller than one row's sketch.
+        """
+        if self.p >= self.width:
+            return (np.arange(self.width),) * self.depth
+        buckets = np.empty((self.depth, self.p), dtype=np.int64)
+        step = max(1, _CHUNK // self.depth)
+        work = np.empty(4 * self.depth * min(step, self.p), dtype=np.uint64)
+        for start in range(0, self.p, step):
+            cols = np.arange(start, min(start + step, self.p))
+            buckets[:, cols] = self.hash_columns(cols, work)[0]
+        buckets.sort(axis=1)
+        return tuple(row[np.diff(row, prepend=-1) > 0] for row in buckets)
 
     @classmethod
     def from_accuracy(cls, p: int, epsilon: float, delta: float, seed: int) -> "SketchTransform":
@@ -349,10 +373,10 @@ class RowSketchStore:
     """Per-row AMS sketches r^(i), totals t^(i), and the all-ones sketch.
 
     Layout note: ``rows`` is indexed (depth, n, width), so ``rows[t]`` is
-    the n x width matrix of sketch row t that the query multiplies. Its
-    memory is row-major (n, depth, width), the order a snapshot stores it,
-    so ``row_sketch(i)`` reads one contiguous d x b block and the rows
-    section maps straight onto the file.
+    the n x width matrix of sketch row t; the query multiplies its
+    occupied columns. Its memory is row-major (n, depth, width), the order
+    a snapshot stores it, so ``row_sketch(i)`` reads one contiguous d x b
+    block and the rows section maps straight onto the file.
 
     ``apply`` checks each update and buffers it; the buffer is added in
     stream order when it holds _CHUNK updates and whenever ``rows`` or
@@ -360,7 +384,10 @@ class RowSketchStore:
 
     Standardizing sets ``mu`` (shift) and ``scale`` (a) per row and leaves
     the stored rows as they are, as ``save`` writes them; ``row_sketch``,
-    ``sketch_row`` and ``inner`` serve the rows a_i (r_i - mu_i o).
+    ``sketch_row`` and ``inner`` serve the rows a_i (r_i - mu_i o). Every
+    stored row and o are exactly 0 outside ``transform.occupied``, so a
+    served row is too, and ``sketch_row`` can serve the occupied columns
+    alone.
     """
 
     def __init__(self, transform: SketchTransform, n: int):
@@ -477,7 +504,7 @@ class RowSketchStore:
         ``at`` indexes ``mu`` and ``scale`` to broadcast against ``raw``;
         every block gets the same roundings, so every reader the same bits.
         """
-        out[...] = raw  # first out of the map, misaligned at byte 61: aligned arithmetic is faster
+        out[...] = raw  # out of the map, misaligned at byte 61: aligned arithmetic is faster
         if self.standardized:
             out -= self.mu[at] * ones
             out *= self.scale[at]
@@ -489,13 +516,21 @@ class RowSketchStore:
         out = np.empty(self.ones_sketch.shape)
         return self._served(self._sketches[i], i, self.ones_sketch, out)
 
-    def sketch_row(self, t: int, out: np.ndarray) -> np.ndarray:
-        """Sketch row t of every row as queries read it, (n, width), copied into ``out``."""
+    def sketch_row(self, t: int, out: np.ndarray, cols=None) -> np.ndarray:
+        """Sketch row t of every row as queries read it, at buckets ``cols``, copied into ``out``.
+
+        ``out`` is (n, k) for the k buckets ``cols`` holds: sorted distinct
+        indices such as ``transform.occupied[t]``, gathered out of the rows
+        in the same steps and roundings, or every bucket when None.
+        """
+        if cols is None or len(cols) == self.transform.width:
+            cols = slice(None)  # all buckets, in order: copied, which is faster than a gather
         self._flush()
         step = max(1, _CHUNK // out.shape[1])  # rows per cache-sized step
+        ones = self.ones_sketch[t, cols]
         for i in range(0, self.n, step):
             rows = slice(i, i + step)
-            self._served(self._sketches[rows, t], (rows, None), self.ones_sketch[t], out[rows])
+            self._served(self._sketches[rows, t][:, cols], (rows, None), ones, out[rows])
         return out
 
     def inner(self, i: int, j: int) -> float:

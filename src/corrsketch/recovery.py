@@ -24,12 +24,17 @@ same pairs, read off that median once per query without grouping or
 decoding buckets (``_gram_pairs``). Otherwise one builder
 (``_group_products``) reads the standardized rows one sketch row at a time
 into a reused buffer, as the Gram scan does, so no query holds a copy of
-the rows; per sketch row, two (n x b) @ (b x pi) matrix products, one per
-side, give every row-vs-group inner product and go straight into group
-order. One contraction (``_contract``) per codeword bit forms the masked
-buckets from them. ``approximate`` builds every pi this way, singleton
+the rows; per sketch row, two (n x k_t) @ (k_t x pi) matrix products, one
+per side, give every row-vs-group inner product and go straight into group
+order. Both read only the k_t <= min(p, b) occupied buckets of sketch row
+t (``SketchTransform.occupied``): every served row is exactly 0 in the
+others, so dropping them changes only the summation order. One
+contraction (``_contract``) per codeword bit forms the masked buckets
+from the products. ``approximate`` builds every pi this way, singleton
 groups included, so ``_vote``'s pi >= n test is the one place that takes
-the median-Gram scan. The multiply is injectable.
+the median-Gram scan. The multiply is injectable. Majority survivors can
+be re-checked against the direct pairwise estimates (``verify_candidates``),
+or, for a difference, against the change in them.
 """
 
 from __future__ import annotations
@@ -247,31 +252,43 @@ def _masks(cart: CartesianTransform, cb: Codebook, n: int) -> np.ndarray:
     return masks.reshape(2, cart.pi, cart.block, cb.codeword_len)
 
 
+def _occupied_buffers(occupied, *rows):
+    """Per sketch row t: t, its occupied buckets, and a (r, k_t) view per r in ``rows``.
+
+    Each view reads one buffer, allocated once at the largest k_t.
+    """
+    widest = max(cols.size for cols in occupied)
+    flats = [np.empty(r * widest) for r in rows]
+    for t, cols in enumerate(occupied):
+        yield t, cols, [flat[: r * cols.size].reshape(r, cols.size) for flat, r in zip(flats, rows)]
+
+
 def _group_products(store: RowSketchStore, cart: CartesianTransform, cb: Codebook, multiply=None):
     """``_masks`` and the row-vs-group inner products of a standardized store.
 
     cross[0, h*block + r, t, g] = <r_t^(i), right-group g of sketch row t>
     for the r-th index i of row-group h; cross[1] reads each column
-    group's indices against the left groups. Each sketch row is read and
-    grouped in reused buffers, and its products, through ``multiply``
-    (numpy kernel by default), go straight into group order.
+    group's indices against the left groups. Each sketch row's occupied
+    buckets are read and grouped in reused buffers, and its products,
+    through ``multiply`` (numpy kernel by default), go straight into group
+    order.
     """
     masks = _masks(cart, cb, store.n)
     multiply = np.matmul if multiply is None else multiply
-    depth, width = store.transform.depth, store.transform.width
+    depth, n_pad = store.transform.depth, cart.n_padded
     # index-major, the layout the per-bit einsum reads fastest: depth-major is about 3x slower
-    cross = np.empty((2, cart.n_padded, depth, cart.pi))
-    rt = np.zeros((cart.n_padded, width))  # phantom rows stay zero
-    signed = np.empty_like(rt)  # one grouping's signed rows, in group order
-    group = np.empty((cart.pi, width))
+    cross = np.empty((2, n_pad, depth, cart.pi))
     # each side lists its indices in its own group order, against the other's groups
     sides = ((cart.order1, cart.s2, cart.order2), (cart.order2, cart.s1, cart.order1))
-    for t in range(depth):
-        store.sketch_row(t, rt[: store.n])
+    # per sketch row: its rows, one grouping's signed rows in group order, and the group sums
+    buffers = _occupied_buffers(store.transform.occupied, n_pad, n_pad, cart.pi)
+    for t, cols, (rt, signed, group) in buffers:
+        store.sketch_row(t, rt[: store.n], cols)
+        rt[store.n :] = 0.0  # phantom rows
         for k, (own, s, order) in enumerate(sides):
             # order permutes the padded rows, so "clip" never clips; "raise" always buffers
             np.multiply(rt.take(order, axis=0, out=signed, mode="clip"), s[order, None], out=signed)
-            signed.reshape(cart.pi, cart.block, width).sum(axis=1, out=group)
+            signed.reshape(cart.pi, cart.block, cols.size).sum(axis=1, out=group)
             np.take(multiply(rt, group.T), own, axis=0, out=cross[k, :, t], mode="clip")
     return masks, cross
 
@@ -279,13 +296,12 @@ def _group_products(store: RowSketchStore, cart: CartesianTransform, cb: Codeboo
 def _median_gram(store: RowSketchStore) -> np.ndarray:
     """Elementwise median over sketch rows of r_t r_t^T, (n, n).
 
-    The standardized rows of one sketch row at a time go through one
-    reused buffer, so the rows are never held whole. Depth is odd, so the
-    median is the middle order statistic.
+    The standardized rows of one sketch row at a time, its occupied
+    buckets only, go through one reused buffer, so the rows are never held
+    whole. Depth is odd, so the median is the middle order statistic.
     """
-    rt = np.empty((store.n, store.transform.width))
-    depth = store.transform.depth
-    grams = np.stack([np.matmul(store.sketch_row(t, rt), rt.T) for t in range(depth)])
+    buffers = _occupied_buffers(store.transform.occupied, store.n)
+    grams = np.stack([np.matmul(store.sketch_row(t, rt, cols), rt.T) for t, cols, (rt,) in buffers])
     mid = len(grams) // 2
     grams.partition(mid, axis=0)
     return grams[mid].copy()  # a view would keep the whole stack alive
@@ -415,7 +431,7 @@ def recovery_step(
 
 def _vote(
     stores: tuple, cb: Codebook, params: QueryParams, seed: int, threads: int,
-    diagnostics: list | None, counts: dict | None = None,
+    diagnostics: list | None, counts: dict | None = None, verify: bool = False,
 ) -> set[tuple[int, int]]:
     """Vote over ``params.reps`` repetitions; keep pairs with a majority.
 
@@ -424,8 +440,10 @@ def _vote(
     k groups by the k-th seed-stream value; singleton groups emit the
     median Gram's pairs in every repetition without grouping. Ordered
     pairs are counted separately and majority survivors are
-    canonicalized to i < j. Threads change only the schedule: results
-    are merged in repetition order.
+    canonicalized to i < j, then, with ``verify``, re-checked by
+    ``verify_candidates``. Threads change only the schedule: results are
+    merged in repetition order, and the repetitions share each
+    transform's occupied buckets, found before they start.
     """
     if not all(s.standardized for s in stores):
         raise SketchStateError("recovery requires standardized stores")
@@ -441,6 +459,9 @@ def _vote(
         scan = _gram_pairs(gram, cb, params.phi)
         step = lambda _: (scan, 0)
     else:
+        for store in stores:  # found once here; every repetition's thread reads the cache
+            store.transform.occupied
+
         def step(rep_seed: int):
             cart = CartesianTransform(n, params.groups, rep_seed)
             buckets = approximate(stores[0], cart, cb)
@@ -469,7 +490,11 @@ def _vote(
     if counts is not None:
         counts.update(votes)
     quota = math.ceil(params.reps / 2.0)
-    return {(min(i, j), max(i, j)) for (i, j), c in votes.items() if c >= quota}
+    survivors = {(min(i, j), max(i, j)) for (i, j), c in votes.items() if c >= quota}
+    if verify:
+        checked = verify_candidates(stores[0], survivors, params.phi, *stores[1:])
+        survivors = {(i, j) for i, j, _, accepted in checked if accepted}
+    return survivors
 
 
 def recover(
@@ -491,37 +516,36 @@ def recover(
     ``counts``, when given, is filled with the ordered per-pair vote
     counts.
     """
-    result = _vote((store,), cb, params, seed, threads, diagnostics, counts)
-    if verify:
-        result = {
-            (i, j) for i, j, _, accepted in verify_candidates(store, result, params.phi) if accepted
-        }
-    return result
+    return _vote((store,), cb, params, seed, threads, diagnostics, counts, verify)
 
 
 def verify_candidates(
-    store: RowSketchStore, pairs, phi: float
+    store: RowSketchStore, pairs, phi: float, other: RowSketchStore | None = None
 ) -> list[tuple[int, int, float, bool]]:
     """Direct estimate for each candidate; accept when |est| >= phi - 4 eps.
 
-    Warns when phi - 4 eps <= 0: that threshold accepts every candidate.
+    With ``other``, the estimate is the change ``store.inner - other.inner``,
+    and each of its two terms is within 4 eps, so the margin is 8 eps.
+    Warns when the threshold is <= 0: it then accepts every candidate.
     """
-    if not store.standardized:
+    stores = (store,) if other is None else (store, other)
+    if not all(s.standardized for s in stores):
         raise SketchStateError("verification requires a standardized store")
     eps = store.transform.epsilon
-    threshold = phi - 4.0 * eps
+    margin = 4 * len(stores)
+    threshold = phi - margin * eps
     if threshold <= 0:
         warnings.warn(
-            f"verification is vacuous: phi={phi:g} and eps={eps:g} give phi - 4*eps <= 0, "
+            f"verification is vacuous: phi={phi:g} and eps={eps:g} give phi - {margin}*eps <= 0, "
             "so every candidate passes",
             stacklevel=2,
         )
     out = []
     for i, j in sorted(pairs):
-        if i == j:
-            out.append((i, j, 1.0, False))
+        if i == j:  # a correlation with itself is 1, and a change of it 0
+            out.append((i, j, float(other is None), False))
             continue
-        est = store.inner(i, j)
+        est = store.inner(i, j) - (0.0 if other is None else other.inner(i, j))
         out.append((i, j, est, bool(abs(est) >= threshold)))
     return out
 
@@ -533,6 +557,7 @@ def recover_diff(
     cb: Codebook,
     seed: int,
     *,
+    verify: bool = False,
     threads: int = 1,
     diagnostics: list | None = None,
 ) -> set[tuple[int, int]]:
@@ -542,9 +567,11 @@ def recover_diff(
     per repetition and recovers from the bucket differences (with
     singleton groups, from the difference of the two median Grams). The
     unit diagonals cancel in the difference, so no baseline is subtracted.
+    Majority survivors are (optionally) re-checked against the change in
+    the direct pairwise estimates, accepted when it is >= phi - 8 eps.
     """
     if store_a.transform != store_b.transform:
         raise ValueError("snapshot stores use different sketch transforms")
     if store_a.n != store_b.n:
         raise ValueError("snapshot stores have different row counts")
-    return _vote((store_a, store_b), cb, params, seed, threads, diagnostics)
+    return _vote((store_a, store_b), cb, params, seed, threads, diagnostics, verify=verify)

@@ -599,6 +599,45 @@ def test_standardize_leaves_stored_rows_unchanged(tmp_path, rng, monkeypatch, ch
         assert np.array_equal(store.sketch_row(t, tile), reference[:, t])
 
 
+@pytest.mark.parametrize("p", [40, 64, 100])  # p < width = 64, p = width, p > width
+def test_served_rows_are_zero_outside_the_occupied_buckets(tmp_path, rng, p):
+    # queries read only transform.occupied: the buckets some column hashes to,
+    # and every bucket once p >= width; a served row and o are 0 elsewhere
+    n, width, depth = 6, 64, 5
+    t = SketchTransform(p, width, depth, seed=31)
+    reach = np.zeros((depth, width), dtype=bool)  # buckets a unit vector's sketch touches
+    for j in range(p):
+        reach |= t.sketch_vector(np.eye(1, p, j)[0]) != 0
+    if p < width:
+        assert [np.flatnonzero(row).tolist() for row in reach] == [
+            cols.tolist() for cols in t.occupied
+        ]
+    else:
+        assert all(np.array_equal(cols, np.arange(width)) for cols in t.occupied)
+    values = rng.standard_normal((n, p)) + 2.0
+    stores = {"from_matrix": RowSketchStore.from_matrix(t, values)}
+    for model in ("ts", "rps", "cps"):
+        stores[model] = RowSketchStore(t, n)
+        for u in matrix_to_updates(DenseMatrix(values), model):
+            stores[model].apply(u)
+    stores["from_matrix"].save(tmp_path / "s.snap")
+    stores["loaded, then applied"] = RowSketchStore.load(tmp_path / "s.snap")
+    for u in matrix_to_updates(DenseMatrix(rng.standard_normal((n, p))), "ts"):
+        stores["loaded, then applied"].apply(u)
+    for name, store in stores.items():
+        store.standardize()
+        served = store.rows
+        tile = np.empty((n, width))
+        for k, cols in enumerate(t.occupied):
+            outside = np.ones(width, dtype=bool)
+            outside[cols] = False
+            assert not store.ones_sketch[k, outside].any(), name
+            assert not served[k][:, outside].any(), name
+            assert not store.sketch_row(k, tile)[:, outside].any(), name
+            inside = store.sketch_row(k, np.empty((n, cols.size)), cols)
+            assert np.array_equal(inside, served[k][:, cols]), name
+
+
 @pytest.mark.parametrize("offset", [0.0, 1e8])
 def test_median_gram_matches_standardized_rows(tmp_path, rng, offset):
     # rows far from zero mean: a Gram of the stored rows corrected for the shift

@@ -1,7 +1,10 @@
+import functools
 import math
+import sys
 import tracemalloc
 import warnings
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -251,11 +254,93 @@ def test_approximate_custom_multiply_kernel(rng):
         calls.clear()
         cart = CartesianTransform(8, pi, seed=11)
         buckets = approximate(store, cart, cb, multiply=kernel)
-        # two products, one per side, per sketch row: rows (n_pad, b) by groups (b, pi)
-        depth, width = store.transform.depth, store.transform.width
-        assert calls == [((8, width), (width, pi))] * (2 * depth)
+        # two products, one per side, per sketch row t: rows (n_pad, k_t) by
+        # groups (k_t, pi), over the k_t occupied buckets, fewer than b as p < b
+        sizes = [cols.size for cols in store.transform.occupied]
+        assert max(sizes) <= 32 < store.transform.width
+        assert calls == [((8, k), (k, pi)) for k in sizes for _ in range(2)]
         base = approximate(store, cart, cb)
         assert np.array_equal(buckets, base)
+
+
+def _all_columns_buckets(store, cart, cb):
+    """``approximate``'s buckets formed from every column of ``store.rows``."""
+    depth, width = store.transform.depth, store.transform.width
+    rows = np.zeros((depth, cart.n_padded, width))
+    rows[:, : store.n] = store.rows
+    sides = ((cart.order1, cart.s2, cart.order2), (cart.order2, cart.s1, cart.order1))
+    cross = np.empty((2, cart.n_padded, depth, cart.pi))
+    for k, (own, s, order) in enumerate(sides):
+        for t, rt in enumerate(rows):
+            group = (rt[order] * s[order, None]).reshape(cart.pi, cart.block, width).sum(axis=1)
+            cross[k, :, t] = (rt @ group.T)[own]
+    masks = recovery._masks(cart, cb, store.n)
+    out = np.stack([np.median(recovery._contract(w, c), axis=1) for w, c in zip(masks, cross)])
+    out[1] = out[1].swapaxes(1, 2)
+    return out
+
+
+@pytest.mark.parametrize("p", [24, 64, 96])  # p < width = 64, p = width, p > width
+def test_occupied_buckets_give_the_all_columns_products(rng, p):
+    # a served row is 0 outside the occupied buckets, so reading those alone
+    # changes only the summation order, and nothing when every bucket counts
+    n, width = 12, 64
+    store = RowSketchStore.from_matrix(
+        SketchTransform(p, width, 5, seed=41), rng.standard_normal((n, p)) + 0.5
+    )
+    store.standardize()
+    sizes = [cols.size for cols in store.transform.occupied]
+    assert max(sizes) <= p < width if p < width else sizes == [width] * 5
+
+    def same(got, expect):
+        if p >= width:
+            return np.array_equal(got, expect)
+        return np.abs(got - expect).max() <= 1e-12
+
+    gram = np.median(np.stack([rt @ rt.T for rt in np.ascontiguousarray(store.rows)]), axis=0)
+    assert same(recovery._median_gram(store), gram)
+    cb = ecc.for_index_space(n)
+    for pi in (3, 5, n):  # grouped, grouped with phantom indices, singleton
+        cart = CartesianTransform(n, pi, seed=43)
+        assert same(approximate(store, cart, cb), _all_columns_buckets(store, cart, cb)), pi
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_recover_does_not_depend_on_the_multiply_kernel(data):
+    # a seeded grouped recover gives the same pairs and ordered counts with
+    # an einsum kernel as with np.matmul; the kernel sees k_t-column operands
+    width = data.draw(st.sampled_from([16, 32, 64]), label="width")
+    wide = data.draw(st.booleans(), label="p >= width")
+    p = data.draw(st.integers(width, 2 * width) if wide else st.integers(2, width - 1), label="p")
+    n = data.draw(st.integers(6, 20), label="n")
+    depth = data.draw(st.sampled_from([1, 3, 5]), label="depth")
+    pi = data.draw(st.integers(2, n - 1), label="pi")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((n, p))
+    i, j = rng.choice(n, 2, replace=False)
+    values[j] = values[i] + 0.2 * rng.standard_normal(p)
+    store = RowSketchStore.from_matrix(SketchTransform(p, width, depth, seed), values)
+    store.standardize()
+    cb = ecc.for_index_space(n)
+    params = practical(n, 0.8, cb, groups=pi, reps=3)
+    widths = []
+
+    def einsum_kernel(a, b):
+        widths.append((a.shape[1], b.shape[0]))
+        return np.einsum("ik,kj->ij", a, b)
+
+    runs = []
+    for kernel in (np.matmul, einsum_kernel):
+        counts = {}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(recovery, "approximate", functools.partial(approximate, multiply=kernel))
+            runs.append((recover(store, params, cb, seed=seed, counts=counts), counts))
+    assert runs[0] == runs[1]
+    sizes = [cols.size for cols in store.transform.occupied]
+    assert widths == [(k, k) for _ in range(params.reps) for k in sizes for _ in range(2)]
+    assert max(sizes) <= p < width if p < width else sizes == [width] * depth
 
 
 # -- recovery_step -----------------------------------------------------------
@@ -390,6 +475,31 @@ def test_recover_deterministic_and_thread_invariant():
         assert [i for i, _, _ in runs[0][2]] == list(range(6))
 
 
+def test_threads_finding_the_occupied_buckets_at_once_agree():
+    # threads that reach a transform's occupied buckets before any has cached
+    # them each find the same buckets, so every thread forms the same buckets
+    values = np.random.default_rng(47).standard_normal((16, 24))
+    cb = ecc.for_index_space(16)
+    cart = CartesianTransform(16, 4, seed=3)
+
+    def fresh():  # a new transform, whose occupied buckets nothing has found yet
+        store = RowSketchStore.from_matrix(SketchTransform(24, 100, 5, seed=3), values)
+        store.standardize()
+        return store
+
+    expect = approximate(fresh(), cart, cb)
+    store = fresh()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(approximate, store, cart, cb) for _ in range(16)]
+            results = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(got, expect) for got in results)
+
+
 def test_recover_majority_monotone_under_nested_seeds():
     store, _ = _planted_store()
     cb = ecc.for_index_space(store.n)
@@ -471,29 +581,41 @@ def test_verify_candidates_warns_when_vacuous():
         verify_candidates(store, [(0, 1)], phi=2.1)
 
 
-def test_query_never_builds_hash_tables(tmp_path, monkeypatch):
-    # load, standardize, recover and verification read only the row sketches:
-    # with hashing made to fail, every query step still runs and agrees
+@pytest.mark.parametrize("epsilon", [0.05, 0.1])  # width 1,600 > p = 1,024, and 400 < p
+def test_query_hashes_the_columns_once_per_transform(tmp_path, monkeypatch, epsilon):
+    # load and standardize read only the row sketches; a query finds each
+    # transform's occupied buckets by hashing its p columns once, shared by
+    # every thread, and hashes nothing when p >= width, where all buckets count
     m, _ = oracle.plant_dataset(oracle.PlantedSpec(64, 1024, [(3, 17, 0.9)], seed=21))
-    built = RowSketchStore.from_matrix(SketchTransform.from_accuracy(1024, 0.05, 0.1, 22), m.values)
+    transform = SketchTransform.from_accuracy(1024, epsilon, 0.1, 22)
+    built = RowSketchStore.from_matrix(transform, m.values)
     path = tmp_path / "s.snap"
     built.save(path)
     reference = built.standardized_copy()
+    hashed = Counter()
+    hash_columns = SketchTransform.hash_columns
 
-    def refuse(self, cols):
-        raise AssertionError("a query step hashed columns")
+    def counted(self, cols, out=None):
+        hashed[id(self)] += len(cols)
+        return hash_columns(self, cols, out)
 
-    monkeypatch.setattr(SketchTransform, "hash_columns", refuse)
+    monkeypatch.setattr(SketchTransform, "hash_columns", counted)
     loaded = RowSketchStore.load(path)
     store = loaded.standardized_copy()
     other = RowSketchStore.load(path)
     other.standardize()
+    assert not hashed
     assert np.array_equal(store.rows, reference.rows)
     cb = ecc.for_index_space(store.n)
     params = practical(store.n, 0.8, cb, groups=32, reps=2, transform=store.transform)
     assert recover(store, params, cb, seed=5, verify=True, threads=2) == {(3, 17)}
     assert verify_candidates(store, [(3, 17)], 0.8)[0][3]
-    recover_diff(store, other, params, cb, seed=5)
+    recover_diff(store, other, params, cb, seed=5, threads=2)
+    once = 1024 if 1024 < transform.width else 0
+    assert {key: hashed[key] for key in (id(store.transform), id(other.transform))} == {
+        id(store.transform): once, id(other.transform): once
+    }
+    assert sum(hashed.values()) == 2 * once
 
 
 def test_query_never_reads_materialized_rows(tmp_path, monkeypatch):
@@ -779,6 +901,38 @@ def test_recover_diff_finds_changed_pair():
     cb = ecc.for_index_space(before.n)
     params = practical(before.n, 0.7, cb, groups=16, reps=8, transform=before.transform)
     assert recover_diff(after, before, params, cb, seed=13) == {pair}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_recover_diff_verify_keeps_exactly_the_changed_pairs(seed):
+    # noisy grouped buckets give the bare vote pairs whose correlation did not
+    # change; verify accepts a pair when its direct estimates change by at
+    # least phi - 8 eps, which here is exactly the changed pair, either way round
+    before, after, pair = _diff_stores(n=64, p=256)
+    cb = ecc.for_index_space(before.n)
+    params = practical(before.n, 0.7, cb, groups=8, reps=4, transform=before.transform)
+    for first, second in ((after, before), (before, after)):
+        bare = recover_diff(first, second, params, cb, seed=seed)
+        assert pair in bare and len(bare) > 1
+        for threads in (1, 2):
+            verified = recover_diff(first, second, params, cb, seed=seed, verify=True,
+                                    threads=threads)
+            assert verified == {pair}
+        checked = verify_candidates(first, bare, 0.7, second)
+        assert [(i, j) for i, j, _, ok in checked if ok] == [pair]
+        for i, j, est, _ in checked:
+            assert est == first.inner(i, j) - second.inner(i, j)
+
+
+def test_recover_diff_verify_warns_when_vacuous():
+    # eps = 0.04: at phi 0.3 one store's threshold is 0.14, a change's -0.02
+    before, after, pair = _diff_stores()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verify_candidates(after, [pair], 0.3)
+    with pytest.warns(UserWarning, match=r"phi - 8\*eps <= 0"):
+        checked = verify_candidates(after, [(0, 1), pair], 0.3, before)
+    assert all(ok for _, _, _, ok in checked)
 
 
 def test_recover_diff_reordered_stream_is_empty(rng):
