@@ -6,6 +6,13 @@ products between sketches estimate inner products between the original
 vectors (median over the d rows), with error eps*|x|*|y| where b = 4/eps^2
 and d = 8*ln(1/delta), per the usual median-of-means constants.
 
+A sketch is exactly 0 outside the occupied buckets (SketchTransform.occupied),
+the ones some column in [0, p) hashes to, so a stored sketch holds only
+those: K = sum_t k_t cells, sketch row t's k_t cells in bucket order
+(SketchTransform.offsets). When p >= width every bucket counts, K = d * b
+and a bucket's cell is t * b + bucket; otherwise the p columns are hashed
+once per transform to find them.
+
 The RowSketchStore keeps one sketch per row of the observation matrix plus
 the row totals. Both are linear in the stream, so turnstile updates may
 arrive in any order, split or cancelled. At query time the store is
@@ -27,16 +34,14 @@ sketch over contiguous column ranges on a thread pool, one worker per
 usable core, each hashing cache-sized steps through one reused work
 array; its cells are sums of +-1, exact in any order, so the bits do not
 depend on the core count. Every other write goes through
-_add_cells, which hashes each distinct column of a batch once and adds
-the batch with np.add.at in the order given, so every cell sums its
-increments as one update at a time would, bit for bit: ``apply`` buffers
-checked updates and adds each full buffer in stream order, and
-``from_matrix`` adds its matrix in rps order, so a store built from a
-matrix is the rps ingest of that matrix, rows and totals alike.
-Loading a snapshot never hashes. A query multiplies only each sketch
-row's occupied buckets (SketchTransform.occupied), the ones some column
-in [0, p) hashes to: every sketch, o included, is exactly 0 elsewhere.
-When p < width a query hashes the p columns once to find them.
+_add_cells, which hashes each distinct column of a batch once, finds its
+cells, and adds the batch with np.add.at in the order given, so every
+cell sums its increments as one update at a time would, bit for bit:
+``apply`` buffers checked updates and adds each full buffer in stream
+order, and ``from_matrix`` adds its matrix in rps order, so a store built
+from a matrix is the rps ingest of that matrix, rows and totals alike.
+Building a store, or loading a snapshot, with p < width hashes the p
+columns once; nothing else in a query hashes.
 """
 
 from __future__ import annotations
@@ -68,12 +73,17 @@ _CHUNK = 1 << 15
 NORM_TOLERANCE = 1e-12  # squared-norm floor (times p) below which a row is degenerate
 
 SNAPSHOT_MAGIC = b"CSKSNAP1"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2  # v1 stored every bucket behind a 61-byte header: refused
 _FLAG_STANDARDIZED = 1  # standardized (served) rows: load refuses it
 _FLAG_EXACT = 4
 # magic, version, n, p, width, depth, seed, flags, ones_built; ones_built
-# (columns folded into the all-ones sketch) is always p
-_HEADER = struct.Struct("<8sI5QBQ")
+# (columns folded into the all-ones sketch) is always p. Padded to 64 bytes,
+# so the mapped rows are 8-byte aligned.
+_HEADER = struct.Struct("<8sI5QBQ3x")
+# load hashes the p columns of a p < width header only when p * depth is at
+# most this many times the cells per row the file holds; a real transform
+# occupies about p/2 or more buckets per sketch row
+_MAX_COLUMNS_PER_CELL = 64
 
 
 class SketchStateError(RuntimeError):
@@ -187,8 +197,8 @@ class SketchTransform:
         """Per sketch row, four bucket (h) then four sign (g) coefficients
         drawn from the seed stream, stored (degree, h|g, row, 1) so that one
         _poly_values call evaluates all 2 * depth polynomials over a column
-        chunk. Drawn on first use, so loading a snapshot never draws them;
-        a query draws them only to find ``occupied`` when p < width.
+        chunk. Drawn on first use: loading a snapshot draws them only to
+        find ``occupied`` when p < width, and a query never does.
         """
         draws = seed_stream(self.seed)
         coeffs = [next(draws) % int(_MERSENNE) for _ in range(8 * self.depth)]
@@ -222,10 +232,10 @@ class SketchTransform:
     def occupied(self) -> tuple[np.ndarray, ...]:
         """Per sketch row, the sorted buckets that some column in [0, p) hashes to.
 
-        Every sketch is exactly 0 in the other buckets, so queries read
+        Every sketch is exactly 0 in the other buckets, so a store holds
         only these. When p >= width every bucket counts and nothing is
         hashed; otherwise the p columns are hashed once, in cache-sized
-        steps, into a (depth, p) table smaller than one row's sketch.
+        steps, into a (depth, p) table no larger than one stored row.
         """
         if self.p >= self.width:
             return (np.arange(self.width),) * self.depth
@@ -237,6 +247,43 @@ class SketchTransform:
             buckets[:, cols] = self.hash_columns(cols, work)[0]
         buckets.sort(axis=1)
         return tuple(row[np.diff(row, prepend=-1) > 0] for row in buckets)
+
+    @functools.cached_property
+    def offsets(self) -> np.ndarray:
+        """Where each sketch row's cells start in a stored row, then its length K: (depth + 1,)."""
+        return np.cumsum([0] + [cols.size for cols in self.occupied])
+
+    @property
+    def cells(self) -> int:
+        """K, the cells a stored row holds: d * b when p >= width, found without hashing."""
+        if self.p >= self.width:
+            return self.depth * self.width
+        return int(self.offsets[-1])
+
+    def locate(self, buckets: np.ndarray) -> np.ndarray:
+        """The cell in a stored row of each of the (depth, m) ``buckets``, in place.
+
+        When p >= width that is t * width + bucket; otherwise a binary
+        search in sketch row t's occupied buckets first ranks it.
+        """
+        if self.p < self.width:
+            for t, cols in enumerate(self.occupied):
+                buckets[t] = cols.searchsorted(buckets[t])
+        buckets += self.offsets[:-1, None]
+        return buckets
+
+    def expand(self, cells: np.ndarray) -> np.ndarray:
+        """Stored cells (..., K) as sketches (..., depth, width), 0 outside the occupied buckets.
+
+        A view of ``cells`` when p >= width, a fresh array otherwise.
+        """
+        shape = cells.shape[:-1] + (self.depth, self.width)
+        if self.p >= self.width:
+            return cells.reshape(shape)
+        out = np.zeros(shape)
+        for t, cols in enumerate(self.occupied):
+            out[..., t, cols] = cells[..., self.offsets[t] : self.offsets[t + 1]]
+        return out
 
     @classmethod
     def from_accuracy(cls, p: int, epsilon: float, delta: float, seed: int) -> "SketchTransform":
@@ -274,38 +321,40 @@ class SketchTransform:
         bad = np.flatnonzero(~np.isfinite(v))
         if bad.size:
             raise ValueError(f"non-finite value {v[bad[0]]} at column {bad[0]}")
-        out = np.zeros((1, self.depth, self.width))
+        out = np.zeros((1, self.cells))
         for start in range(0, self.p, _CHUNK):  # _add_cells holds tables for all its columns
             cols = np.arange(start, min(start + _CHUNK, self.p))
             _add_cells(self, out, np.zeros_like(cols), cols, v[cols])
-        return out[0]
+        return self.expand(out[0])
 
 
 def _add_cells(t: SketchTransform, out: np.ndarray, rows, cols, alpha):
     """Add ``alpha[k] * S e_cols[k]`` into ``out[rows[k]]`` for every cell k, in order.
 
-    ``out`` is a C-contiguous (rows, depth, width) array. Each distinct
-    column is hashed once, in cache-sized steps through one work array;
-    every cell gathers its column's buckets and signs. np.add.at applies
-    repeated indices one after another in index order, so each sketch cell
-    takes its increments in the order given, exactly as one update at a
-    time would. A sum that overflows raises ValueError, part way through.
+    ``out`` is a C-contiguous (rows, K) array of stored cells. Each distinct
+    column is hashed once, in cache-sized steps through one work array, and
+    its buckets located among the cells; every update gathers its column's
+    cells and signs. np.add.at applies repeated indices one after another
+    in index order, so each sketch cell takes its increments in the order
+    given, exactly as one update at a time would. A sum that overflows
+    raises ValueError, part way through.
     """
-    depth, width = t.depth, t.width
+    depth, size = t.depth, t.cells
     distinct, at = np.unique(cols, return_inverse=True)
-    buckets = np.empty((depth, distinct.size), dtype=np.int64)
+    cells = np.empty((depth, distinct.size), dtype=np.int64)
     signs = np.empty((depth, distinct.size))
     step = max(1, _CHUNK // depth)
     work = np.empty(4 * depth * min(step, distinct.size), dtype=np.uint64)
     for start in range(0, distinct.size, step):
         part = slice(start, start + step)
-        buckets[:, part], signs[:, part] = t.hash_columns(distinct[part], work)
-    cells = out.reshape(-1)
+        cells[:, part], signs[:, part] = t.hash_columns(distinct[part], work)
+        t.locate(cells[:, part])
+    flat = out.reshape(-1)
     with _refuse_overflow("a sketch cell sum"):
         for start in range(0, len(rows), step):
             part = slice(start, start + step)
-            index = (rows[part] * depth + np.arange(depth)[:, None]) * width + buckets[:, at[part]]
-            np.add.at(cells, index.ravel(), (signs[:, at[part]] * alpha[part]).ravel())
+            index = rows[part] * size + cells[:, at[part]]
+            np.add.at(flat, index.ravel(), (signs[:, at[part]] * alpha[part]).ravel())
 
 
 def _usable_cores() -> int:
@@ -317,7 +366,7 @@ def _usable_cores() -> int:
 
 
 def _ones_sketch(t: SketchTransform) -> np.ndarray:
-    """The sketch of the all-ones vector, o = S 1, as a (depth, width) array.
+    """The sketch of the all-ones vector, o = S 1, as its K stored cells.
 
     Contiguous column ranges are folded on a thread pool, one worker per
     usable core but never more than there are column steps; NumPy releases
@@ -326,26 +375,24 @@ def _ones_sketch(t: SketchTransform) -> np.ndarray:
     every step. The cells are sums of +-1, exact in any order, so the
     partial sums add to the same bits whatever the worker count.
     """
-    depth, width = t.depth, t.width
-    offsets = np.arange(depth)[:, None] * width
+    depth, cells = t.depth, int(t.offsets[-1])  # found before any worker starts
     step = max(1, _CHUNK // depth)
     starts = range(0, t.p, step)
     workers = min(_usable_cores(), len(starts))
 
     def fold(k):
-        ones = np.zeros(depth * width)
+        ones = np.zeros(cells)
         work = np.empty(4 * depth * min(step, t.p), dtype=np.uint64)
         for start in starts[k * len(starts) // workers : (k + 1) * len(starts) // workers]:
             cols = np.arange(start, min(start + step, t.p))
             buckets, signs = t.hash_columns(cols, work)
-            buckets += offsets
-            ones += np.bincount(buckets.ravel(), signs.ravel(), depth * width)
+            ones += np.bincount(t.locate(buckets).ravel(), signs.ravel(), cells)
         return ones
 
     if workers == 1:
-        return fold(0).reshape(depth, width)
+        return fold(0)
     with ThreadPoolExecutor(workers) as pool:
-        return sum(pool.map(fold, range(workers))).reshape(depth, width)
+        return sum(pool.map(fold, range(workers)))
 
 
 def _middle(values: np.ndarray) -> np.ndarray:
@@ -372,11 +419,13 @@ def inner_product(a: np.ndarray, b: np.ndarray) -> float:
 class RowSketchStore:
     """Per-row AMS sketches r^(i), totals t^(i), and the all-ones sketch.
 
-    Layout note: ``rows`` is indexed (depth, n, width), so ``rows[t]`` is
-    the n x width matrix of sketch row t; the query multiplies its
-    occupied columns. Its memory is row-major (n, depth, width), the order
-    a snapshot stores it, so ``row_sketch(i)`` reads one contiguous d x b
-    block and the rows section maps straight onto the file.
+    Layout note: the store holds an (n, K) array, row i's K stored cells
+    (the occupied buckets of every sketch row, ``transform.offsets``), in
+    the order a snapshot stores them, so the rows section maps straight
+    onto the file, row i is one contiguous block, and sketch row t of
+    every row is an (n, k_t) slice. ``rows`` expands the cells into the
+    (depth, n, width) array a test compares against, 0 outside the
+    occupied buckets; no query reads it.
 
     ``apply`` checks each update and buffers it; the buffer is added in
     stream order when it holds _CHUNK updates and whenever ``rows`` or
@@ -384,19 +433,16 @@ class RowSketchStore:
 
     Standardizing sets ``mu`` (shift) and ``scale`` (a) per row and leaves
     the stored rows as they are, as ``save`` writes them; ``row_sketch``,
-    ``sketch_row`` and ``inner`` serve the rows a_i (r_i - mu_i o). Every
-    stored row and o are exactly 0 outside ``transform.occupied``, so a
-    served row is too, and ``sketch_row`` can serve the occupied columns
-    alone.
+    ``sketch_row`` and ``inner`` serve the rows a_i (r_i - mu_i o).
     """
 
     def __init__(self, transform: SketchTransform, n: int):
         if n < 1:
             raise ValueError("store needs at least one row")
-        sketches = np.zeros((n, transform.depth, transform.width))
-        self._assign(transform, sketches, np.zeros(n), _ones_sketch(transform))
+        cells = np.zeros((n, transform.cells))
+        self._assign(transform, cells, np.zeros(n), _ones_sketch(transform))
 
-    def _assign(self, transform, sketches, totals, ones_sketch, norms=None):
+    def _assign(self, transform, cells, totals, ones, norms=None):
         """Set every field from the store's parts, unstandardized; nothing is buffered.
 
         ``norms`` is ``_centered_norms`` of these rows, when known.
@@ -405,26 +451,38 @@ class RowSketchStore:
         self.transform = transform
         self.n = n
         self.p = transform.p
-        self._sketches = sketches
+        self._cells = cells
         self._totals = totals
         self._pending = ([], [], [])  # row, column and value of each buffered update
         self._norms = norms  # dropped when an update lands
-        self.ones_sketch = ones_sketch
+        self._ones = ones  # o's K stored cells
         self.standardized = False  # set by standardize: rows are served as a_i (r_i - mu_i o)
         self.mu = self.scale = None
         self.degenerate = np.zeros(n, dtype=bool)
 
     @property
     def rows(self) -> np.ndarray:
-        """All rows, (depth, n, width), as queries read them.
+        """All rows, (depth, n, width), as queries read them (a test surface).
 
-        Once standardized this materializes a fresh array (a test surface);
-        the query reads one sketch row at a time through ``sketch_row``.
+        Unstandardized rows with p >= width are a view of the stored cells;
+        otherwise this materializes a fresh array. The query reads one
+        sketch row at a time through ``sketch_row``.
         """
         self._flush()
-        if not self.standardized:
-            return self._sketches.transpose(1, 0, 2)
-        return np.stack([self.row_sketch(i) for i in range(self.n)]).transpose(1, 0, 2)
+        cells = self._cells
+        if self.standardized:
+            cells = self._served(cells, (slice(None), None), self._ones, np.empty(cells.shape))
+        return self.transform.expand(cells).transpose(1, 0, 2)
+
+    @property
+    def ones_sketch(self) -> np.ndarray:
+        """The all-ones sketch o as a (depth, width) array."""
+        return self.transform.expand(self._ones)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the linear state the store holds: its cells, totals and o."""
+        return self._cells.nbytes + self._totals.nbytes + self._ones.nbytes
 
     @property
     def totals(self) -> np.ndarray:
@@ -488,10 +546,10 @@ class RowSketchStore:
 
     def _add(self, rows, cols, alpha):
         """Add cells (row, column, value) to the sketches and totals, in the order given."""
-        if not self._sketches.flags.writeable:  # shared with a standardized copy
-            self._sketches = np.array(self._sketches)
+        if not self._cells.flags.writeable:  # shared with a standardized copy
+            self._cells = np.array(self._cells)
         self._norms = None
-        _add_cells(self.transform, self._sketches, rows, cols, alpha)
+        _add_cells(self.transform, self._cells, rows, cols, alpha)
         with _refuse_overflow("a row total"):
             np.add.at(self._totals, rows, alpha)
 
@@ -504,37 +562,38 @@ class RowSketchStore:
         ``at`` indexes ``mu`` and ``scale`` to broadcast against ``raw``;
         every block gets the same roundings, so every reader the same bits.
         """
-        out[...] = raw  # out of the map, misaligned at byte 61: aligned arithmetic is faster
+        out[...] = raw
         if self.standardized:
             out -= self.mu[at] * ones
             out *= self.scale[at]
         return out
 
+    def _row_cells(self, i: int) -> np.ndarray:
+        """Row i's K cells as queries read them, in a fresh array."""
+        self._flush()
+        return self._served(self._cells[i], i, self._ones, np.empty(self._ones.shape))
+
     def row_sketch(self, i: int) -> np.ndarray:
         """Row i's d x b sketch as queries read it, in a fresh array."""
-        self._flush()
-        out = np.empty(self.ones_sketch.shape)
-        return self._served(self._sketches[i], i, self.ones_sketch, out)
+        return self.transform.expand(self._row_cells(i))
 
-    def sketch_row(self, t: int, out: np.ndarray, cols=None) -> np.ndarray:
-        """Sketch row t of every row as queries read it, at buckets ``cols``, copied into ``out``.
-
-        ``out`` is (n, k) for the k buckets ``cols`` holds: sorted distinct
-        indices such as ``transform.occupied[t]``, gathered out of the rows
-        in the same steps and roundings, or every bucket when None.
-        """
-        if cols is None or len(cols) == self.transform.width:
-            cols = slice(None)  # all buckets, in order: copied, which is faster than a gather
+    def sketch_row(self, t: int, out: np.ndarray) -> np.ndarray:
+        """Sketch row t of every row as queries read it: its k_t cells, copied into ``out`` (n, k_t)."""
         self._flush()
+        cells = slice(*self.transform.offsets[t : t + 2])
         step = max(1, _CHUNK // out.shape[1])  # rows per cache-sized step
-        ones = self.ones_sketch[t, cols]
+        ones = self._ones[cells]
         for i in range(0, self.n, step):
             rows = slice(i, i + step)
-            self._served(self._sketches[rows, t][:, cols], (rows, None), ones, out[rows])
+            self._served(self._cells[rows, cells], (rows, None), ones, out[rows])
         return out
 
     def inner(self, i: int, j: int) -> float:
-        return inner_product(self.row_sketch(i), self.row_sketch(j))
+        """Median over sketch rows of the served rows' dot products."""
+        a, b, ends = self._row_cells(i), self._row_cells(j), self.transform.offsets
+        # when p >= width the cells of sketch row t are its buckets, summed as inner_product does
+        dots = [np.einsum("ib,ib->i", a[None, s:e], b[None, s:e])[0] for s, e in zip(ends, ends[1:])]
+        return float(_middle(np.array(dots)))
 
     def standardize(self):
         """Record the shift and scale that standardize every row; no row is written.
@@ -551,7 +610,7 @@ class RowSketchStore:
             raise SketchStateError("store already standardized")
         mu = self.totals / self.p
         if self._norms is None:
-            self._norms = _centered_norms(self._sketches, mu, self.ones_sketch)
+            self._norms = _centered_norms(self._cells, mu, self._ones, self.transform.offsets)
         norm_sq = _middle(self._norms)
         bad = np.flatnonzero(~np.isfinite(norm_sq))
         if bad.size:
@@ -571,12 +630,10 @@ class RowSketchStore:
         if self.standardized:
             raise SketchStateError("store already standardized")
         self._flush()
-        self._sketches = self._sketches.view()
-        self._sketches.flags.writeable = False
+        self._cells = self._cells.view()
+        self._cells.flags.writeable = False
         out = type(self).__new__(type(self))
-        out._assign(
-            self.transform, self._sketches, self._totals.copy(), self.ones_sketch, self._norms
-        )
+        out._assign(self.transform, self._cells, self._totals.copy(), self._ones, self._norms)
         out.standardize()
         return out
 
@@ -610,7 +667,7 @@ class RowSketchStore:
             # at which one raw call may stop
             with open(tmp, "xb") as fh:
                 fh.write(header)
-                for section in (self._sketches, self._totals, self.ones_sketch):
+                for section in (self._cells, self._totals, self._ones):
                     fh.write(np.ascontiguousarray(section, dtype="<f8"))
             # unlink, then rename: ext4 forces the new file's data out (about
             # 1 s per GB) when a rename replaces an existing file
@@ -626,13 +683,17 @@ class RowSketchStore:
     def load(cls, path) -> "RowSketchStore":
         """Open a snapshot; refuse a malformed header, size or non-finite value.
 
-        The header and the file size are checked before anything is mapped
-        or allocated, so a corrupt header cannot ask for a huge array. The
-        totals and the all-ones sketch are read into memory; the rows
-        section is mapped copy-on-write, not read, so updates to a loaded
-        store stay private and never reach the file. One pass over the map
-        checks every row block for NaN and infinity and finds the norms
-        ``standardize`` takes its scales from. Flag 1 (served rows) is refused.
+        The file holds n rows of K cells, the n totals and o's K cells, so
+        its size gives K. The header and the file size are checked before
+        anything is mapped or allocated, so a corrupt header cannot ask for
+        a huge array; when p < width the p columns are hashed to find the
+        occupied buckets, and only once the file shows they can fit, so a
+        corrupt header cannot ask for much hashing either. The totals and
+        the all-ones sketch are read into memory; the rows section is mapped
+        copy-on-write, not read, so updates to a loaded store stay private
+        and never reach the file. One pass over the map checks every stored
+        cell for NaN and infinity and finds the norms ``standardize`` takes
+        its scales from. Format v1 and flag 1 (served rows) are refused.
         """
         with open(path, "rb") as fh:
             head = fh.read(_HEADER.size)
@@ -641,6 +702,9 @@ class RowSketchStore:
             magic, version, n, p, width, depth, seed, flags, ones_built = _HEADER.unpack(head)
             if magic != SNAPSHOT_MAGIC:
                 raise SnapshotFormatError(f"bad magic {magic!r}")
+            if version == 1:
+                raise SnapshotFormatError("snapshot format v1 (every bucket stored) is no longer "
+                                          "read: re-ingest the stream")
             if version != SNAPSHOT_VERSION:
                 raise SnapshotFormatError(f"unsupported snapshot version {version}")
             if flags & ~(_FLAG_STANDARDIZED | _FLAG_EXACT):
@@ -651,28 +715,36 @@ class RowSketchStore:
             exact = bool(flags & _FLAG_EXACT)
             if exact and (width, depth) != (p, 1):
                 raise SnapshotFormatError("exact-transform snapshot with mismatched shape")
-            expect = _HEADER.size + 8 * (n * depth * width + n + depth * width)
-            size = os.fstat(fh.fileno()).st_size
-            if size != expect:
-                raise SnapshotFormatError(f"snapshot is {size} bytes, expected {expect}")
             if n < 1:
                 raise SnapshotFormatError("snapshot has no rows")
             if ones_built != p:
                 raise SnapshotFormatError(f"ones_built={ones_built} differs from p={p}")
+            size = os.fstat(fh.fileno()).st_size
+            values, odd = divmod(size - _HEADER.size, 8)
+            cells, rest = divmod(values - n, n + 1)  # n rows and o hold K cells each
+            if odd or rest or cells < 1:
+                raise SnapshotFormatError(
+                    f"snapshot is {size} bytes: no whole number of cells per row for n={n}"
+                )
+            if p < width and p * depth > _MAX_COLUMNS_PER_CELL * cells:
+                raise SnapshotFormatError(
+                    f"p={p} columns in {depth} sketch rows cannot occupy {cells} cells per row"
+                )
             try:
                 transform = (
                     SketchTransform.identity(p) if exact else SketchTransform(p, width, depth, seed)
                 )
             except ValueError as err:
                 raise SnapshotFormatError(f"bad sketch shape in header: {err}") from None
-            fh.seek(_HEADER.size + 8 * n * depth * width)
+            if transform.cells != cells:  # hashes the p columns when p < width
+                expect = _HEADER.size + 8 * (n + 1) * transform.cells + 8 * n
+                raise SnapshotFormatError(f"snapshot is {size} bytes, expected {expect}")
+            fh.seek(_HEADER.size + 8 * n * cells)
             totals = _read_finite(fh, np.empty(n, dtype="<f8"), "totals")
-            ones = _read_finite(fh, np.empty((depth, width), dtype="<f8"), "ones_sketch")
-            rows = np.memmap(
-                fh, dtype="<f8", mode="c", offset=_HEADER.size, shape=(n, depth, width)
-            )
+            ones = _read_finite(fh, np.empty(cells, dtype="<f8"), "ones_sketch")
+            rows = np.memmap(fh, dtype="<f8", mode="c", offset=_HEADER.size, shape=(n, cells))
         # the one pass over the rows checks them and finds what standardize needs
-        norms = _centered_norms(rows, totals / p, ones, check=True)
+        norms = _centered_norms(rows, totals / p, ones, transform.offsets, check=True)
         store = cls.__new__(cls)
         store._assign(transform, rows, totals, ones, norms)
         return store
@@ -685,26 +757,30 @@ def _require_finite(values: np.ndarray, what: str):
         raise SnapshotFormatError(f"non-finite value in {what}")
 
 
-def _centered_norms(rows, mu: np.ndarray, ones: np.ndarray, check: bool = False) -> np.ndarray:
+def _centered_norms(
+    cells, mu: np.ndarray, ones: np.ndarray, offsets: np.ndarray, check: bool = False
+) -> np.ndarray:
     """||r_{t,i} - mu_i o_t||^2 for every row i and sketch row t, (n, depth).
 
-    One pass over the (n, depth, width) rows in cache-sized steps. With
-    ``check``, a row whose squares are not all finite is checked value by
-    value, and one holding NaN or infinity is refused, naming it; a row
-    whose squares merely overflowed passes.
+    One pass over the (n, K) stored cells, about 4 * _CHUNK cells of rows
+    at a time, so each sketch row's einsum spans several rows; ``offsets``
+    is the transform's. With ``check``, a row whose squares are not all
+    finite is checked value by value, and one holding NaN or infinity is
+    refused, naming it; a row whose squares merely overflowed passes.
     """
-    depth, width = ones.shape
-    step = max(1, _CHUNK // width)  # sketch rows per step
-    d = np.empty((step, width))
-    out = np.empty((len(rows), depth))
-    for i, raw in enumerate(rows):
-        for t in range(0, depth, step):
-            part = d[: min(step, depth - t)]  # r_i - mu_i o over these sketch rows
-            np.multiply(ones[t : t + step], mu[i], out=part)
-            np.subtract(raw[t : t + step], part, out=part)
-            out[i, t : t + step] = np.einsum("tb,tb->t", part, part)
-        if check and not np.isfinite(out[i]).all():
-            _require_finite(raw, f"row {i}")
+    n, size = cells.shape
+    step = max(1, 4 * _CHUNK // size)  # rows per step
+    d = np.empty((min(step, n), size))
+    out = np.empty((n, len(offsets) - 1))
+    for i in range(0, n, step):
+        part = d[: min(step, n - i)]  # r_i - mu_i o over these rows
+        np.multiply(ones, mu[i : i + step, None], out=part)
+        np.subtract(cells[i : i + step], part, out=part)
+        for t, (start, end) in enumerate(zip(offsets[:-1], offsets[1:])):
+            out[i : i + step, t] = np.einsum("ib,ib->i", part[:, start:end], part[:, start:end])
+    if check:
+        for i in np.flatnonzero(~np.isfinite(out).all(axis=1)):
+            _require_finite(cells[i], f"row {i}")
     return out
 
 

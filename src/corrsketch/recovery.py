@@ -26,9 +26,8 @@ decoding buckets (``_gram_pairs``). Otherwise one builder
 into a reused buffer, as the Gram scan does, so no query holds a copy of
 the rows; per sketch row, two (n x k_t) @ (k_t x pi) matrix products, one
 per side, give every row-vs-group inner product and go straight into group
-order. Both read only the k_t <= min(p, b) occupied buckets of sketch row
-t (``SketchTransform.occupied``): every served row is exactly 0 in the
-others, so dropping them changes only the summation order. One
+order. Both read sketch row t's k_t <= min(p, b) stored cells, one
+contiguous slice of every row (``RowSketchStore.sketch_row``). One
 contraction (``_contract``) per codeword bit forms the masked buckets
 from the products. ``approximate`` builds every pi this way, singleton
 groups included, so ``_vote``'s pi >= n test is the one place that takes
@@ -252,15 +251,15 @@ def _masks(cart: CartesianTransform, cb: Codebook, n: int) -> np.ndarray:
     return masks.reshape(2, cart.pi, cart.block, cb.codeword_len)
 
 
-def _occupied_buffers(occupied, *rows):
-    """Per sketch row t: t, its occupied buckets, and a (r, k_t) view per r in ``rows``.
+def _row_buffers(store: RowSketchStore, *rows):
+    """Per sketch row t: t and a (r, k_t) view per r in ``rows``, k_t its stored cells.
 
     Each view reads one buffer, allocated once at the largest k_t.
     """
-    widest = max(cols.size for cols in occupied)
-    flats = [np.empty(r * widest) for r in rows]
-    for t, cols in enumerate(occupied):
-        yield t, cols, [flat[: r * cols.size].reshape(r, cols.size) for flat, r in zip(flats, rows)]
+    sizes = np.diff(store.transform.offsets).tolist()
+    flats = [np.empty(r * max(sizes)) for r in rows]
+    for t, k in enumerate(sizes):
+        yield t, [flat[: r * k].reshape(r, k) for flat, r in zip(flats, rows)]
 
 
 def _group_products(store: RowSketchStore, cart: CartesianTransform, cb: Codebook, multiply=None):
@@ -268,8 +267,8 @@ def _group_products(store: RowSketchStore, cart: CartesianTransform, cb: Codeboo
 
     cross[0, h*block + r, t, g] = <r_t^(i), right-group g of sketch row t>
     for the r-th index i of row-group h; cross[1] reads each column
-    group's indices against the left groups. Each sketch row's occupied
-    buckets are read and grouped in reused buffers, and its products,
+    group's indices against the left groups. Each sketch row's stored
+    cells are read and grouped in reused buffers, and its products,
     through ``multiply`` (numpy kernel by default), go straight into group
     order.
     """
@@ -281,14 +280,13 @@ def _group_products(store: RowSketchStore, cart: CartesianTransform, cb: Codeboo
     # each side lists its indices in its own group order, against the other's groups
     sides = ((cart.order1, cart.s2, cart.order2), (cart.order2, cart.s1, cart.order1))
     # per sketch row: its rows, one grouping's signed rows in group order, and the group sums
-    buffers = _occupied_buffers(store.transform.occupied, n_pad, n_pad, cart.pi)
-    for t, cols, (rt, signed, group) in buffers:
-        store.sketch_row(t, rt[: store.n], cols)
+    for t, (rt, signed, group) in _row_buffers(store, n_pad, n_pad, cart.pi):
+        store.sketch_row(t, rt[: store.n])
         rt[store.n :] = 0.0  # phantom rows
         for k, (own, s, order) in enumerate(sides):
             # order permutes the padded rows, so "clip" never clips; "raise" always buffers
             np.multiply(rt.take(order, axis=0, out=signed, mode="clip"), s[order, None], out=signed)
-            signed.reshape(cart.pi, cart.block, cols.size).sum(axis=1, out=group)
+            signed.reshape(cart.pi, cart.block, rt.shape[1]).sum(axis=1, out=group)
             np.take(multiply(rt, group.T), own, axis=0, out=cross[k, :, t], mode="clip")
     return masks, cross
 
@@ -296,12 +294,12 @@ def _group_products(store: RowSketchStore, cart: CartesianTransform, cb: Codeboo
 def _median_gram(store: RowSketchStore) -> np.ndarray:
     """Elementwise median over sketch rows of r_t r_t^T, (n, n).
 
-    The standardized rows of one sketch row at a time, its occupied
-    buckets only, go through one reused buffer, so the rows are never held
-    whole. Depth is odd, so the median is the middle order statistic.
+    The standardized rows of one sketch row at a time, its stored cells
+    only, go through one reused buffer, so the rows are never held whole.
+    Depth is odd, so the median is the middle order statistic.
     """
-    buffers = _occupied_buffers(store.transform.occupied, store.n)
-    grams = np.stack([np.matmul(store.sketch_row(t, rt, cols), rt.T) for t, cols, (rt,) in buffers])
+    buffers = _row_buffers(store, store.n)
+    grams = np.stack([np.matmul(store.sketch_row(t, rt), rt.T) for t, (rt,) in buffers])
     mid = len(grams) // 2
     grams.partition(mid, axis=0)
     return grams[mid].copy()  # a view would keep the whole stack alive
@@ -442,8 +440,7 @@ def _vote(
     pairs are counted separately and majority survivors are
     canonicalized to i < j, then, with ``verify``, re-checked by
     ``verify_candidates``. Threads change only the schedule: results are
-    merged in repetition order, and the repetitions share each
-    transform's occupied buckets, found before they start.
+    merged in repetition order.
     """
     if not all(s.standardized for s in stores):
         raise SketchStateError("recovery requires standardized stores")
@@ -459,9 +456,6 @@ def _vote(
         scan = _gram_pairs(gram, cb, params.phi)
         step = lambda _: (scan, 0)
     else:
-        for store in stores:  # found once here; every repetition's thread reads the cache
-            store.transform.occupied
-
         def step(rep_seed: int):
             cart = CartesianTransform(n, params.groups, rep_seed)
             buckets = approximate(stores[0], cart, cb)

@@ -191,10 +191,10 @@ def test_from_matrix_refuses_wrong_shape(tmp_path):
     for shape in [(2, 12), (2, 5), (8,)]:
         with pytest.raises(ValueError, match=rf"\(n, 8\), got shape {re.escape(str(shape))}"):
             RowSketchStore.from_matrix(t, np.ones(shape))
-    # the right width gives the bytes it gave before the check existed
+    # the right width gives fixed bytes (format v2)
     RowSketchStore.from_matrix(t, np.arange(16.0).reshape(2, 8) - 5).save(tmp_path / "m.snap")
     digest = hashlib.sha256((tmp_path / "m.snap").read_bytes()).hexdigest()
-    assert digest == "303acb8ca3377c422546e795c4ccf0938a5c8adc321fa2ecdd55a730b9044ee4"
+    assert digest == "2c629cbfde8c01e51b21c1325b6bced9a4c0538d294584e8501fcf870e2990a7"
 
 
 def test_rps_replay_matches_dense_sketch_bit_exact(rng):
@@ -486,27 +486,30 @@ def test_snapshot_roundtrip_identity_transform(tmp_path, rng):
     assert np.array_equal(back.rows, store.rows)
 
 
-# SHA-256 of v1 snapshot files; any change here is a snapshot format change
+# SHA-256 of v2 snapshot files; any change here is a snapshot format change
 _GOLDEN_SHA256 = {
-    "ingest": "6690248b6ad204056e8cec7f57d470f6c2f15a42125385c5914faf3e3f25b6b3",
-    "standardized": "85c54b82b28029fca15ffe2025c48ea4c06560fec06951f06980b305bc1d055f",
-    "identity": "d4a1aa40386d1edd4b2ad0df1eadf2368d46f81f572d7fe7edc5d17fd06202b9",
+    "ingest": "cc893fc21bbb4b865ef215c138089c3b85f08cb84189bad556d9fd815784a3ed",
+    "standardized": "16e7d334862cff33fc7f7884780858a46c394e98d4933a9a5ee1e5be523eb173",
+    "identity": "353040781a5fc5f7d4bf02af364e754758009c48ce728384c5b78bd161ff9c4c",
+    "narrow": "d32b9a31a380d467fc49e3d46e7db1318be3f32daef2262cabe13c0cca52b3e2",
 }
 
 
 def test_snapshot_bytes_golden(tmp_path):
-    # a CLI ingest, a standardized store with one degenerate row (it saves the
-    # bytes it saved before standardize) and an identity-transform snapshot:
-    # fixed bytes, and load then save reproduces each
+    # CLI ingests at p >= width and at p < width (width 100 > p = 40, so only
+    # the occupied buckets are stored), a standardized store with one
+    # degenerate row (it saves the bytes it saved before standardize) and an
+    # identity-transform snapshot: fixed bytes, and load then save reproduces each
     values = (np.arange(6 * 40).reshape(6, 40) * 7919 % 23 - 11).astype(np.float64)
     stream = tmp_path / "g.stream"
     write_stream_file(
         stream, StreamModel("rps", 6, 40), matrix_to_updates(DenseMatrix(values), "rps")
     )
-    code = cli.main(["ingest", "--model", "rps", "--input", str(stream),
-                     "--out", str(tmp_path / "ingest.snap"),
-                     "--epsilon", "0.5", "--delta", "0.2", "--seed", "7"])
-    assert code == 0
+    for name, epsilon in (("ingest", "0.5"), ("narrow", "0.2")):
+        code = cli.main(["ingest", "--model", "rps", "--input", str(stream),
+                         "--out", str(tmp_path / f"{name}.snap"),
+                         "--epsilon", epsilon, "--delta", "0.2", "--seed", "7"])
+        assert code == 0
     flat = values.copy()
     flat[2] = 3.0
     std = RowSketchStore.from_matrix(SketchTransform(40, 16, 5, seed=11), flat)
@@ -599,10 +602,21 @@ def test_standardize_leaves_stored_rows_unchanged(tmp_path, rng, monkeypatch, ch
         assert np.array_equal(store.sketch_row(t, tile), reference[:, t])
 
 
+def _dense_sketches(t: SketchTransform, n: int, updates) -> np.ndarray:
+    """Reference: every bucket of n sketches, added one update at a time, (n, depth, width)."""
+    buckets, signs = t.hash_columns(np.arange(t.p))
+    out = np.zeros((n, t.depth, t.width))
+    for alpha, i, j in updates:
+        out[i, np.arange(t.depth), buckets[:, j]] += signs[:, j] * alpha
+    return out
+
+
 @pytest.mark.parametrize("p", [40, 64, 100])  # p < width = 64, p = width, p > width
 def test_served_rows_are_zero_outside_the_occupied_buckets(tmp_path, rng, p):
-    # queries read only transform.occupied: the buckets some column hashes to,
-    # and every bucket once p >= width; a served row and o are 0 elsewhere
+    # a store holds only transform.occupied: the buckets some column hashes to,
+    # and every bucket once p >= width. Every sketch is 0 elsewhere, so the
+    # expanded rows equal all buckets of the sketches added one update at a
+    # time, bit for bit, and sketch_row serves each sketch row's cells
     n, width, depth = 6, 64, 5
     t = SketchTransform(p, width, depth, seed=31)
     reach = np.zeros((depth, width), dtype=bool)  # buckets a unit vector's sketch touches
@@ -614,28 +628,53 @@ def test_served_rows_are_zero_outside_the_occupied_buckets(tmp_path, rng, p):
         ]
     else:
         assert all(np.array_equal(cols, np.arange(width)) for cols in t.occupied)
+    assert t.cells == sum(cols.size for cols in t.occupied)
     values = rng.standard_normal((n, p)) + 2.0
-    stores = {"from_matrix": RowSketchStore.from_matrix(t, values)}
+    rps = matrix_to_updates(DenseMatrix(values), "rps")  # from_matrix's order
+    stores = {"from_matrix": (RowSketchStore.from_matrix(t, values), rps)}
     for model in ("ts", "rps", "cps"):
-        stores[model] = RowSketchStore(t, n)
-        for u in matrix_to_updates(DenseMatrix(values), model):
-            stores[model].apply(u)
-    stores["from_matrix"].save(tmp_path / "s.snap")
-    stores["loaded, then applied"] = RowSketchStore.load(tmp_path / "s.snap")
-    for u in matrix_to_updates(DenseMatrix(rng.standard_normal((n, p))), "ts"):
-        stores["loaded, then applied"].apply(u)
-    for name, store in stores.items():
+        updates = matrix_to_updates(DenseMatrix(values), model)
+        stores[model] = (RowSketchStore(t, n), updates)
+        for u in updates:
+            stores[model][0].apply(u)
+    stores["from_matrix"][0].save(tmp_path / "s.snap")
+    later = matrix_to_updates(DenseMatrix(rng.standard_normal((n, p))), "ts")
+    loaded = RowSketchStore.load(tmp_path / "s.snap")
+    for u in later:
+        loaded.apply(u)
+    stores["loaded, then applied"] = (loaded, rps + later)
+    ones = _dense_sketches(t, 1, [StreamUpdate(1.0, 0, j) for j in range(p)])[0]
+    for name, (store, updates) in stores.items():
+        dense = _dense_sketches(t, n, updates)
+        assert store.rows.transpose(1, 0, 2).tobytes() == dense.tobytes(), name
+        assert store.ones_sketch.tobytes() == ones.tobytes(), name
         store.standardize()
         served = store.rows
-        tile = np.empty((n, width))
         for k, cols in enumerate(t.occupied):
             outside = np.ones(width, dtype=bool)
             outside[cols] = False
-            assert not store.ones_sketch[k, outside].any(), name
+            assert not dense[:, k, outside].any() and not ones[k, outside].any(), name
             assert not served[k][:, outside].any(), name
-            assert not store.sketch_row(k, tile)[:, outside].any(), name
-            inside = store.sketch_row(k, np.empty((n, cols.size)), cols)
+            inside = store.sketch_row(k, np.empty((n, cols.size)))
             assert np.array_equal(inside, served[k][:, cols]), name
+
+
+def test_store_holds_only_the_occupied_cells():
+    # p = 256 columns reach about 248 of 4,096 buckets per sketch row: the
+    # store and its ingest hold the occupied cells, not a dense (n, d, b) array
+    t = SketchTransform(256, 4096, 5, seed=6)
+    cells = sum(cols.size for cols in t.occupied)
+    assert cells < t.depth * t.width / 10
+    values = np.random.default_rng(7).standard_normal((2048, 256))
+    tracemalloc.start()
+    try:
+        store = RowSketchStore.from_matrix(t, values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 1.25 * 8 * store.n * cells
+    assert peak < bound, f"peak {peak / 2**20:.1f} MiB, bound {bound / 2**20:.1f} MiB"
+    assert store.nbytes == 8 * (store.n * cells + store.n + cells)  # what a snapshot stores
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e8])
@@ -699,7 +738,7 @@ def test_save_over_the_mapped_file(tmp_path, rng, monkeypatch):
     with monkeypatch.context() as mp:  # a write that fails half way leaves the file as it was
         # the all-ones sketch is written after the rows and totals sections
         failing = type("Failing", (), {"__array__": lambda *args, **kwargs: 1 / 0})
-        mp.setattr(store, "ones_sketch", failing())
+        mp.setattr(store, "_ones", failing())
         with pytest.raises(ZeroDivisionError):
             store.save(path)
     assert path.read_bytes() == raw
@@ -744,13 +783,14 @@ def test_snapshot_rejects_malformed(tmp_path):
         RowSketchStore.load(tmp_path / "trunc.snap")
 
 
-_HEADER_FORMAT = "<8sI5QBQ"
+# the v2 header: 61 bytes of fields, padded to 64 so the rows are 8-byte aligned
+_HEADER_FORMAT = "<8sI5QBQ3x"
 
 
 @pytest.mark.parametrize(
     "section,index,bad,name",
     [
-        ("rows", 3 * 5 * 16 + 7, np.nan, "row 3"),  # row-major (n, depth, width) blocks
+        ("rows", 3 * 5 * 16 + 7, np.nan, "row 3"),  # (n, K) cells, K = depth * width as p > width
         ("totals", 2, np.inf, "totals"),
         ("ones", 4, -np.inf, "ones_sketch"),
     ],
@@ -781,6 +821,56 @@ def test_load_refuses_incomplete_ones_sketch(tmp_path, ones_built):
     path.write_bytes(bytes(raw))
     with pytest.raises(SnapshotFormatError, match="ones_built"):
         RowSketchStore.load(path)
+
+
+def test_load_refuses_a_v1_snapshot(tmp_path):
+    # v1 stored every bucket behind a 61-byte header; it is refused by name
+    path = tmp_path / "s.snap"
+    RowSketchStore.from_matrix(SketchTransform(32, 16, 5, seed=4), np.eye(3, 32)).save(path)
+    raw = path.read_bytes()
+    parts = list(struct.unpack_from(_HEADER_FORMAT, raw))
+    parts[1] = 1
+    # p > width: every bucket is a cell, so the payload is the one v1 wrote
+    path.write_bytes(struct.pack("<8sI5QBQ", *parts) + raw[struct.calcsize(_HEADER_FORMAT):])
+    with pytest.raises(SnapshotFormatError, match="format v1 .*re-ingest the stream"):
+        RowSketchStore.load(path)
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_load_refuses_a_size_that_disagrees_with_the_occupied_cells(tmp_path, extra):
+    # p = 40 < width = 100: the file's size gives K, which must be the sum of
+    # k_t; one cell more or fewer per row and in o is refused
+    path = tmp_path / "s.snap"
+    RowSketchStore.from_matrix(SketchTransform(40, 100, 5, seed=4), np.eye(3, 40)).save(path)
+    raw = path.read_bytes()
+    size = len(raw) + 8 * (3 + 1) * extra
+    path.write_bytes(raw[:size] if extra < 0 else raw + bytes(size - len(raw)))
+    with pytest.raises(SnapshotFormatError, match=f"is {size} bytes, expected {len(raw)}$"):
+        RowSketchStore.load(path)
+
+
+def test_load_bounds_the_hashing_by_the_file(tmp_path, monkeypatch):
+    # a header claiming p = 2^40 < width = 2^41 over a file of 80 cells per row
+    # is refused before any column is hashed
+    path = tmp_path / "s.snap"
+    RowSketchStore.from_matrix(SketchTransform(32, 16, 5, seed=4), np.eye(3, 32)).save(path)
+    raw = bytearray(path.read_bytes())
+    parts = list(struct.unpack_from(_HEADER_FORMAT, raw))
+    parts[3] = parts[8] = 2**40  # p and ones_built
+    parts[4] = 2**41  # width
+    struct.pack_into(_HEADER_FORMAT, raw, 0, *parts)
+    path.write_bytes(bytes(raw))
+    hashed = []
+    hash_columns = SketchTransform.hash_columns
+
+    def counted(self, cols, out=None):
+        hashed.append(len(cols))
+        return hash_columns(self, cols, out)
+
+    monkeypatch.setattr(SketchTransform, "hash_columns", counted)
+    with pytest.raises(SnapshotFormatError, match="cannot occupy 80 cells per row"):
+        RowSketchStore.load(path)
+    assert hashed == []
 
 
 # header field -> (position in the struct, modulus of its integer type)

@@ -476,24 +476,25 @@ def test_recover_deterministic_and_thread_invariant():
 
 
 def test_threads_finding_the_occupied_buckets_at_once_agree():
-    # threads that reach a transform's occupied buckets before any has cached
-    # them each find the same buckets, so every thread forms the same buckets
+    # threads that build stores over one new transform reach its occupied
+    # buckets before any has cached them; each finds the same buckets, so
+    # every store holds the same cells and forms the same buckets
     values = np.random.default_rng(47).standard_normal((16, 24))
     cb = ecc.for_index_space(16)
     cart = CartesianTransform(16, 4, seed=3)
 
-    def fresh():  # a new transform, whose occupied buckets nothing has found yet
-        store = RowSketchStore.from_matrix(SketchTransform(24, 100, 5, seed=3), values)
+    def buckets(transform):
+        store = RowSketchStore.from_matrix(transform, values)
         store.standardize()
-        return store
+        return approximate(store, cart, cb)
 
-    expect = approximate(fresh(), cart, cb)
-    store = fresh()
+    expect = buckets(SketchTransform(24, 100, 5, seed=3))
+    fresh = SketchTransform(24, 100, 5, seed=3)  # its occupied buckets are not found yet
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(approximate, store, cart, cb) for _ in range(16)]
+            futures = [pool.submit(buckets, fresh) for _ in range(16)]
             results = [future.result(timeout=60) for future in futures]
     finally:
         sys.setswitchinterval(interval)
@@ -583,9 +584,10 @@ def test_verify_candidates_warns_when_vacuous():
 
 @pytest.mark.parametrize("epsilon", [0.05, 0.1])  # width 1,600 > p = 1,024, and 400 < p
 def test_query_hashes_the_columns_once_per_transform(tmp_path, monkeypatch, epsilon):
-    # load and standardize read only the row sketches; a query finds each
-    # transform's occupied buckets by hashing its p columns once, shared by
-    # every thread, and hashes nothing when p >= width, where all buckets count
+    # load finds each transform's occupied buckets by hashing its p columns
+    # once, and hashes nothing when p >= width, where all buckets count;
+    # standardize and every query step (recover on two threads, verify,
+    # recover_diff) hash nothing
     m, _ = oracle.plant_dataset(oracle.PlantedSpec(64, 1024, [(3, 17, 0.9)], seed=21))
     transform = SketchTransform.from_accuracy(1024, epsilon, 0.1, 22)
     built = RowSketchStore.from_matrix(transform, m.values)
@@ -604,18 +606,19 @@ def test_query_hashes_the_columns_once_per_transform(tmp_path, monkeypatch, epsi
     store = loaded.standardized_copy()
     other = RowSketchStore.load(path)
     other.standardize()
-    assert not hashed
+    once = 1024 if 1024 < transform.width else 0
+    assert {key: hashed[key] for key in (id(store.transform), id(other.transform))} == {
+        id(store.transform): once, id(other.transform): once
+    }
+    assert sum(hashed.values()) == 2 * once
+    hashed.clear()
     assert np.array_equal(store.rows, reference.rows)
     cb = ecc.for_index_space(store.n)
     params = practical(store.n, 0.8, cb, groups=32, reps=2, transform=store.transform)
     assert recover(store, params, cb, seed=5, verify=True, threads=2) == {(3, 17)}
     assert verify_candidates(store, [(3, 17)], 0.8)[0][3]
     recover_diff(store, other, params, cb, seed=5, threads=2)
-    once = 1024 if 1024 < transform.width else 0
-    assert {key: hashed[key] for key in (id(store.transform), id(other.transform))} == {
-        id(store.transform): once, id(other.transform): once
-    }
-    assert sum(hashed.values()) == 2 * once
+    assert not hashed
 
 
 def test_query_never_reads_materialized_rows(tmp_path, monkeypatch):
