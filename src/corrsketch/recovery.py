@@ -21,19 +21,29 @@ index pair has its own bucket, so a repetition is an exact scan of the
 elementwise median over sketch rows of the Gram matrices r_t r_t^T (or
 of the difference of two such medians) and every repetition emits the
 same pairs, read off that median once per query without grouping or
-decoding buckets (``_gram_pairs``). Otherwise one builder
-(``_group_products``) reads the standardized rows one sketch row at a time
-into a reused buffer, as the Gram scan does, so no query holds a copy of
-the rows; per sketch row, two (n x k_t) @ (k_t x pi) matrix products, one
-per side, give every row-vs-group inner product and go straight into group
-order. Both read sketch row t's k_t <= min(p, b) stored cells, one
-contiguous slice of every row (``RowSketchStore.sketch_row``). One
-contraction (``_contract``) per codeword bit forms the masked buckets
-from the products. ``approximate`` builds every pi this way, singleton
-groups included, so ``_vote``'s pi >= n test is the one place that takes
-the median-Gram scan. The multiply is injectable. Majority survivors can
-be re-checked against the direct pairwise estimates (``verify_candidates``),
-or, for a difference, against the change in them.
+decoding buckets (``_gram_pairs``). Otherwise a repetition needs every
+row-vs-group inner product, (2, n_pad, depth, pi), and ``_vote`` picks
+once per query where they come from (``_stack_route``):
+
+  * the Gram stack r_t r_t^T (``_gram_stack``, the stack the median Gram
+    is taken of), built once per query and store, then gathered, signed
+    and group-summed per repetition (``_stack_products``), when
+    n_pad <= 4 gamma pi and 2 depth n_pad <= K: its n^2 K / 2
+    multiply-adds, and a repetition's gathers, cost no more than the
+    rows' products and reads, and it holds at most half the rows;
+  * else the rows: per repetition and sketch row, two
+    (n x k_t) @ (k_t x pi) products go straight into group order
+    (``_group_products``).
+
+Both read sketch row t's k_t <= min(p, b) stored cells, one contiguous
+slice of every row (``RowSketchStore.sketch_row``), into a reused buffer,
+so no query holds a copy of the rows. One contraction (``_contract``) per
+codeword bit forms the masked buckets from the products. ``approximate``
+builds every pi from the rows, singleton groups included, so ``_vote``'s
+pi >= n test is the one place that takes the median-Gram scan. The
+multiply is injectable. Majority survivors can be re-checked against the
+direct pairwise estimates (``verify_candidates``), or, for a difference,
+against the change in them.
 """
 
 from __future__ import annotations
@@ -262,8 +272,8 @@ def _row_buffers(store: RowSketchStore, *rows):
         yield t, [flat[: r * k].reshape(r, k) for flat, r in zip(flats, rows)]
 
 
-def _group_products(store: RowSketchStore, cart: CartesianTransform, cb: Codebook, multiply=None):
-    """``_masks`` and the row-vs-group inner products of a standardized store.
+def _group_products(store: RowSketchStore, cart: CartesianTransform, multiply=None):
+    """The row-vs-group inner products of a standardized store, (2, n_padded, depth, pi).
 
     cross[0, h*block + r, t, g] = <r_t^(i), right-group g of sketch row t>
     for the r-th index i of row-group h; cross[1] reads each column
@@ -272,7 +282,6 @@ def _group_products(store: RowSketchStore, cart: CartesianTransform, cb: Codeboo
     through ``multiply`` (numpy kernel by default), go straight into group
     order.
     """
-    masks = _masks(cart, cb, store.n)
     multiply = np.matmul if multiply is None else multiply
     depth, n_pad = store.transform.depth, cart.n_padded
     # index-major, the layout the per-bit einsum reads fastest: depth-major is about 3x slower
@@ -288,29 +297,77 @@ def _group_products(store: RowSketchStore, cart: CartesianTransform, cb: Codeboo
             np.multiply(rt.take(order, axis=0, out=signed, mode="clip"), s[order, None], out=signed)
             signed.reshape(cart.pi, cart.block, rt.shape[1]).sum(axis=1, out=group)
             np.take(multiply(rt, group.T), own, axis=0, out=cross[k, :, t], mode="clip")
-    return masks, cross
+    return cross
+
+
+def _stack_products(stack: np.ndarray, cart: CartesianTransform) -> np.ndarray:
+    """``_group_products``' products formed from the (depth, n, n) Gram stack.
+
+    <r_t^(i), right-group g> = sum over g's indices j of s2(j) G_t[j, i]:
+    the stack's rows gathered in ``order2`` and signed, summed per group,
+    then read at the row side's indices in ``order1``; the column side
+    swaps the sides. A Gram is symmetric, so rows stand in for columns.
+    Phantom indices carry zero weight and read zero products.
+    """
+    depth, n = stack.shape[:2]
+    cross = np.empty((2, cart.n_padded, depth, cart.pi))
+    grouped = np.zeros((cart.n_padded, depth, cart.pi))  # phantom rows stay 0
+    sides = ((cart.order1, cart.s2, cart.order2), (cart.order2, cart.s1, cart.order1))
+    for k, (own, s, order) in enumerate(sides):
+        weight = np.where(order < n, s[order], 0.0)  # "clip" reads row n-1 for a phantom
+        signed = stack.take(order, axis=1, mode="clip")
+        signed *= weight[:, None]
+        sums = signed.reshape(depth, cart.pi, cart.block, n).sum(axis=2)
+        grouped[:n] = sums.transpose(2, 0, 1)
+        np.take(grouped, own, axis=0, out=cross[k], mode="clip")
+    return cross
+
+
+def _gram_stack(store: RowSketchStore, multiply=None) -> np.ndarray:
+    """r_t r_t^T for every sketch row t, (depth, n, n), through ``multiply``.
+
+    The standardized rows of one sketch row at a time, its stored cells
+    only, go through one reused buffer, so the rows are never held whole.
+    """
+    multiply = np.matmul if multiply is None else multiply
+    stack = np.empty((store.transform.depth, store.n, store.n))
+    for t, (rt,) in _row_buffers(store, store.n):
+        stack[t] = multiply(store.sketch_row(t, rt), rt.T)
+    return stack
 
 
 def _median_gram(store: RowSketchStore) -> np.ndarray:
     """Elementwise median over sketch rows of r_t r_t^T, (n, n).
 
-    The standardized rows of one sketch row at a time, its stored cells
-    only, go through one reused buffer, so the rows are never held whole.
     Depth is odd, so the median is the middle order statistic.
     """
-    buffers = _row_buffers(store, store.n)
-    grams = np.stack([np.matmul(store.sketch_row(t, rt), rt.T) for t, (rt,) in buffers])
+    grams = _gram_stack(store)
     mid = len(grams) // 2
     grams.partition(mid, axis=0)
     return grams[mid].copy()  # a view would keep the whole stack alive
+
+
+def _stack_route(n: int, pi: int, gamma: int, depth: int, cells: int) -> bool:
+    """Whether a grouped query forms its products from the Gram stack.
+
+    Building the stack costs n^2 K / 2 multiply-adds (each r_t r_t^T is a
+    symmetric update), the row products 2 n K pi per repetition, K being
+    ``cells``; a repetition then gathers 2 depth n_pad^2 stack cells where
+    the row products read n_pad K. So the stack needs n_pad <= 4 gamma pi
+    and 2 depth n_pad <= K, which also holds it within half the store's
+    cells.
+    """
+    n_pad = pi * -(-n // pi)
+    return n_pad <= 4 * gamma * pi and 2 * depth * n_pad <= cells
 
 
 def _contract(w: np.ndarray, cross: np.ndarray) -> np.ndarray:
     """Masked group sums of one side, (bits, depth, pi, pi).
 
     ``w`` is the side's (pi, block, bits) masks and ``cross`` its
-    (n_padded, depth, pi) products, both from ``_group_products``. The column
-    side contracts to [l, t, g, h], so callers swap its last two axes.
+    (n_padded, depth, pi) products, from ``_masks`` and ``_group_products``
+    or ``_stack_products``. The column side contracts to [l, t, g, h], so
+    callers swap its last two axes.
     Each entry sums over its block in index order, so a bit's values do
     not depend on which other bits are contracted with it.
     """
@@ -355,6 +412,22 @@ def _require_grouping(store: RowSketchStore, cart: CartesianTransform):
         raise ValueError(f"grouping covers {cart.n} indices, store has {store.n}")
 
 
+def _median_buckets(masks: np.ndarray, cross: np.ndarray) -> np.ndarray:
+    """Median over sketch rows of both sides' masked group sums, (2, codeword_len, pi, pi).
+
+    ``masks`` from ``_masks``, ``cross`` from ``_group_products`` or
+    ``_stack_products``.
+    """
+    pi, nbits, mid = masks.shape[1], masks.shape[3], cross.shape[2] // 2  # odd depth
+    out = np.empty((2, nbits, pi, pi))
+    for med, w, side in zip((out[0], out[1].swapaxes(1, 2)), masks, cross):
+        for l in range(nbits):  # one bit at a time bounds the buffer
+            buf = _contract(w[:, :, l : l + 1], side)[0]
+            buf.partition(mid, axis=0)
+            med[l] = buf[mid]
+    return out
+
+
 def approximate(
     store: RowSketchStore, cart: CartesianTransform, cb: Codebook, *, multiply=None
 ) -> np.ndarray:
@@ -368,15 +441,7 @@ def approximate(
     and [1, l, h, g] is the column-masked one, masking by bit_l(j).
     """
     _require_grouping(store, cart)
-    masks, cross = _group_products(store, cart, cb, multiply)
-    mid = store.transform.depth // 2  # odd depth: the median is the middle order statistic
-    out = np.empty((2, cb.codeword_len, cart.pi, cart.pi))
-    for med, w, side in zip((out[0], out[1].swapaxes(1, 2)), masks, cross):
-        for l in range(cb.codeword_len):  # one bit at a time bounds the buffer
-            buf = _contract(w[:, :, l : l + 1], side)[0]
-            buf.partition(mid, axis=0)
-            med[l] = buf[mid]
-    return out
+    return _median_buckets(_masks(cart, cb, store.n), _group_products(store, cart, multiply))
 
 
 def approximate_per_row(
@@ -389,7 +454,8 @@ def approximate_per_row(
     force. Materializes the full stack; small inputs only.
     """
     _require_grouping(store, cart)
-    rows, cols = (_contract(w, side) for w, side in zip(*_group_products(store, cart, cb)))
+    masks, cross = _masks(cart, cb, store.n), _group_products(store, cart)
+    rows, cols = (_contract(w, side) for w, side in zip(masks, cross))
     return rows, cols.swapaxes(2, 3)
 
 
@@ -436,7 +502,9 @@ def _vote(
     Recovers from the first store, minus the second when one is given
     (a difference carries no unit diagonal, so no baseline). Repetition
     k groups by the k-th seed-stream value; singleton groups emit the
-    median Gram's pairs in every repetition without grouping. Ordered
+    median Gram's pairs in every repetition without grouping. Grouped
+    repetitions form their products by one route for every store, from
+    Gram stacks built once or from the rows (``_stack_route``). Ordered
     pairs are counted separately and majority survivors are
     canonicalized to i < j, then, with ``verify``, re-checked by
     ``verify_candidates``. Threads change only the schedule: results are
@@ -456,11 +524,18 @@ def _vote(
         scan = _gram_pairs(gram, cb, params.phi)
         step = lambda _: (scan, 0)
     else:
+        transform = stores[0].transform
+        if _stack_route(n, params.groups, params.reps, transform.depth, transform.cells):
+            sources, products = [_gram_stack(s) for s in stores], _stack_products
+        else:
+            sources, products = stores, _group_products
+
         def step(rep_seed: int):
             cart = CartesianTransform(n, params.groups, rep_seed)
-            buckets = approximate(stores[0], cart, cb)
-            for other in stores[1:]:
-                buckets -= approximate(other, cart, cb)
+            masks = _masks(cart, cb, n)
+            buckets = _median_buckets(masks, products(sources[0], cart))
+            for other in sources[1:]:
+                buckets -= _median_buckets(masks, products(other, cart))
             return _recovery_step_counted(
                 buckets, cart, cb, params.phi, subtract_baseline=len(stores) == 1
             )

@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import build_store, integer_matrix
@@ -49,6 +49,11 @@ def practical(n, phi, cb, groups, reps, transform=None, **kw):
             epsilon=None if transform is None else transform.epsilon,
             delta=None if transform is None else transform.delta,
         )
+
+
+def _route(n, pi, gamma, transform):
+    """Whether a grouped query on ``transform``'s stores takes the Gram stack."""
+    return recovery._stack_route(n, pi, gamma, transform.depth, transform.cells)
 
 
 # -- parameter selection ---------------------------------------------------
@@ -309,7 +314,9 @@ def test_occupied_buckets_give_the_all_columns_products(rng, p):
 @given(data=st.data())
 def test_recover_does_not_depend_on_the_multiply_kernel(data):
     # a seeded grouped recover gives the same pairs and ordered counts with
-    # an einsum kernel as with np.matmul; the kernel sees k_t-column operands
+    # an einsum kernel as with np.matmul, on either route; the kernel sees
+    # k_t-column operands
+    stack = data.draw(st.booleans(), label="stack route")
     width = data.draw(st.sampled_from([16, 32, 64]), label="width")
     wide = data.draw(st.booleans(), label="p >= width")
     p = data.draw(st.integers(width, 2 * width) if wide else st.integers(2, width - 1), label="p")
@@ -317,11 +324,13 @@ def test_recover_does_not_depend_on_the_multiply_kernel(data):
     depth = data.draw(st.sampled_from([1, 3, 5]), label="depth")
     pi = data.draw(st.integers(2, n - 1), label="pi")
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    transform = SketchTransform(p, width, depth, seed)
+    assume(_route(n, pi, 3, transform) == stack)
     rng = np.random.default_rng(seed)
     values = rng.standard_normal((n, p))
     i, j = rng.choice(n, 2, replace=False)
     values[j] = values[i] + 0.2 * rng.standard_normal(p)
-    store = RowSketchStore.from_matrix(SketchTransform(p, width, depth, seed), values)
+    store = RowSketchStore.from_matrix(transform, values)
     store.standardize()
     cb = ecc.for_index_space(n)
     params = practical(n, 0.8, cb, groups=pi, reps=3)
@@ -335,11 +344,15 @@ def test_recover_does_not_depend_on_the_multiply_kernel(data):
     for kernel in (np.matmul, einsum_kernel):
         counts = {}
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(recovery, "approximate", functools.partial(approximate, multiply=kernel))
+            for name in ("_group_products", "_gram_stack"):
+                mp.setattr(recovery, name, functools.partial(getattr(recovery, name), multiply=kernel))
             runs.append((recover(store, params, cb, seed=seed, counts=counts), counts))
     assert runs[0] == runs[1]
     sizes = [cols.size for cols in store.transform.occupied]
-    assert widths == [(k, k) for _ in range(params.reps) for k in sizes for _ in range(2)]
+    if stack:  # one r_t r_t^T per sketch row and query
+        assert widths == [(k, k) for k in sizes]
+    else:  # two products, one per side, per sketch row and repetition
+        assert widths == [(k, k) for _ in range(params.reps) for k in sizes for _ in range(2)]
     assert max(sizes) <= p < width if p < width else sizes == [width] * depth
 
 
@@ -640,17 +653,20 @@ def test_query_never_reads_materialized_rows(tmp_path, monkeypatch):
 
     monkeypatch.setattr(RowSketchStore, "rows", property(refuse))
     cb = ecc.for_index_space(48)
+    assert _route(48, 12, 3, transform) and not _route(48, 8, 1, transform)
     for query_store in (store, reloaded):
-        for groups in (48, 12):  # singleton and grouped
-            params = practical(48, 0.8, cb, groups=groups, reps=3)
+        # singleton, grouped from the Gram stack, grouped from the rows
+        for groups, reps in ((48, 3), (12, 3), (8, 1)):
+            params = practical(48, 0.8, cb, groups=groups, reps=reps)
             assert recover(query_store, params, cb, seed=5, verify=True) == {(3, 17)}
         checked = verify_candidates(query_store, [(3, 17), (1, 2)], 0.8)
         assert [(i, j, ok) for i, j, _, ok in checked] == [(1, 2, False), (3, 17, True)]
 
 
 def test_grouped_query_holds_no_copy_of_the_rows():
-    # each grouped repetition reads the standardized rows one sketch row at a
-    # time, so recover and recover_diff peak well below one copy of the rows
+    # each grouped repetition, or the Gram stack, reads the standardized rows
+    # one sketch row at a time, so recover and recover_diff peak well below
+    # one copy of the rows on either route
     rng = np.random.default_rng(41)
     transform = SketchTransform.from_accuracy(256, 0.02, 0.2, 42)
     assert (transform.depth, transform.width) == (13, 10**4)
@@ -660,16 +676,18 @@ def test_grouped_query_holds_no_copy_of_the_rows():
         store.standardize()
     rows_bytes = 64 * transform.depth * transform.width * 8  # 63.5 MiB
     cb = ecc.for_index_space(64)
-    params = practical(64, 0.8, cb, groups=8, reps=2, transform=transform)
-    for query in (lambda: recover(stores[0], params, cb, seed=5),
-                  lambda: recover_diff(*stores, params, cb, seed=5)):
-        tracemalloc.start()
-        try:
-            query()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < rows_bytes / 2, peak / rows_bytes
+    for reps, stack in ((2, True), (1, False)):  # n = 64 against 4 gamma pi = 64 and 32
+        params = practical(64, 0.8, cb, groups=8, reps=reps, transform=transform)
+        assert _route(64, 8, reps, transform) == stack
+        for query in (lambda: recover(stores[0], params, cb, seed=5),
+                      lambda: recover_diff(*stores, params, cb, seed=5)):
+            tracemalloc.start()
+            try:
+                query()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < rows_bytes / 2, peak / rows_bytes
 
 
 def test_grouped_products_are_held_once():
@@ -825,27 +843,34 @@ def test_singleton_query_builds_no_grouping(monkeypatch):
 
 
 def test_query_refusals_precede_the_median_gram(monkeypatch):
-    # threads, standardization and codebook size are checked before any product
+    # threads, standardization and codebook size are checked before any
+    # product: the singleton scan's median Gram and the grouped Gram stack
     store, _ = _planted_store(n=32, p=512)
     raw = build_store(np.random.default_rng(1).standard_normal((32, 64)))
     cb = ecc.for_index_space(store.n)
-    params = practical(store.n, 0.7, cb, groups=32, reps=2, transform=store.transform)
+    singleton = practical(store.n, 0.7, cb, groups=32, reps=2, transform=store.transform)
+    grouped = practical(store.n, 0.7, cb, groups=8, reps=2, transform=store.transform)
+    assert _route(store.n, 8, 2, store.transform)
 
     def refuse(*args):
-        raise AssertionError("formed a median Gram")
+        raise AssertionError("formed a Gram")
 
     monkeypatch.setattr(recovery, "_median_gram", refuse)
+    monkeypatch.setattr(recovery, "_gram_stack", refuse)
     cases = [
         (ParameterError, "threads must be at least 1, got 0", store, cb, 0),
         (SketchStateError, "standardized", raw, cb, 1),
         (ValueError, "codebook addresses 16 indices, store has 32", store,
          ecc.for_index_space(16), 1),
     ]
-    for error, match, s, book, threads in cases:
-        with pytest.raises(error, match=match):
-            recover(s, params, book, seed=3, threads=threads)
-        with pytest.raises(error, match=match):
-            recover_diff(s, s, params, book, seed=3, threads=threads)
+    for params in (singleton, grouped):
+        for error, match, s, book, threads in cases:
+            with pytest.raises(error, match=match):
+                recover(s, params, book, seed=3, threads=threads)
+            with pytest.raises(error, match=match):
+                recover_diff(s, s, params, book, seed=3, threads=threads)
+    with pytest.raises(AssertionError, match="formed a Gram"):  # the stack route is taken
+        recover(store, grouped, cb, seed=3)
 
 
 @pytest.mark.parametrize("groups", [64, 16])  # singleton and grouped paths
@@ -982,3 +1007,92 @@ def test_recover_diff_rejects_mismatched_transforms(rng):
     params = practical(8, 0.5, cb, groups=4, reps=2)
     with pytest.raises(ValueError, match="transforms"):
         recover_diff(a, b, params, cb, seed=1)
+
+
+# -- grouped products from the Gram stack -------------------------------------
+
+
+def test_route_rule():
+    # the stack when n_pad <= 4 gamma pi and 2 depth n_pad <= K, at equality too
+    assert recovery._stack_route(64, 4, 4, 1, 128)
+    assert not recovery._stack_route(65, 4, 4, 1, 128)  # n_pad 68 > 64
+    assert not recovery._stack_route(64, 4, 3, 1, 128)  # 64 > 48
+    assert not recovery._stack_route(64, 4, 4, 1, 127)  # 2 n_pad > K
+    assert recovery._stack_route(61, 4, 4, 2, 256)  # phantoms count: n_pad 64
+    assert not recovery._stack_route(61, 4, 4, 2, 255)
+    wide = SketchTransform.from_accuracy(1 << 20, 0.05, 0.2, 3)  # p >= width: K = d b
+    assert (wide.depth, wide.cells) == (13, 13 * 1600)
+    readme = SketchTransform.from_accuracy(1024, 0.02, 0.01, 11)  # the README demo's sketch
+    assert readme.depth == 37
+    # the stack: wide-stream, acceptance 09, the README grouped query
+    assert _route(64, 16, 5, wide)
+    assert _route(64, 32, 8, SketchTransform.from_accuracy(1024, 0.04, 0.2, 9500))
+    assert _route(128, 16, 4, readme)
+    # the rows: grouped1024, the theta = 2/3 grid, the n = 4,096 wide store,
+    # and the README query with --pi 8 --gamma 3
+    dense = SketchTransform.from_accuracy(256, 0.05, 0.2, 71)
+    assert not _route(1024, 267, 4, dense)
+    for n in (256, 512, 1024, 2048, 4096):
+        lam = ecc.for_index_space(n).error_fraction
+        assert not _route(n, min_group_count(n, 0.8, 2, 0.5, lam, 2.0 / 3.0), 4, dense), n
+    assert not _route(4096, 64, 4, wide)
+    assert not _route(128, 8, 3, readme)
+
+
+def _correlated_stores(n, p, width, seed):
+    """Two standardized stores over one transform; pairs (2, 9) and (4, 11) change between them."""
+    rng = np.random.default_rng(seed)
+    transform = SketchTransform(p, width, 5, seed)
+    values = rng.standard_normal((n, p))
+    values[9] = values[2] + 0.3 * rng.standard_normal(p)
+    changed = values.copy()
+    changed[9] = rng.standard_normal(p)
+    changed[11] = changed[4] + 0.3 * rng.standard_normal(p)
+    stores = [RowSketchStore.from_matrix(transform, v) for v in (values, changed)]
+    for store in stores:
+        store.standardize()
+    return stores
+
+
+@pytest.mark.parametrize(
+    "n,p,width,pi,stack",
+    [
+        (30, 400, 128, 4, True),  # p >= width, pi does not divide n
+        (30, 96, 256, 8, True),  # p < width, pi does not divide n
+        (32, 400, 128, 8, True),  # p >= width, no phantoms
+        (30, 400, 128, 2, False),  # n_pad > 4 gamma pi
+        (30, 40, 64, 4, False),  # p < width, 2 depth n_pad > K
+        (30, 96, 32, 7, False),  # p >= width, 2 depth n_pad > K
+    ],
+)
+def test_both_routes_give_the_same_query(monkeypatch, n, p, width, pi, stack):
+    # survivors, ordered counts and per-repetition diagnostics of recover and
+    # recover_diff do not depend on the route, on one thread or two, and
+    # every repetition's products, phantom rows included, and buckets agree
+    # to 1e-12
+    first, second = _correlated_stores(n, p, width, seed=n + p + width + pi)
+    cb = ecc.for_index_space(n)
+    params = practical(n, 0.7, cb, groups=pi, reps=3)
+    assert _route(n, pi, params.reps, first.transform) == stack
+    rule = recovery._stack_route
+    runs = []
+    for route in (rule, lambda *shape: True, lambda *shape: False):
+        monkeypatch.setattr(recovery, "_stack_route", route)
+        for threads in (1, 2):
+            diags, counts, diff_diags = [], {}, []
+            pairs = recover(first, params, cb, seed=5, threads=threads, diagnostics=diags,
+                            counts=counts)
+            diff = recover_diff(second, first, params, cb, seed=5, threads=threads,
+                                diagnostics=diff_diags)
+            runs.append((pairs, counts, _diag_key(diags), diff, _diag_key(diff_diags)))
+    assert all(run == runs[0] for run in runs)
+    assert runs[0][1] and sum(c for _, _, c in runs[0][4])  # both queries emit pairs
+    draws = seed_stream(5)
+    for _ in range(params.reps):
+        cart = CartesianTransform(n, pi, next(draws))
+        masks = recovery._masks(cart, cb, n)
+        for store in (first, second):
+            products = recovery._stack_products(recovery._gram_stack(store), cart)
+            assert np.abs(products - recovery._group_products(store, cart)).max() <= 1e-12
+            buckets = recovery._median_buckets(masks, products)
+            assert np.abs(buckets - approximate(store, cart, cb)).max() <= 1e-12
