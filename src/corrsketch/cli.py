@@ -105,7 +105,10 @@ def cmd_query(args) -> int:
             print(diag, file=sys.stderr)
         if generated:
             print(f"seed={seed}", file=sys.stderr)
-        header.update(pi=params.groups, gamma=params.reps, mode=params.mode)
+        path = recovery.query_path(
+            store.n, params.groups, params.reps, store.transform.depth, store.transform.cells
+        )
+        header.update(pi=params.groups, gamma=params.reps, mode=params.mode, path=path)
     header["pairs"] = len(rows)
     if args.json:
         print(json.dumps({"type": "run", **header}))

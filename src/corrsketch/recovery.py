@@ -16,34 +16,31 @@ One repetition works on a standardized row-sketch store:
 One voting loop (``_vote``) serves ``recover`` and ``recover_diff``:
 repetitions with fresh groupings vote, and pairs kept by at least half
 the repetitions survive. A difference subtracts the second store's
-buckets and skips the baseline. With singleton groups (pi >= n), every
-index pair has its own bucket, so a repetition is an exact scan of the
-elementwise median over sketch rows of the Gram matrices r_t r_t^T (or
-of the difference of two such medians) and every repetition emits the
-same pairs, read off that median once per query without grouping or
-decoding buckets (``_gram_pairs``). Otherwise a repetition needs every
-row-vs-group inner product, (2, n_pad, depth, pi), and ``_vote`` picks
-once per query where they come from (``_stack_route``):
+buckets and skips the baseline. ``query_path`` picks once per query
+between two ways to answer:
 
-  * the Gram stack r_t r_t^T (``_gram_stack``, the stack the median Gram
-    is taken of), built once per query and store, then gathered, signed
-    and group-summed per repetition (``_stack_products``), when
-    n_pad <= 4 gamma pi and 2 depth n_pad <= K: its n^2 K / 2
-    multiply-adds, and a repetition's gathers, cost no more than the
-    rows' products and reads, and it holds at most half the rows;
-  * else the rows: per repetition and sketch row, two
+  * the scan, for singleton groups (pi >= n) and for grouped shapes with
+    n_pad <= 4 gamma pi and 2 depth n_pad <= K, where the Grams cost no
+    more than the repetitions' products. With singleton groups every
+    index pair has its own bucket, so a repetition reads off exactly
+    whether |median over sketch rows of G_t[i, j]| >= phi/2, with
+    G_t = r_t r_t^T (or G_A,t - G_B,t for a difference). Depth is odd, so
+    that holds when at least depth//2 + 1 of the G_t reach phi/2, or
+    reach -phi/2: ``_scan_hits`` counts those hits one Gram at a time,
+    and every repetition votes the same pairs (``_gram_pairs``), without
+    grouping or decoding;
+  * else grouping: per repetition and sketch row, two
     (n x k_t) @ (k_t x pi) products go straight into group order
-    (``_group_products``).
+    (``_group_products``), and one contraction (``_contract``) per
+    codeword bit forms the masked buckets from them.
 
 Both read sketch row t's k_t <= min(p, b) stored cells, one contiguous
 slice of every row (``RowSketchStore.sketch_row``), into a reused buffer,
-so no query holds a copy of the rows. One contraction (``_contract``) per
-codeword bit forms the masked buckets from the products. ``approximate``
-builds every pi from the rows, singleton groups included, so ``_vote``'s
-pi >= n test is the one place that takes the median-Gram scan. The
-multiply is injectable. Majority survivors can be re-checked against the
-direct pairwise estimates (``verify_candidates``), or, for a difference,
-against the change in them.
+so no query holds a copy of the rows, and a scan holds one Gram at a time.
+``approximate`` builds every pi from the rows, singleton groups included.
+The multiply is injectable. Majority survivors can be re-checked against
+the direct pairwise estimates (``verify_candidates``), or, for a
+difference, against the change in them.
 """
 
 from __future__ import annotations
@@ -300,99 +297,77 @@ def _group_products(store: RowSketchStore, cart: CartesianTransform, multiply=No
     return cross
 
 
-def _stack_products(stack: np.ndarray, cart: CartesianTransform) -> np.ndarray:
-    """``_group_products``' products formed from the (depth, n, n) Gram stack.
+def query_path(n: int, pi: int, gamma: int, depth: int, cells: int) -> str:
+    """Which way a query answers: ``"scan"`` or ``"grouped"``.
 
-    <r_t^(i), right-group g> = sum over g's indices j of s2(j) G_t[j, i]:
-    the stack's rows gathered in ``order2`` and signed, summed per group,
-    then read at the row side's indices in ``order1``; the column side
-    swaps the sides. A Gram is symmetric, so rows stand in for columns.
-    Phantom indices carry zero weight and read zero products.
-    """
-    depth, n = stack.shape[:2]
-    cross = np.empty((2, cart.n_padded, depth, cart.pi))
-    grouped = np.zeros((cart.n_padded, depth, cart.pi))  # phantom rows stay 0
-    sides = ((cart.order1, cart.s2, cart.order2), (cart.order2, cart.s1, cart.order1))
-    for k, (own, s, order) in enumerate(sides):
-        weight = np.where(order < n, s[order], 0.0)  # "clip" reads row n-1 for a phantom
-        signed = stack.take(order, axis=1, mode="clip")
-        signed *= weight[:, None]
-        sums = signed.reshape(depth, cart.pi, cart.block, n).sum(axis=2)
-        grouped[:n] = sums.transpose(2, 0, 1)
-        np.take(grouped, own, axis=0, out=cross[k], mode="clip")
-    return cross
-
-
-def _gram_stack(store: RowSketchStore, multiply=None) -> np.ndarray:
-    """r_t r_t^T for every sketch row t, (depth, n, n), through ``multiply``.
-
-    The standardized rows of one sketch row at a time, its stored cells
-    only, go through one reused buffer, so the rows are never held whole.
-    """
-    multiply = np.matmul if multiply is None else multiply
-    stack = np.empty((store.transform.depth, store.n, store.n))
-    for t, (rt,) in _row_buffers(store, store.n):
-        stack[t] = multiply(store.sketch_row(t, rt), rt.T)
-    return stack
-
-
-def _median_gram(store: RowSketchStore) -> np.ndarray:
-    """Elementwise median over sketch rows of r_t r_t^T, (n, n).
-
-    Depth is odd, so the median is the middle order statistic.
-    """
-    grams = _gram_stack(store)
-    mid = len(grams) // 2
-    grams.partition(mid, axis=0)
-    return grams[mid].copy()  # a view would keep the whole stack alive
-
-
-def _stack_route(n: int, pi: int, gamma: int, depth: int, cells: int) -> bool:
-    """Whether a grouped query forms its products from the Gram stack.
-
-    Building the stack costs n^2 K / 2 multiply-adds (each r_t r_t^T is a
-    symmetric update), the row products 2 n K pi per repetition, K being
-    ``cells``; a repetition then gathers 2 depth n_pad^2 stack cells where
-    the row products read n_pad K. So the stack needs n_pad <= 4 gamma pi
-    and 2 depth n_pad <= K, which also holds it within half the store's
-    cells.
+    Singleton groups (pi >= n) scan. So does a grouped shape with
+    n_pad <= 4 gamma pi, where the scan's n^2 K / 2 multiply-adds (each
+    r_t r_t^T is a symmetric update, K being ``cells``) cost no more than
+    the repetitions' 2 gamma n K pi, and 2 depth n_pad <= K. The second
+    condition models no cost of either path; it keeps shapes with large n
+    and few cells per row, such as the theta = 2/3 grid, grouped until the
+    rule is fitted to measured costs.
     """
     n_pad = pi * -(-n // pi)
-    return n_pad <= 4 * gamma * pi and 2 * depth * n_pad <= cells
+    scans = pi >= n or (n_pad <= 4 * gamma * pi and 2 * depth * n_pad <= cells)
+    return "scan" if scans else "grouped"
+
+
+def _scan_hits(stores: tuple, phi: float, multiply=None) -> np.ndarray:
+    """Whether |median over sketch rows of G_t[i, j]| >= phi/2, (n, n) bool.
+
+    G_t = r_t r_t^T, formed through ``multiply`` (numpy kernel by default)
+    one sketch row at a time from each store's stored cells, minus the
+    second store's G_t for a difference. Depth d is odd, so the median
+    reaches phi/2 exactly when at least d//2 + 1 of the G_t do, and
+    reaches -phi/2 likewise: counting hits needs no (d, n, n) stack.
+    """
+    multiply = np.matmul if multiply is None else multiply
+    n, depth, half = stores[0].n, stores[0].transform.depth, phi / 2.0
+    high, low = (np.zeros((n, n), np.min_scalar_type(depth)) for _ in range(2))
+    hit = np.empty((n, n), bool)
+    for t, rows in _row_buffers(stores[0], *[n] * len(stores)):
+        gram = multiply(stores[0].sketch_row(t, rows[0]), rows[0].T)
+        for other, rt in zip(stores[1:], rows[1:]):
+            gram -= multiply(other.sketch_row(t, rt), rt.T)
+        high += np.greater_equal(gram, half, out=hit)
+        low += np.less_equal(gram, -half, out=hit)
+    need = depth // 2 + 1
+    return (high >= need) | (low >= need)
 
 
 def _contract(w: np.ndarray, cross: np.ndarray) -> np.ndarray:
     """Masked group sums of one side, (bits, depth, pi, pi).
 
     ``w`` is the side's (pi, block, bits) masks and ``cross`` its
-    (n_padded, depth, pi) products, from ``_masks`` and ``_group_products``
-    or ``_stack_products``. The column side contracts to [l, t, g, h], so
-    callers swap its last two axes.
+    (n_padded, depth, pi) products, from ``_masks`` and ``_group_products``.
+    The column side contracts to [l, t, g, h], so callers swap its last
+    two axes.
     Each entry sums over its block in index order, so a bit's values do
     not depend on which other bits are contracted with it.
     """
     return np.einsum("hil,hitg->lthg", w, cross.reshape(w.shape[:2] + cross.shape[1:]))
 
 
-def _gram_pairs(gram: np.ndarray, cb: Codebook, phi: float) -> list[tuple[int, int]]:
-    """Every singleton-group repetition's decoded pairs, read off the Gram.
+def _gram_pairs(big: np.ndarray, cb: Codebook) -> list[tuple[int, int]]:
+    """Every singleton-group repetition's decoded pairs, read off the Gram's hits.
 
-    Under any singleton grouping each index pair (i, j) has one bucket,
-    with masked values exactly +-bit_l(i) G[i, j] and +-bit_l(j) G[j, i].
-    Its row side decodes to i when |G[i, j]| >= phi/2, else to what the
-    all-zero word decodes to, and its column side reads G[j, i] alike;
+    ``big[i, j]`` says whether |G[i, j]| >= phi/2 (``_scan_hits``). Under
+    any singleton grouping each index pair (i, j) has one bucket, with
+    masked values exactly +-bit_l(i) G[i, j] and +-bit_l(j) G[j, i]. Its
+    row side decodes to i when ``big[i, j]``, else to what the all-zero
+    word decodes to, and its column side reads ``big[j, i]`` alike;
     ``_decoded_pairs`` says which buckets emit, and phantom buckets emit
     nothing. The baseline changes nothing: both sides of a diagonal
     bucket read the same entry. The all-zero word is a codeword, so it
     decodes to the index whose codeword it is, if any: the codebook's
     table answers without decoding.
     """
-    idx = np.arange(len(gram))
+    idx = np.arange(len(big))
     zero = np.flatnonzero(~cb.bit_matrix().any(axis=1))
     silent = zero[0] if len(zero) else -1
-    big = np.abs(gram) >= phi / 2.0
     dec_i, dec_j = np.where(big, idx[:, None], silent), np.where(big.T, idx, silent)
-    return _decoded_pairs(dec_i, dec_j, len(gram))
+    return _decoded_pairs(dec_i, dec_j, len(big))
 
 
 def _decoded_pairs(dec_i: np.ndarray, dec_j: np.ndarray, n: int) -> list[tuple[int, int]]:
@@ -415,8 +390,7 @@ def _require_grouping(store: RowSketchStore, cart: CartesianTransform):
 def _median_buckets(masks: np.ndarray, cross: np.ndarray) -> np.ndarray:
     """Median over sketch rows of both sides' masked group sums, (2, codeword_len, pi, pi).
 
-    ``masks`` from ``_masks``, ``cross`` from ``_group_products`` or
-    ``_stack_products``.
+    ``masks`` from ``_masks``, ``cross`` from ``_group_products``.
     """
     pi, nbits, mid = masks.shape[1], masks.shape[3], cross.shape[2] // 2  # odd depth
     out = np.empty((2, nbits, pi, pi))
@@ -500,12 +474,12 @@ def _vote(
     """Vote over ``params.reps`` repetitions; keep pairs with a majority.
 
     Recovers from the first store, minus the second when one is given
-    (a difference carries no unit diagonal, so no baseline). Repetition
-    k groups by the k-th seed-stream value; singleton groups emit the
-    median Gram's pairs in every repetition without grouping. Grouped
-    repetitions form their products by one route for every store, from
-    Gram stacks built once or from the rows (``_stack_route``). Ordered
-    pairs are counted separately and majority survivors are
+    (a difference carries no unit diagonal, so no baseline). A scan
+    (``query_path``) counts each Gram's hits once per query
+    (``_scan_hits``) and emits their pairs in every repetition, without
+    grouping or decoding. Otherwise repetition k groups by the k-th
+    seed-stream value and forms its products from each store's rows.
+    Ordered pairs are counted separately and majority survivors are
     canonicalized to i < j, then, with ``verify``, re-checked by
     ``verify_candidates``. Threads change only the schedule: results are
     merged in repetition order.
@@ -517,25 +491,17 @@ def _vote(
     require_count("threads", threads)
     draws = seed_stream(seed)
     rep_seeds = [next(draws) for _ in range(params.reps)]
-    if params.groups >= n:
-        gram = _median_gram(stores[0])
-        for other in stores[1:]:
-            gram -= _median_gram(other)
-        scan = _gram_pairs(gram, cb, params.phi)
+    transform = stores[0].transform
+    if query_path(n, params.groups, params.reps, transform.depth, transform.cells) == "scan":
+        scan = _gram_pairs(_scan_hits(stores, params.phi), cb)
         step = lambda _: (scan, 0)
     else:
-        transform = stores[0].transform
-        if _stack_route(n, params.groups, params.reps, transform.depth, transform.cells):
-            sources, products = [_gram_stack(s) for s in stores], _stack_products
-        else:
-            sources, products = stores, _group_products
-
         def step(rep_seed: int):
             cart = CartesianTransform(n, params.groups, rep_seed)
             masks = _masks(cart, cb, n)
-            buckets = _median_buckets(masks, products(sources[0], cart))
-            for other in sources[1:]:
-                buckets -= _median_buckets(masks, products(other, cart))
+            buckets = _median_buckets(masks, _group_products(stores[0], cart))
+            for other in stores[1:]:
+                buckets -= _median_buckets(masks, _group_products(other, cart))
             return _recovery_step_counted(
                 buckets, cart, cb, params.phi, subtract_baseline=len(stores) == 1
             )
@@ -633,9 +599,11 @@ def recover_diff(
     """Recover pairs whose correlation changed by >= phi between snapshots.
 
     Runs the grouped approximation on both stores under a shared grouping
-    per repetition and recovers from the bucket differences (with
-    singleton groups, from the difference of the two median Grams). The
-    unit diagonals cancel in the difference, so no baseline is subtracted.
+    per repetition and recovers from the bucket differences. A scan
+    (``query_path``) counts, per sketch row t, the hits of the difference
+    G_A,t - G_B,t of the two Grams, which both stores' shared transform
+    makes an estimate of the change. The unit diagonals cancel in the
+    difference, so no baseline is subtracted.
     Majority survivors are (optionally) re-checked against the change in
     the direct pairwise estimates, accepted when it is >= phi - 8 eps.
     """

@@ -680,19 +680,29 @@ def test_store_holds_only_the_occupied_cells():
 @pytest.mark.parametrize("offset", [0.0, 1e8])
 def test_median_gram_matches_standardized_rows(tmp_path, rng, offset):
     # rows far from zero mean: a Gram of the stored rows corrected for the shift
-    # afterwards would cancel catastrophically (it read -23 for a 0.91 entry at 1e8)
-    from corrsketch.recovery import _median_gram
+    # afterwards would cancel catastrophically (it read -23 for a 0.91 entry at 1e8).
+    # Each sketch row's Gram over the served rows is within 1e-12 of the
+    # reference rewrite's, and the scan decides as the reference median does
+    from corrsketch.recovery import _scan_hits
 
     path, store = _mapped_store(tmp_path, rng, n=12, p=64, offset=offset)
     reference = _standardized_in_place(store).transpose(1, 0, 2)
-    expect = np.median(np.stack([rt @ rt.T for rt in reference]), axis=0)
+    expect = np.stack([rt @ rt.T for rt in reference])
+    median = np.median(expect, axis=0)
     store.standardize()
-    assert np.abs(_median_gram(store) - expect).max() <= 1e-12
     again = tmp_path / "std.snap"
     store.save(again)
     back = RowSketchStore.load(again)
     back.standardize()
-    assert np.abs(_median_gram(back) - expect).max() <= 1e-12
+    for served in (store, back):
+        for t, k in enumerate(np.diff(served.transform.offsets)):
+            rt = served.sketch_row(t, np.empty((served.n, k)))
+            assert np.abs(rt @ rt.T - expect[t]).max() <= 1e-12
+        for phi in (0.3, 0.8, 1.0):
+            decided = np.abs(median) >= phi / 2
+            assert decided.any() and not decided.all()
+            assert np.abs(np.abs(median) - phi / 2).min() > 1e-9  # no entry within the tolerance
+            assert np.array_equal(_scan_hits((served,), phi), decided)
 
 
 def test_standardized_store_round_trips_its_linear_state(tmp_path, rng):

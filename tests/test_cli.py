@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from corrsketch import ams, bench, cli, oracle
+from corrsketch import ams, bench, cli, oracle, recovery
 from corrsketch.ams import RowSketchStore
 from corrsketch.bench import BenchGrid, parse_grid, run_point
 from corrsketch.stream import DenseMatrix, StreamModel, matrix_to_updates, write_stream_file
@@ -234,6 +234,35 @@ def test_query_reproducible_and_json(tmp_path, capsys, planted_stream):
     assert "rep=0" in err1  # per-repetition diagnostics on stderr
 
 
+@pytest.mark.parametrize(
+    "pi,gamma,path", [(24, 3, "scan"), (12, 3, "scan"), (4, 1, "grouped"), (2, 2, "grouped")]
+)
+def test_query_header_names_the_path(tmp_path, capsys, planted_stream, pi, gamma, path):
+    # the header line and the JSON run record name the path recovery.query_path picks
+    stream, _ = planted_stream
+    snap = tmp_path / "p.snap"
+    run_cli(
+        capsys, "ingest", "--model", "rps", "--input", str(stream), "--out", str(snap),
+        "--epsilon", "0.05", "--delta", "0.1", "--seed", "8",
+    )
+    t = RowSketchStore.load(snap).transform
+    assert recovery.query_path(24, pi, gamma, t.depth, t.cells) == path
+    args = (
+        "query", "--snapshot", str(snap), "--phi", "0.7", "--k", "2", "--R", "1.0",
+        "--pi", str(pi), "--gamma", str(gamma), "--seed", "33",
+    )
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    header = out.splitlines()[0]
+    assert header.startswith(f"# seed=33 phi=0.7 pi={pi} gamma={gamma} mode=practical path={path} ")
+    code, out, _ = run_cli(capsys, *args, "--json")
+    assert code == 0
+    assert json.loads(out.splitlines()[0]) == {
+        "type": "run", "seed": 33, "phi": 0.7, "pi": pi, "gamma": gamma, "mode": "practical",
+        "path": path, "pairs": int(header.rsplit("pairs=", 1)[1]),
+    }
+
+
 def test_query_verified_pairs_only(tmp_path, capsys, planted_stream):
     # every reported pair must pass the query's own verification filter
     stream, _ = planted_stream
@@ -421,10 +450,12 @@ def test_query_threads_flag_reproducible(tmp_path, capsys, planted_stream):
         "--epsilon", "0.05", "--delta", "0.1", "--seed", "8",
     )
     base = ("query", "--snapshot", str(snap), "--phi", "0.7", "--k", "2", "--R", "1.0",
-            "--pi", "12", "--gamma", "6", "--seed", "33")
-    _, out1, _ = run_cli(capsys, *base, "--threads", "1")
-    _, out2, _ = run_cli(capsys, *base, "--threads", "2")
-    assert out1 == out2
+            "--seed", "33")
+    for pi, gamma, path in (("12", "6", "scan"), ("2", "2", "grouped")):
+        _, out1, _ = run_cli(capsys, *base, "--pi", pi, "--gamma", gamma, "--threads", "1")
+        _, out2, _ = run_cli(capsys, *base, "--pi", pi, "--gamma", gamma, "--threads", "2")
+        assert out1 == out2
+        assert f" path={path} " in out1.splitlines()[0]
 
 
 @pytest.mark.parametrize(

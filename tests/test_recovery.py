@@ -51,9 +51,9 @@ def practical(n, phi, cb, groups, reps, transform=None, **kw):
         )
 
 
-def _route(n, pi, gamma, transform):
-    """Whether a grouped query on ``transform``'s stores takes the Gram stack."""
-    return recovery._stack_route(n, pi, gamma, transform.depth, transform.cells)
+def _path(n, pi, gamma, transform):
+    """The path, "scan" or "grouped", a query on ``transform``'s stores takes."""
+    return recovery.query_path(n, pi, gamma, transform.depth, transform.cells)
 
 
 # -- parameter selection ---------------------------------------------------
@@ -302,8 +302,6 @@ def test_occupied_buckets_give_the_all_columns_products(rng, p):
             return np.array_equal(got, expect)
         return np.abs(got - expect).max() <= 1e-12
 
-    gram = np.median(np.stack([rt @ rt.T for rt in np.ascontiguousarray(store.rows)]), axis=0)
-    assert same(recovery._median_gram(store), gram)
     cb = ecc.for_index_space(n)
     for pi in (3, 5, n):  # grouped, grouped with phantom indices, singleton
         cart = CartesianTransform(n, pi, seed=43)
@@ -313,19 +311,19 @@ def test_occupied_buckets_give_the_all_columns_products(rng, p):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_recover_does_not_depend_on_the_multiply_kernel(data):
-    # a seeded grouped recover gives the same pairs and ordered counts with
-    # an einsum kernel as with np.matmul, on either route; the kernel sees
+    # a seeded recover gives the same pairs and ordered counts with an
+    # einsum kernel as with np.matmul, on either path; the kernel sees
     # k_t-column operands
-    stack = data.draw(st.booleans(), label="stack route")
+    path = data.draw(st.sampled_from(["scan", "grouped"]), label="path")
     width = data.draw(st.sampled_from([16, 32, 64]), label="width")
     wide = data.draw(st.booleans(), label="p >= width")
     p = data.draw(st.integers(width, 2 * width) if wide else st.integers(2, width - 1), label="p")
     n = data.draw(st.integers(6, 20), label="n")
     depth = data.draw(st.sampled_from([1, 3, 5]), label="depth")
-    pi = data.draw(st.integers(2, n - 1), label="pi")
+    pi = data.draw(st.integers(2, n + 2), label="pi")
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     transform = SketchTransform(p, width, depth, seed)
-    assume(_route(n, pi, 3, transform) == stack)
+    assume(_path(n, pi, 3, transform) == path)
     rng = np.random.default_rng(seed)
     values = rng.standard_normal((n, p))
     i, j = rng.choice(n, 2, replace=False)
@@ -344,12 +342,12 @@ def test_recover_does_not_depend_on_the_multiply_kernel(data):
     for kernel in (np.matmul, einsum_kernel):
         counts = {}
         with pytest.MonkeyPatch.context() as mp:
-            for name in ("_group_products", "_gram_stack"):
+            for name in ("_group_products", "_scan_hits"):
                 mp.setattr(recovery, name, functools.partial(getattr(recovery, name), multiply=kernel))
             runs.append((recover(store, params, cb, seed=seed, counts=counts), counts))
     assert runs[0] == runs[1]
     sizes = [cols.size for cols in store.transform.occupied]
-    if stack:  # one r_t r_t^T per sketch row and query
+    if path == "scan":  # one r_t r_t^T per sketch row, query and store
         assert widths == [(k, k) for k in sizes]
     else:  # two products, one per side, per sketch row and repetition
         assert widths == [(k, k) for _ in range(params.reps) for k in sizes for _ in range(2)]
@@ -446,9 +444,10 @@ def _planted_store(n=64, p=1024, pairs=((3, 17, 0.9),), seed=21, epsilon=0.05, d
 def test_recover_single_repetition_equals_one_step():
     store, _ = _planted_store()
     cb = ecc.for_index_space(store.n)
-    params = practical(store.n, 0.8, cb, groups=32, reps=1, transform=store.transform)
+    params = practical(store.n, 0.8, cb, groups=8, reps=1, transform=store.transform)
+    assert _path(store.n, 8, 1, store.transform) == "grouped"
     got = recover(store, params, cb, seed=77)
-    cart = CartesianTransform(store.n, 32, next(seed_stream(77)))
+    cart = CartesianTransform(store.n, 8, next(seed_stream(77)))
     pairs = recovery_step(approximate(store, cart, cb), cart, cb, 0.8)
     expect = {(min(i, j), max(i, j)) for i, j in pairs}
     assert got == expect
@@ -476,8 +475,10 @@ def _diag_key(diags):
 def test_recover_deterministic_and_thread_invariant():
     store, _ = _planted_store()
     cb = ecc.for_index_space(store.n)
-    for groups in (32, 64):  # grouped, and singleton groups (median Gram)
-        params = practical(store.n, 0.8, cb, groups=groups, reps=6, transform=store.transform)
+    # grouped, a grouped shape the rule scans, and singleton groups
+    for groups, reps, path in ((5, 3, "grouped"), (32, 6, "scan"), (64, 6, "scan")):
+        params = practical(store.n, 0.8, cb, groups=groups, reps=reps, transform=store.transform)
+        assert _path(store.n, groups, reps, store.transform) == path
         runs = []
         for threads in (1, 1, 2):
             diags, counts = [], {}
@@ -485,7 +486,7 @@ def test_recover_deterministic_and_thread_invariant():
                             counts=counts)
             runs.append((pairs, counts, _diag_key(diags)))
         assert runs[0] == runs[1] == runs[2]
-        assert [i for i, _, _ in runs[0][2]] == list(range(6))
+        assert [i for i, _, _ in runs[0][2]] == list(range(reps))
 
 
 def test_threads_finding_the_occupied_buckets_at_once_agree():
@@ -542,11 +543,12 @@ def test_recover_time_linear_in_reps():
     # both sides, and medians of five smooth scheduler noise
     import time
 
-    store, _ = _planted_store(n=64, p=512, epsilon=0.04, delta=0.2)
+    store, _ = _planted_store(n=128, p=512, epsilon=0.04, delta=0.2)
     cb = ecc.for_index_space(store.n)
+    assert _path(128, 3, 8, store.transform) == "grouped"  # n_pad = 129 > 4 gamma pi = 96
 
     def timed(reps):
-        params = practical(store.n, 0.8, cb, groups=32, reps=reps, transform=store.transform)
+        params = practical(store.n, 0.8, cb, groups=3, reps=reps, transform=store.transform)
         t0 = time.perf_counter()
         recover(store, params, cb, seed=8)
         return time.perf_counter() - t0
@@ -653,10 +655,11 @@ def test_query_never_reads_materialized_rows(tmp_path, monkeypatch):
 
     monkeypatch.setattr(RowSketchStore, "rows", property(refuse))
     cb = ecc.for_index_space(48)
-    assert _route(48, 12, 3, transform) and not _route(48, 8, 1, transform)
+    shapes = {(48, 3): "scan", (5, 2): "grouped", (8, 1): "grouped"}
+    assert {shape: _path(48, *shape, transform) for shape in shapes} == shapes
     for query_store in (store, reloaded):
-        # singleton, grouped from the Gram stack, grouped from the rows
-        for groups, reps in ((48, 3), (12, 3), (8, 1)):
+        # singleton, grouped with phantom indices, grouped
+        for groups, reps in shapes:
             params = practical(48, 0.8, cb, groups=groups, reps=reps)
             assert recover(query_store, params, cb, seed=5, verify=True) == {(3, 17)}
         checked = verify_candidates(query_store, [(3, 17), (1, 2)], 0.8)
@@ -664,9 +667,8 @@ def test_query_never_reads_materialized_rows(tmp_path, monkeypatch):
 
 
 def test_grouped_query_holds_no_copy_of_the_rows():
-    # each grouped repetition, or the Gram stack, reads the standardized rows
-    # one sketch row at a time, so recover and recover_diff peak well below
-    # one copy of the rows on either route
+    # each grouped repetition reads the standardized rows one sketch row at
+    # a time, so recover and recover_diff peak well below one copy of the rows
     rng = np.random.default_rng(41)
     transform = SketchTransform.from_accuracy(256, 0.02, 0.2, 42)
     assert (transform.depth, transform.width) == (13, 10**4)
@@ -676,9 +678,9 @@ def test_grouped_query_holds_no_copy_of_the_rows():
         store.standardize()
     rows_bytes = 64 * transform.depth * transform.width * 8  # 63.5 MiB
     cb = ecc.for_index_space(64)
-    for reps, stack in ((2, True), (1, False)):  # n = 64 against 4 gamma pi = 64 and 32
-        params = practical(64, 0.8, cb, groups=8, reps=reps, transform=transform)
-        assert _route(64, 8, reps, transform) == stack
+    for groups, reps in ((4, 2), (8, 1)):  # n = 64 > 4 gamma pi = 32
+        params = practical(64, 0.8, cb, groups=groups, reps=reps, transform=transform)
+        assert _path(64, groups, reps, transform) == "grouped"
         for query in (lambda: recover(stores[0], params, cb, seed=5),
                       lambda: recover_diff(*stores, params, cb, seed=5)):
             tracemalloc.start()
@@ -775,7 +777,7 @@ def test_gram_pairs_equal_decoded_buckets_under_any_grouping(data):
         gram = np.triu(gram) + np.triu(gram, 1).T
     gram[0, data.draw(st.integers(1, n - 1))] = phi  # a heavy entry on index 0
     cb = ecc.for_index_space(n + data.draw(st.integers(0, 40)))
-    expect = Counter(_gram_pairs(gram, cb, phi))
+    expect = Counter(_gram_pairs(np.abs(gram) >= half, cb))
     for _ in range(2):
         cart = CartesianTransform(n, pi, data.draw(st.integers(0, 2**32 - 1)))
         # the column side's bucket for (i, j) reads G[j, i], masked by bit_l(j)
@@ -808,7 +810,7 @@ def test_singleton_query_does_not_depend_on_the_seed(extra):
 
 
 def test_singleton_query_never_decodes(monkeypatch):
-    # pi >= n thresholds the median Gram directly; pi < n still decodes words
+    # a scan counts Gram hits directly; a grouped query still decodes words
     store, _ = _planted_store(n=32, p=512)
     before, after, pair = _diff_stores()
     cb = ecc.for_index_space(store.n)
@@ -820,7 +822,8 @@ def test_singleton_query_never_decodes(monkeypatch):
     singleton = practical(store.n, 0.7, cb, groups=32, reps=5, transform=store.transform)
     assert (3, 17) in recover(store, singleton, cb, seed=29)
     assert pair in recover_diff(after, before, singleton, cb, seed=31)
-    grouped = practical(store.n, 0.7, cb, groups=16, reps=1, transform=store.transform)
+    grouped = practical(store.n, 0.7, cb, groups=4, reps=1, transform=store.transform)
+    assert _path(store.n, 4, 1, store.transform) == "grouped"  # n = 32 > 4 gamma pi = 16
     with pytest.raises(AssertionError, match="decoded a word"):
         recover(store, grouped, cb, seed=29)
     with pytest.raises(AssertionError, match="decoded a word"):
@@ -844,19 +847,21 @@ def test_singleton_query_builds_no_grouping(monkeypatch):
 
 def test_query_refusals_precede_the_median_gram(monkeypatch):
     # threads, standardization and codebook size are checked before any
-    # product: the singleton scan's median Gram and the grouped Gram stack
+    # product: the scan's Grams and a grouped repetition's products
     store, _ = _planted_store(n=32, p=512)
     raw = build_store(np.random.default_rng(1).standard_normal((32, 64)))
     cb = ecc.for_index_space(store.n)
     singleton = practical(store.n, 0.7, cb, groups=32, reps=2, transform=store.transform)
-    grouped = practical(store.n, 0.7, cb, groups=8, reps=2, transform=store.transform)
-    assert _route(store.n, 8, 2, store.transform)
+    grouped = practical(store.n, 0.7, cb, groups=3, reps=2, transform=store.transform)
+    assert _path(store.n, 3, 2, store.transform) == "grouped"
 
-    def refuse(*args):
-        raise AssertionError("formed a Gram")
+    def refuse(what):
+        def refused(*args):
+            raise AssertionError(f"formed {what}")
+        return refused
 
-    monkeypatch.setattr(recovery, "_median_gram", refuse)
-    monkeypatch.setattr(recovery, "_gram_stack", refuse)
+    monkeypatch.setattr(recovery, "_scan_hits", refuse("a Gram"))
+    monkeypatch.setattr(recovery, "_group_products", refuse("products"))
     cases = [
         (ParameterError, "threads must be at least 1, got 0", store, cb, 0),
         (SketchStateError, "standardized", raw, cb, 1),
@@ -869,7 +874,9 @@ def test_query_refusals_precede_the_median_gram(monkeypatch):
                 recover(s, params, book, seed=3, threads=threads)
             with pytest.raises(error, match=match):
                 recover_diff(s, s, params, book, seed=3, threads=threads)
-    with pytest.raises(AssertionError, match="formed a Gram"):  # the stack route is taken
+    with pytest.raises(AssertionError, match="formed a Gram"):  # the scan is taken
+        recover(store, singleton, cb, seed=3)
+    with pytest.raises(AssertionError, match="formed products"):
         recover(store, grouped, cb, seed=3)
 
 
@@ -938,7 +945,8 @@ def test_recover_diff_verify_keeps_exactly_the_changed_pairs(seed):
     # least phi - 8 eps, which here is exactly the changed pair, either way round
     before, after, pair = _diff_stores(n=64, p=256)
     cb = ecc.for_index_space(before.n)
-    params = practical(before.n, 0.7, cb, groups=8, reps=4, transform=before.transform)
+    params = practical(before.n, 0.7, cb, groups=6, reps=2, transform=before.transform)
+    assert _path(64, 6, 2, before.transform) == "grouped"  # n_pad = 66 > 4 gamma pi = 48
     for first, second in ((after, before), (before, after)):
         bare = recover_diff(first, second, params, cb, seed=seed)
         assert pair in bare and len(bare) > 1
@@ -982,11 +990,14 @@ def test_recover_diff_reordered_stream_is_empty(rng):
     assert recover_diff(a, b, params, cb, seed=19) == set()
 
 
-@pytest.mark.parametrize("groups", [16, 32])  # pi < n, and singleton groups
-def test_recover_diff_thread_invariant(groups):
+@pytest.mark.parametrize(  # grouped, a grouped shape the rule scans, and singleton groups
+    "groups,reps,path", [(3, 2, "grouped"), (16, 5, "scan"), (32, 5, "scan")], ids=["3", "16", "32"]
+)
+def test_recover_diff_thread_invariant(groups, reps, path):
     before, after, pair = _diff_stores()
     cb = ecc.for_index_space(before.n)
-    params = practical(before.n, 0.7, cb, groups=groups, reps=5, transform=before.transform)
+    params = practical(before.n, 0.7, cb, groups=groups, reps=reps, transform=before.transform)
+    assert _path(before.n, groups, reps, before.transform) == path
     runs = []
     for threads in (1, 2):
         diags = []
@@ -994,7 +1005,7 @@ def test_recover_diff_thread_invariant(groups):
         runs.append((pairs, _diag_key(diags)))
     assert runs[0] == runs[1]
     assert pair in runs[0][0]
-    assert [i for i, _, _ in runs[0][1]] == list(range(5))
+    assert [i for i, _, _ in runs[0][1]] == list(range(reps))
 
 
 def test_recover_diff_rejects_mismatched_transforms(rng):
@@ -1009,34 +1020,41 @@ def test_recover_diff_rejects_mismatched_transforms(rng):
         recover_diff(a, b, params, cb, seed=1)
 
 
-# -- grouped products from the Gram stack -------------------------------------
+# -- the counting scan and the rule that picks it ------------------------------
 
 
 def test_route_rule():
-    # the stack when n_pad <= 4 gamma pi and 2 depth n_pad <= K, at equality too
-    assert recovery._stack_route(64, 4, 4, 1, 128)
-    assert not recovery._stack_route(65, 4, 4, 1, 128)  # n_pad 68 > 64
-    assert not recovery._stack_route(64, 4, 3, 1, 128)  # 64 > 48
-    assert not recovery._stack_route(64, 4, 4, 1, 127)  # 2 n_pad > K
-    assert recovery._stack_route(61, 4, 4, 2, 256)  # phantoms count: n_pad 64
-    assert not recovery._stack_route(61, 4, 4, 2, 255)
+    # a scan when pi >= n, or when n_pad <= 4 gamma pi and 2 depth n_pad <= K,
+    # at equality too
+    def scans(*shape):
+        return recovery.query_path(*shape) == "scan"
+
+    assert scans(64, 4, 4, 1, 128)
+    assert not scans(65, 4, 4, 1, 128)  # n_pad 68 > 64
+    assert not scans(64, 4, 3, 1, 128)  # 64 > 48
+    assert not scans(64, 4, 4, 1, 127)  # 2 n_pad > K
+    assert scans(61, 4, 4, 2, 256)  # phantoms count: n_pad 64
+    assert not scans(61, 4, 4, 2, 255)
+    assert scans(64, 64, 1, 37, 1) and scans(61, 64, 1, 37, 1)  # singleton groups, any K
+    assert not scans(64, 63, 1, 37, 1)
     wide = SketchTransform.from_accuracy(1 << 20, 0.05, 0.2, 3)  # p >= width: K = d b
     assert (wide.depth, wide.cells) == (13, 13 * 1600)
     readme = SketchTransform.from_accuracy(1024, 0.02, 0.01, 11)  # the README demo's sketch
     assert readme.depth == 37
-    # the stack: wide-stream, acceptance 09, the README grouped query
-    assert _route(64, 16, 5, wide)
-    assert _route(64, 32, 8, SketchTransform.from_accuracy(1024, 0.04, 0.2, 9500))
-    assert _route(128, 16, 4, readme)
-    # the rows: grouped1024, the theta = 2/3 grid, the n = 4,096 wide store,
-    # and the README query with --pi 8 --gamma 3
+    # the scan: wide-stream, acceptance 09, the README query with --pi 16 --gamma 4
+    assert _path(64, 16, 5, wide) == "scan"
+    assert _path(64, 32, 8, SketchTransform.from_accuracy(1024, 0.04, 0.2, 9500)) == "scan"
+    assert _path(128, 16, 4, readme) == "scan"
+    # grouped: grouped1024, the theta = 2/3 grid, the n = 4,096 wide store,
+    # and the README query with --pi 8 --gamma 3 or --pi 16 --gamma 1
     dense = SketchTransform.from_accuracy(256, 0.05, 0.2, 71)
-    assert not _route(1024, 267, 4, dense)
+    assert _path(1024, 267, 4, dense) == "grouped"
     for n in (256, 512, 1024, 2048, 4096):
         lam = ecc.for_index_space(n).error_fraction
-        assert not _route(n, min_group_count(n, 0.8, 2, 0.5, lam, 2.0 / 3.0), 4, dense), n
-    assert not _route(4096, 64, 4, wide)
-    assert not _route(128, 8, 3, readme)
+        pi = min_group_count(n, 0.8, 2, 0.5, lam, 2.0 / 3.0)
+        assert _path(n, pi, 4, dense) == "grouped", n
+    assert _path(4096, 64, 4, wide) == "grouped"
+    assert _path(128, 8, 3, readme) == _path(128, 16, 1, readme) == "grouped"
 
 
 def _correlated_stores(n, p, width, seed):
@@ -1054,45 +1072,137 @@ def _correlated_stores(n, p, width, seed):
     return stores
 
 
+def _gram_stack(store):
+    """r_t r_t^T of every sketch row t over its stored cells, (depth, n, n)."""
+    sizes = np.diff(store.transform.offsets)
+    rows = [store.sketch_row(t, np.empty((store.n, k))) for t, k in enumerate(sizes)]
+    return np.stack([rt @ rt.T for rt in rows])
+
+
 @pytest.mark.parametrize(
-    "n,p,width,pi,stack",
+    "n,p,width,pi",
     [
-        (30, 400, 128, 4, True),  # p >= width, pi does not divide n
-        (30, 96, 256, 8, True),  # p < width, pi does not divide n
-        (32, 400, 128, 8, True),  # p >= width, no phantoms
-        (30, 400, 128, 2, False),  # n_pad > 4 gamma pi
-        (30, 40, 64, 4, False),  # p < width, 2 depth n_pad > K
-        (30, 96, 32, 7, False),  # p >= width, 2 depth n_pad > K
+        (30, 400, 128, 4),  # p >= width, pi does not divide n
+        (30, 96, 256, 8),  # p < width, pi does not divide n
+        (32, 400, 128, 8),  # p >= width, no phantoms
+        (30, 96, 256, 30),  # p < width, singleton groups
+        (30, 400, 128, 33),  # p >= width, singleton groups with phantom indices
     ],
 )
-def test_both_routes_give_the_same_query(monkeypatch, n, p, width, pi, stack):
-    # survivors, ordered counts and per-repetition diagnostics of recover and
-    # recover_diff do not depend on the route, on one thread or two, and
-    # every repetition's products, phantom rows included, and buckets agree
-    # to 1e-12
+def test_scan_decisions_equal_the_median_test(n, p, width, pi):
+    # the scan's counts decide exactly as |median over sketch rows| >= phi/2
+    # does, of the Grams or, for a difference, of their per-row differences;
+    # recover and recover_diff vote those decisions' pairs in every
+    # repetition, on one thread or two
     first, second = _correlated_stores(n, p, width, seed=n + p + width + pi)
     cb = ecc.for_index_space(n)
     params = practical(n, 0.7, cb, groups=pi, reps=3)
-    assert _route(n, pi, params.reps, first.transform) == stack
-    rule = recovery._stack_route
-    runs = []
-    for route in (rule, lambda *shape: True, lambda *shape: False):
-        monkeypatch.setattr(recovery, "_stack_route", route)
+    assert _path(n, pi, params.reps, first.transform) == "scan"
+    stacks = [_gram_stack(store) for store in (first, second)]
+    for stores, stack in (((first,), stacks[0]), ((second, first), stacks[1] - stacks[0])):
+        expect = np.abs(np.median(stack, axis=0)) >= 0.35
+        assert np.array_equal(recovery._scan_hits(stores, 0.7), expect)
+        pairs = _gram_pairs(expect, cb)
+        assert pairs  # the changed or correlated pairs
+        survivors = {(min(i, j), max(i, j)) for i, j in pairs}
         for threads in (1, 2):
-            diags, counts, diff_diags = [], {}, []
-            pairs = recover(first, params, cb, seed=5, threads=threads, diagnostics=diags,
-                            counts=counts)
-            diff = recover_diff(second, first, params, cb, seed=5, threads=threads,
-                                diagnostics=diff_diags)
-            runs.append((pairs, counts, _diag_key(diags), diff, _diag_key(diff_diags)))
-    assert all(run == runs[0] for run in runs)
-    assert runs[0][1] and sum(c for _, _, c in runs[0][4])  # both queries emit pairs
-    draws = seed_stream(5)
-    for _ in range(params.reps):
-        cart = CartesianTransform(n, pi, next(draws))
-        masks = recovery._masks(cart, cb, n)
-        for store in (first, second):
-            products = recovery._stack_products(recovery._gram_stack(store), cart)
-            assert np.abs(products - recovery._group_products(store, cart)).max() <= 1e-12
-            buckets = recovery._median_buckets(masks, products)
-            assert np.abs(buckets - approximate(store, cart, cb)).max() <= 1e-12
+            diags, counts = [], {}
+            if len(stores) == 1:
+                got = recover(first, params, cb, seed=5, threads=threads, diagnostics=diags,
+                              counts=counts)
+                assert counts == {pair: params.reps for pair in pairs}
+            else:
+                got = recover_diff(*stores, params, cb, seed=5, threads=threads, diagnostics=diags)
+            assert got == survivors
+            assert _diag_key(diags) == [(k, 0, len(pairs)) for k in range(params.reps)]
+
+
+@pytest.mark.parametrize(
+    "n,p,width,pi",
+    [
+        (30, 400, 128, 2),  # p >= width, n_pad > 4 gamma pi
+        (30, 40, 64, 4),  # p < width, pi does not divide n, 2 depth n_pad > K
+        (30, 96, 32, 7),  # p >= width, pi does not divide n, 2 depth n_pad > K
+    ],
+)
+def test_grouped_query_matches_public_loop(n, p, width, pi):
+    # survivors and ordered counts of recover, and survivors of recover_diff,
+    # equal the public loop's over approximate and recovery_step, on one
+    # thread or two
+    first, second = _correlated_stores(n, p, width, seed=n + p + width + pi)
+    cb = ecc.for_index_space(n)
+    params = practical(n, 0.7, cb, groups=pi, reps=3)
+    assert _path(n, pi, params.reps, first.transform) == "grouped"
+    votes, expect = _public_votes(n, params, cb, 5, lambda cart: approximate(first, cart, cb))
+    _, diff_expect = _public_votes(
+        n, params, cb, 5,
+        lambda cart: approximate(second, cart, cb) - approximate(first, cart, cb),
+        subtract_baseline=False,
+    )
+    assert votes and diff_expect  # both queries emit pairs
+    for threads in (1, 2):
+        counts = {}
+        assert recover(first, params, cb, seed=5, threads=threads, counts=counts) == expect
+        assert counts == dict(votes)
+        assert recover_diff(second, first, params, cb, seed=5, threads=threads) == diff_expect
+
+
+@pytest.mark.parametrize("depth", [1, 3, 5, 7, 257])
+def test_scan_counts_ties_at_half_phi(depth):
+    # Grams whose entries sit exactly at +-phi/2, or one ulp inside it, in
+    # some sketch rows: an entry at +-phi/2 is a hit, and the counts decide
+    # as the median does, for one store and for a difference; a count
+    # reaches depth, past a byte's range at depth 257
+    rng = np.random.default_rng(depth)
+    n, phi = 9, 0.5
+    transform = SketchTransform(16, 8, depth, seed=depth)
+    stores = [RowSketchStore.from_matrix(transform, rng.standard_normal((n, 16))) for _ in "ab"]
+    for store in stores:
+        store.standardize()
+    inside = np.nextafter(0.25, 0.0)
+    edges = np.array([0.25, -0.25, inside, -inside, 0.0, 0.5, -0.5, 1.0])
+    for count in (1, 2):
+        grams = rng.choice(edges, size=(depth, count, n, n))
+        made = iter(grams.reshape(-1, n, n))
+        hits = recovery._scan_hits(tuple(stores[:count]), phi, lambda a, b: next(made).copy())
+        stack = grams[:, 0] - (grams[:, 1] if count == 2 else 0.0)
+        expect = np.abs(np.median(stack, axis=0)) >= phi / 2
+        assert np.array_equal(hits, expect)
+        if depth < 9:  # over 257 draws every median falls between the thresholds
+            assert expect.any() and not expect.all()
+        assert next(made, None) is None  # one Gram per sketch row and store
+    at_half = np.full((depth, n, n), 0.0)
+    at_half[: depth // 2 + 1, 0, 1] = 0.25  # a bare majority exactly at phi/2
+    at_half[: depth // 2 + 1, 1, 0] = -0.25
+    at_half[: depth // 2 + 1, 2, 3] = inside  # one ulp short
+    at_half[: depth // 2, 3, 2] = 0.25  # one row short of a majority
+    at_half[:, 4, 5] = -1.0  # every row
+    made = iter(at_half)
+    hits = recovery._scan_hits(stores[:1], phi, lambda a, b: next(made).copy())
+    assert hits[0, 1] and hits[1, 0] and not hits[2, 3] and not hits[3, 2] and hits[4, 5]
+
+
+def test_scan_holds_no_gram_stack():
+    # the scan counts hits one Gram at a time, so a query at n = 256 peaks
+    # below the 8 d n^2 bytes of the (d, n, n) stack that a median reads
+    rng = np.random.default_rng(51)
+    n = 256
+    transform = SketchTransform(1024, 600, 13, seed=52)
+    stores = [RowSketchStore.from_matrix(transform, rng.standard_normal((n, 1024)))
+              for _ in range(2)]
+    for store in stores:
+        store.standardize()
+    cb = ecc.for_index_space(n)
+    stack_bytes = 8 * transform.depth * n * n  # 6.5 MiB
+    for groups in (n, 64):  # singleton groups, and a grouped shape the rule scans
+        params = practical(n, 0.8, cb, groups=groups, reps=3, transform=transform)
+        assert _path(n, groups, 3, transform) == "scan"
+        for query in (lambda: recover(stores[0], params, cb, seed=5),
+                      lambda: recover_diff(*stores, params, cb, seed=5)):
+            tracemalloc.start()
+            try:
+                query()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < stack_bytes, peak / stack_bytes
