@@ -4,9 +4,10 @@ Ingest an n x p observation matrix as a stream of updates, keep one AMS
 sketch per row, and at query time recover every pair of rows whose sample
 correlation magnitude reaches a threshold phi by combining signed balanced
 groupings of the sketches with error-correcting index codes. Singleton
-groups (pi >= n) make a query an n^2 scan of the median sketch Gram; at
-fixed p the guarantee's floor on pi grows linearly in n with the residual
-norm, so grouping there is not subquadratic either.
+groups (pi >= n) make a query one n^2 scan that counts, pair by pair, the
+sketch rows whose Gram entry reaches phi/2; at fixed p the guarantee's
+floor on pi grows linearly in n with the residual norm, so grouping there
+is not subquadratic either.
 """
 
 from .ams import (

@@ -13,34 +13,35 @@ One repetition works on a standardized row-sketch store:
      bit strings in one call, and emit the decoded index pairs
      (``recovery_step``).
 
-One voting loop (``_vote``) serves ``recover`` and ``recover_diff``:
-repetitions with fresh groupings vote, and pairs kept by at least half
-the repetitions survive. A difference subtracts the second store's
-buckets and skips the baseline. ``query_path`` picks once per query
-between two ways to answer:
+``_vote`` serves ``recover`` and ``recover_diff``. ``query_path`` picks
+once per query between two ways to answer:
 
   * the scan, for singleton groups (pi >= n) and for grouped shapes with
     n_pad <= 4 gamma pi and 2 depth n_pad <= K, where the Grams cost no
-    more than the repetitions' products. With singleton groups every
-    index pair has its own bucket, so a repetition reads off exactly
-    whether |median over sketch rows of G_t[i, j]| >= phi/2, with
+    more than the repetitions' products. It is the search through all
+    pairs that grouping avoids, done once: a pair (i, j), i < j, survives
+    when |median over sketch rows of G_t[i, j]| >= phi/2, with
     G_t = r_t r_t^T (or G_A,t - G_B,t for a difference). Depth is odd, so
     that holds when at least depth//2 + 1 of the G_t reach phi/2, or
-    reach -phi/2: ``_scan_hits`` counts those hits one Gram at a time,
-    and every repetition votes the same pairs (``_gram_pairs``), without
-    grouping or decoding;
-  * else grouping: per repetition and sketch row, two
-    (n x k_t) @ (k_t x pi) products go straight into group order
-    (``_group_products``), and one contraction (``_contract``) per
-    codeword bit forms the masked buckets from them.
+    reach -phi/2: ``_scan_hits`` counts those hits one Gram at a time.
+    It draws no grouping, decodes no word and runs no repetition: with
+    singleton groups each pair has its own bucket, and every repetition
+    would read off these same pairs;
+  * else grouping: repetitions with fresh groupings vote, and pairs kept
+    by at least half the repetitions survive. Per repetition and sketch
+    row, two (n x k_t) @ (k_t x pi) products go straight into group
+    order (``_group_products``), and one contraction (``_contract``) per
+    codeword bit forms the masked buckets from them (``approximate``). A
+    difference subtracts the second store's buckets and skips the
+    baseline.
 
 Both read sketch row t's k_t <= min(p, b) stored cells, one contiguous
 slice of every row (``RowSketchStore.sketch_row``), into a reused buffer,
 so no query holds a copy of the rows, and a scan holds one Gram at a time.
 ``approximate`` builds every pi from the rows, singleton groups included.
-The multiply is injectable. Majority survivors can be re-checked against
-the direct pairwise estimates (``verify_candidates``), or, for a
-difference, against the change in them.
+The multiply is injectable. Survivors can be re-checked against the
+direct pairwise estimates (``verify_candidates``), or, for a difference,
+against the change in them.
 """
 
 from __future__ import annotations
@@ -349,57 +350,11 @@ def _contract(w: np.ndarray, cross: np.ndarray) -> np.ndarray:
     return np.einsum("hil,hitg->lthg", w, cross.reshape(w.shape[:2] + cross.shape[1:]))
 
 
-def _gram_pairs(big: np.ndarray, cb: Codebook) -> list[tuple[int, int]]:
-    """Every singleton-group repetition's decoded pairs, read off the Gram's hits.
-
-    ``big[i, j]`` says whether |G[i, j]| >= phi/2 (``_scan_hits``). Under
-    any singleton grouping each index pair (i, j) has one bucket, with
-    masked values exactly +-bit_l(i) G[i, j] and +-bit_l(j) G[j, i]. Its
-    row side decodes to i when ``big[i, j]``, else to what the all-zero
-    word decodes to, and its column side reads ``big[j, i]`` alike;
-    ``_decoded_pairs`` says which buckets emit, and phantom buckets emit
-    nothing. The baseline changes nothing: both sides of a diagonal
-    bucket read the same entry. The all-zero word is a codeword, so it
-    decodes to the index whose codeword it is, if any: the codebook's
-    table answers without decoding.
-    """
-    idx = np.arange(len(big))
-    zero = np.flatnonzero(~cb.bit_matrix().any(axis=1))
-    silent = zero[0] if len(zero) else -1
-    dec_i, dec_j = np.where(big, idx[:, None], silent), np.where(big.T, idx, silent)
-    return _decoded_pairs(dec_i, dec_j, len(big))
-
-
-def _decoded_pairs(dec_i: np.ndarray, dec_j: np.ndarray, n: int) -> list[tuple[int, int]]:
-    """The pairs decoded bucket sides emit, in bucket order.
-
-    A bucket emits (i, j) when its row side decodes to i and its column
-    side to j (a failed decode is -1), both lie in [n], and they differ.
-    """
-    ok = (dec_i >= 0) & (dec_j >= 0) & (dec_i < n) & (dec_j < n) & (dec_i != dec_j)
-    return list(zip(dec_i[ok].tolist(), dec_j[ok].tolist()))
-
-
 def _require_grouping(store: RowSketchStore, cart: CartesianTransform):
     if not store.standardized:
         raise SketchStateError("approximate requires a standardized store")
     if cart.n < store.n:
         raise ValueError(f"grouping covers {cart.n} indices, store has {store.n}")
-
-
-def _median_buckets(masks: np.ndarray, cross: np.ndarray) -> np.ndarray:
-    """Median over sketch rows of both sides' masked group sums, (2, codeword_len, pi, pi).
-
-    ``masks`` from ``_masks``, ``cross`` from ``_group_products``.
-    """
-    pi, nbits, mid = masks.shape[1], masks.shape[3], cross.shape[2] // 2  # odd depth
-    out = np.empty((2, nbits, pi, pi))
-    for med, w, side in zip((out[0], out[1].swapaxes(1, 2)), masks, cross):
-        for l in range(nbits):  # one bit at a time bounds the buffer
-            buf = _contract(w[:, :, l : l + 1], side)[0]
-            buf.partition(mid, axis=0)
-            med[l] = buf[mid]
-    return out
 
 
 def approximate(
@@ -413,9 +368,18 @@ def approximate(
         sum_{p1(i)=h} bit_l(i) s1(i) <r_t^(i), right_t[g]>
 
     and [1, l, h, g] is the column-masked one, masking by bit_l(j).
+    The products come from ``_group_products`` through ``multiply``.
     """
     _require_grouping(store, cart)
-    return _median_buckets(_masks(cart, cb, store.n), _group_products(store, cart, multiply))
+    masks, cross = _masks(cart, cb, store.n), _group_products(store, cart, multiply)
+    mid = cross.shape[2] // 2  # odd depth
+    out = np.empty((2, cb.codeword_len, cart.pi, cart.pi))
+    for med, w, side in zip((out[0], out[1].swapaxes(1, 2)), masks, cross):
+        for l in range(cb.codeword_len):  # one bit at a time bounds the buffer
+            buf = _contract(w[:, :, l : l + 1], side)[0]
+            buf.partition(mid, axis=0)
+            med[l] = buf[mid]
+    return out
 
 
 def approximate_per_row(
@@ -448,7 +412,9 @@ def _recovery_step_counted(
     bits = np.abs(buckets - base) >= phi / 2.0
     words = bits.view(np.uint8).reshape(2, nbits, pi * pi).swapaxes(1, 2).reshape(-1, nbits)
     dec = cb.decode_words(words)
-    return _decoded_pairs(*dec.reshape(2, pi * pi), cart.n), int(np.sum(dec < 0))
+    dec_i, dec_j = dec.reshape(2, pi * pi)
+    ok = (dec_i >= 0) & (dec_j >= 0) & (dec_i < cart.n) & (dec_j < cart.n) & (dec_i != dec_j)
+    return list(zip(dec_i[ok].tolist(), dec_j[ok].tolist())), int(np.sum(dec < 0))
 
 
 def recovery_step(
@@ -471,61 +437,61 @@ def _vote(
     stores: tuple, cb: Codebook, params: QueryParams, seed: int, threads: int,
     diagnostics: list | None, counts: dict | None = None, verify: bool = False,
 ) -> set[tuple[int, int]]:
-    """Vote over ``params.reps`` repetitions; keep pairs with a majority.
+    """Answer a query on the first store, minus the second when one is given.
 
-    Recovers from the first store, minus the second when one is given
-    (a difference carries no unit diagonal, so no baseline). A scan
-    (``query_path``) counts each Gram's hits once per query
-    (``_scan_hits``) and emits their pairs in every repetition, without
-    grouping or decoding. Otherwise repetition k groups by the k-th
-    seed-stream value and forms its products from each store's rows.
-    Ordered pairs are counted separately and majority survivors are
-    canonicalized to i < j, then, with ``verify``, re-checked by
-    ``verify_candidates``. Threads change only the schedule: results are
-    merged in repetition order.
+    A difference carries no unit diagonal, so it takes no baseline. A scan
+    (``query_path``) answers once, with no repetition: the pairs i < j
+    whose hits (``_scan_hits``) reach the median test survive, each
+    ordering is counted ``params.reps`` times, as every singleton
+    repetition would vote it, and one diagnostic (index 0) reports
+    2 x survivors candidates and the scan's time. Otherwise repetition k
+    groups by the k-th seed-stream value and builds each store's buckets
+    (``approximate``); ordered pairs are counted separately, and majority
+    survivors are canonicalized to i < j. Threads change only the
+    schedule: results are merged in repetition order. With ``verify``,
+    survivors are re-checked by ``verify_candidates``.
     """
     if not all(s.standardized for s in stores):
         raise SketchStateError("recovery requires standardized stores")
     n = stores[0].n
     _require_codebook(cb, n)
     require_count("threads", threads)
-    draws = seed_stream(seed)
-    rep_seeds = [next(draws) for _ in range(params.reps)]
     transform = stores[0].transform
     if query_path(n, params.groups, params.reps, transform.depth, transform.cells) == "scan":
-        scan = _gram_pairs(_scan_hits(stores, params.phi), cb)
-        step = lambda _: (scan, 0)
+        t0 = time.perf_counter()
+        rows, cols = np.nonzero(np.triu(_scan_hits(stores, params.phi), 1))
+        pairs = list(zip(rows.tolist(), cols.tolist()))
+        elapsed = (time.perf_counter() - t0) * 1000.0
+        reports = [RepetitionDiagnostics(0, 0, 2 * len(pairs), elapsed)]
+        votes = {pair: params.reps for i, j in pairs for pair in ((i, j), (j, i))}
+        survivors = set(pairs)
     else:
-        def step(rep_seed: int):
+        def run_rep(idx: int, rep_seed: int):
+            t0 = time.perf_counter()
             cart = CartesianTransform(n, params.groups, rep_seed)
-            masks = _masks(cart, cb, n)
-            buckets = _median_buckets(masks, _group_products(stores[0], cart))
+            buckets = approximate(stores[0], cart, cb)
             for other in stores[1:]:
-                buckets -= _median_buckets(masks, _group_products(other, cart))
-            return _recovery_step_counted(
+                buckets -= approximate(other, cart, cb)
+            pairs, failures = _recovery_step_counted(
                 buckets, cart, cb, params.phi, subtract_baseline=len(stores) == 1
             )
+            elapsed = (time.perf_counter() - t0) * 1000.0
+            return pairs, RepetitionDiagnostics(idx, failures, len(pairs), elapsed)
 
-    def run_rep(idx: int):
-        t0 = time.perf_counter()
-        pairs, failures = step(rep_seeds[idx])
-        elapsed = (time.perf_counter() - t0) * 1000.0
-        return pairs, RepetitionDiagnostics(idx, failures, len(pairs), elapsed)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_rep, range(params.reps)))
-    else:
-        results = map(run_rep, range(params.reps))
-    votes: Counter = Counter()
-    for pairs, diag in results:
-        votes.update(pairs)
-        if diagnostics is not None:
-            diagnostics.append(diag)
+        jobs = (range(params.reps), seed_stream(seed))
+        if threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                results = list(pool.map(run_rep, *jobs))
+        else:
+            results = list(map(run_rep, *jobs))
+        votes = Counter(pair for pairs, _ in results for pair in pairs)
+        reports = [diag for _, diag in results]
+        quota = math.ceil(params.reps / 2.0)
+        survivors = {(min(i, j), max(i, j)) for (i, j), c in votes.items() if c >= quota}
+    if diagnostics is not None:
+        diagnostics.extend(reports)
     if counts is not None:
         counts.update(votes)
-    quota = math.ceil(params.reps / 2.0)
-    survivors = {(min(i, j), max(i, j)) for (i, j), c in votes.items() if c >= quota}
     if verify:
         checked = verify_candidates(stores[0], survivors, params.phi, *stores[1:])
         survivors = {(i, j) for i, j, _, accepted in checked if accepted}
@@ -543,13 +509,13 @@ def recover(
     diagnostics: list | None = None,
     counts: dict | None = None,
 ) -> set[tuple[int, int]]:
-    """Full query: vote over ``params.reps`` independent repetitions.
+    """Full query: one scan, or a vote over ``params.reps`` repetitions.
 
-    Each repetition draws a fresh grouping from the seed sequence; the
-    sketch transform and codebook stay fixed. Majority survivors are
+    Each grouped repetition draws a fresh grouping from the seed sequence;
+    the sketch transform and codebook stay fixed. Survivors are
     (optionally) re-checked against the direct pairwise sketch estimate.
     ``counts``, when given, is filled with the ordered per-pair vote
-    counts.
+    counts (``params.reps`` for each ordering of a scan's pair).
     """
     return _vote((store,), cb, params, seed, threads, diagnostics, counts, verify)
 
@@ -598,14 +564,14 @@ def recover_diff(
 ) -> set[tuple[int, int]]:
     """Recover pairs whose correlation changed by >= phi between snapshots.
 
-    Runs the grouped approximation on both stores under a shared grouping
-    per repetition and recovers from the bucket differences. A scan
-    (``query_path``) counts, per sketch row t, the hits of the difference
-    G_A,t - G_B,t of the two Grams, which both stores' shared transform
-    makes an estimate of the change. The unit diagonals cancel in the
-    difference, so no baseline is subtracted.
-    Majority survivors are (optionally) re-checked against the change in
-    the direct pairwise estimates, accepted when it is >= phi - 8 eps.
+    A scan (``query_path``) counts once, per sketch row t, the hits of
+    the difference G_A,t - G_B,t of the two Grams, which both stores'
+    shared transform makes an estimate of the change. Otherwise each
+    repetition builds both stores' buckets under one shared grouping and
+    recovers from their difference. The unit diagonals cancel in the
+    difference, so no baseline is subtracted. Survivors are (optionally)
+    re-checked against the change in the direct pairwise estimates,
+    accepted when it is >= phi - 8 eps.
     """
     if store_a.transform != store_b.transform:
         raise ValueError("snapshot stores use different sketch transforms")

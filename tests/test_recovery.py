@@ -18,7 +18,6 @@ from corrsketch.cartesian import CartesianTransform, cart_exact
 from corrsketch.recovery import (
     FeasibilityError,
     ParameterError,
-    _gram_pairs,
     _recovery_step_counted,
     approximate,
     approximate_per_row,
@@ -342,7 +341,7 @@ def test_recover_does_not_depend_on_the_multiply_kernel(data):
     for kernel in (np.matmul, einsum_kernel):
         counts = {}
         with pytest.MonkeyPatch.context() as mp:
-            for name in ("_group_products", "_scan_hits"):
+            for name in ("approximate", "_scan_hits"):
                 mp.setattr(recovery, name, functools.partial(getattr(recovery, name), multiply=kernel))
             runs.append((recover(store, params, cb, seed=seed, counts=counts), counts))
     assert runs[0] == runs[1]
@@ -396,6 +395,20 @@ def test_recovery_step_multi_large_bucket_no_wrong_claims():
     cart = CartesianTransform(n, 1, seed=17)
     pairs = recovery_step(_exact_buckets(c, cart, cb), cart, cb, phi=0.8)
     assert all(0 <= i < n and 0 <= j < n and i != j for i, j in pairs)
+
+
+def test_recovery_step_drops_indices_outside_the_store():
+    # a codebook may address more indices than the store holds; a side that
+    # decodes to one of those extra indices emits nothing
+    n, phi = 8, 0.5
+    cb = ecc.for_index_space(n + 8)
+    cart = CartesianTransform(n, 2, seed=19)
+    bits = cb.bit_matrix().astype(float)
+    for row, expect in ((2, [(2, 1)]), (n + 1, [])):
+        buckets = np.zeros((2, cb.codeword_len, 2, 2))
+        buckets[0, :, 0, 1] = phi * bits[row]
+        buckets[1, :, 0, 1] = phi * bits[1]
+        assert recovery_step(buckets, cart, cb, phi, subtract_baseline=False) == expect
 
 
 def test_recovery_step_shape_check():
@@ -472,6 +485,11 @@ def _diag_key(diags):
     return [(d.index, d.decode_failures, d.candidates) for d in diags]
 
 
+def _scan_diag_key(survivors):
+    """A scan's one diagnostic: index 0, no failure, both orderings of each survivor."""
+    return [(0, 0, 2 * len(survivors))]
+
+
 def test_recover_deterministic_and_thread_invariant():
     store, _ = _planted_store()
     cb = ecc.for_index_space(store.n)
@@ -485,8 +503,13 @@ def test_recover_deterministic_and_thread_invariant():
             pairs = recover(store, params, cb, seed=5, threads=threads, diagnostics=diags,
                             counts=counts)
             runs.append((pairs, counts, _diag_key(diags)))
+            assert all(d.elapsed_ms > 0 for d in diags)
         assert runs[0] == runs[1] == runs[2]
-        assert [i for i, _, _ in runs[0][2]] == list(range(reps))
+        pairs, _, diags = runs[0]
+        if path == "grouped":
+            assert [i for i, _, _ in diags] == list(range(reps))
+        else:  # one scan, no repetition
+            assert diags == _scan_diag_key(pairs)
 
 
 def test_threads_finding_the_occupied_buckets_at_once_agree():
@@ -524,17 +547,25 @@ def test_recover_majority_monotone_under_nested_seeds():
 
 
 def test_recover_diagnostics_and_counts():
+    # a grouped query reports each repetition and counts its votes; a scan
+    # reports itself once and counts each ordering of a pair once per repetition
     store, _ = _planted_store()
     cb = ecc.for_index_space(store.n)
-    params = practical(store.n, 0.8, cb, groups=32, reps=4, transform=store.transform)
-    diags = []
-    counts = {}
+    assert _path(store.n, 5, 3, store.transform) == "grouped"  # n_pad = 65 > 4 gamma pi = 60
+    params = practical(store.n, 0.8, cb, groups=5, reps=3, transform=store.transform)
+    diags, counts = [], {}
     recover(store, params, cb, seed=3, diagnostics=diags, counts=counts)
-    assert [d.index for d in diags] == [0, 1, 2, 3]
-    assert all(d.elapsed_ms >= 0 for d in diags)
-    assert counts[(3, 17)] + counts.get((17, 3), 0) >= 4
+    assert [d.index for d in diags] == [0, 1, 2]
+    assert all(d.elapsed_ms > 0 for d in diags)
+    assert counts[(3, 17)] + counts.get((17, 3), 0) >= 3
     line = str(diags[0])
     assert "decode_failures=" in line and "elapsed_ms=" in line
+    assert _path(store.n, 32, 4, store.transform) == "scan"
+    params = practical(store.n, 0.8, cb, groups=32, reps=4, transform=store.transform)
+    diags, counts = [], {}
+    assert recover(store, params, cb, seed=3, diagnostics=diags, counts=counts) == {(3, 17)}
+    assert _diag_key(diags) == [(0, 0, 2)] and diags[0].elapsed_ms > 0
+    assert counts == {(3, 17): 4, (17, 3): 4}
 
 
 def test_recover_time_linear_in_reps():
@@ -713,7 +744,7 @@ def test_grouped_products_are_held_once():
     assert peak < 1.75 * products_bytes, peak / products_bytes
 
 
-# -- singleton groups: one median Gram per query ------------------------------
+# -- singleton groups: one scan per query --------------------------------------
 
 
 def _public_votes(n, params, cb, seed, buckets_of, **step_kw):
@@ -760,11 +791,11 @@ def test_singleton_recover_diff_matches_public_loop(extra):
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_gram_pairs_equal_decoded_buckets_under_any_grouping(data):
-    # thresholding the Gram once per entry and side gives the decoded
-    # reference's ordered pairs, with no failure, under two independent
-    # singleton groupings, for any Gram (not only symmetric ones) and with
-    # or without the diagonal baseline
+def test_scan_pairs_equal_decoded_singleton_buckets(data):
+    # the scan's ordered pairs, counted once per repetition, are exactly
+    # what decoding every bucket of a repetition gives, with no failure,
+    # under two independent singleton groupings, with or without the
+    # diagonal baseline, for a symmetric Gram
     n = data.draw(st.integers(2, 12))
     pi = n + data.draw(st.integers(0, 4))  # pi = n, and pi > n with phantom indices
     phi = data.draw(st.sampled_from([0.05, 0.3, 0.8, 1.0]))
@@ -773,26 +804,59 @@ def test_gram_pairs_equal_decoded_buckets_under_any_grouping(data):
              1.0, 1.0 + half, 1.0 - half, np.nextafter(1.0 - half, 1.0)]
     entry = st.sampled_from(edges) | st.floats(-1.5, 1.5)
     gram = np.array(data.draw(st.lists(entry, min_size=n * n, max_size=n * n))).reshape(n, n)
-    if data.draw(st.booleans()):
-        gram = np.triu(gram) + np.triu(gram, 1).T
-    gram[0, data.draw(st.integers(1, n - 1))] = phi  # a heavy entry on index 0
+    gram = np.triu(gram) + np.triu(gram, 1).T
+    heavy = data.draw(st.integers(1, n - 1))
+    gram[0, heavy] = gram[heavy, 0] = phi  # a heavy entry on index 0
     cb = ecc.for_index_space(n + data.draw(st.integers(0, 40)))
-    expect = Counter(_gram_pairs(np.abs(gram) >= half, cb))
+    store = build_store(np.random.default_rng(n).standard_normal((n, 8)))
+    store.standardize()
+    params = practical(n, phi, cb, groups=pi, reps=data.draw(st.integers(1, 4)))
+    counts = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(recovery, "_scan_hits", lambda stores, phi: np.abs(gram) >= phi / 2.0)
+        survivors = recover(store, params, cb, seed=data.draw(st.integers(0, 2**32 - 1)),
+                            counts=counts)
     for _ in range(2):
         cart = CartesianTransform(n, pi, data.draw(st.integers(0, 2**32 - 1)))
-        # the column side's bucket for (i, j) reads G[j, i], masked by bit_l(j)
-        buckets = np.stack([_exact_buckets(g, cart, cb)[k] for k, g in enumerate((gram, gram.T))])
+        buckets = _exact_buckets(gram, cart, cb)
         for subtract in (True, False):
             pairs, failures = _recovery_step_counted(
                 buckets, cart, cb, phi, subtract_baseline=subtract
             )
-            assert (Counter(pairs), failures) == (expect, 0)
+            assert failures == 0 and len(pairs) == len(set(pairs))
+            assert counts == {pair: params.reps for pair in pairs}
+            assert survivors == {(min(i, j), max(i, j)) for i, j in pairs}
+
+
+def test_scan_reads_the_upper_triangle():
+    # the scan reads each pair (i, j) at G[i, j], i < j: with an injected
+    # asymmetric Gram, an entry above the diagonal decides its pair alone,
+    # and one below it is never read
+    n, reps = 6, 3
+    gram = np.zeros((n, n))
+    gram[1, 4] = 0.9  # above the diagonal only
+    gram[5, 2] = 0.9  # below it only
+    gram[0, 3] = gram[3, 0] = -0.9
+    store = RowSketchStore.from_matrix(
+        SketchTransform(16, 8, 1, seed=4), np.random.default_rng(4).standard_normal((n, 16))
+    )
+    store.standardize()
+    cb = ecc.for_index_space(n)
+    params = practical(n, 0.8, cb, groups=n, reps=reps)
+    scan = functools.partial(recovery._scan_hits, multiply=lambda a, b: gram.copy())
+    diags, counts = [], {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(recovery, "_scan_hits", scan)
+        survivors = recover(store, params, cb, seed=1, diagnostics=diags, counts=counts)
+    assert survivors == {(0, 3), (1, 4)}
+    assert counts == {(0, 3): reps, (3, 0): reps, (1, 4): reps, (4, 1): reps}
+    assert _diag_key(diags) == [(0, 0, 4)]
 
 
 @pytest.mark.parametrize("extra", [0, 3])
 def test_singleton_query_does_not_depend_on_the_seed(extra):
-    # singleton groups scan the median Gram exactly: every grouping, so every
-    # seed and every repetition, gives the same pairs (a low phi puts dozens
+    # singleton groups scan once and draw no grouping, so every seed gives
+    # the same pairs, each counted once per repetition (a low phi puts dozens
     # of entries near the threshold)
     store, _ = _planted_store(n=32, p=512)
     before, after, _ = _diff_stores()
@@ -831,7 +895,7 @@ def test_singleton_query_never_decodes(monkeypatch):
 
 
 def test_singleton_query_builds_no_grouping(monkeypatch):
-    # pi >= n votes the median Gram's pairs: no repetition draws a grouping
+    # pi >= n scans once: no repetition draws a grouping
     store, _ = _planted_store(n=32, p=512)
     before, after, pair = _diff_stores()
     cb = ecc.for_index_space(store.n)
@@ -1003,9 +1067,14 @@ def test_recover_diff_thread_invariant(groups, reps, path):
         diags = []
         pairs = recover_diff(after, before, params, cb, seed=13, threads=threads, diagnostics=diags)
         runs.append((pairs, _diag_key(diags)))
+        assert all(d.elapsed_ms > 0 for d in diags)
     assert runs[0] == runs[1]
-    assert pair in runs[0][0]
-    assert [i for i, _, _ in runs[0][1]] == list(range(reps))
+    pairs, diags = runs[0]
+    assert pair in pairs
+    if path == "grouped":
+        assert [i for i, _, _ in diags] == list(range(reps))
+    else:  # one scan, no repetition
+        assert diags == _scan_diag_key(pairs)
 
 
 def test_recover_diff_rejects_mismatched_transforms(rng):
@@ -1092,8 +1161,8 @@ def _gram_stack(store):
 def test_scan_decisions_equal_the_median_test(n, p, width, pi):
     # the scan's counts decide exactly as |median over sketch rows| >= phi/2
     # does, of the Grams or, for a difference, of their per-row differences;
-    # recover and recover_diff vote those decisions' pairs in every
-    # repetition, on one thread or two
+    # recover and recover_diff keep those decisions' pairs i < j, counted once
+    # per repetition each way, and report one scan, on one thread or two
     first, second = _correlated_stores(n, p, width, seed=n + p + width + pi)
     cb = ecc.for_index_space(n)
     params = practical(n, 0.7, cb, groups=pi, reps=3)
@@ -1102,19 +1171,22 @@ def test_scan_decisions_equal_the_median_test(n, p, width, pi):
     for stores, stack in (((first,), stacks[0]), ((second, first), stacks[1] - stacks[0])):
         expect = np.abs(np.median(stack, axis=0)) >= 0.35
         assert np.array_equal(recovery._scan_hits(stores, 0.7), expect)
-        pairs = _gram_pairs(expect, cb)
-        assert pairs  # the changed or correlated pairs
-        survivors = {(min(i, j), max(i, j)) for i, j in pairs}
+        assert np.array_equal(expect, expect.T)
+        survivors = set(zip(*np.nonzero(np.triu(expect, 1))))
+        assert survivors  # the changed or correlated pairs
         for threads in (1, 2):
             diags, counts = [], {}
             if len(stores) == 1:
                 got = recover(first, params, cb, seed=5, threads=threads, diagnostics=diags,
                               counts=counts)
-                assert counts == {pair: params.reps for pair in pairs}
+                assert counts == {
+                    pair: params.reps for i, j in survivors for pair in ((i, j), (j, i))
+                }
             else:
                 got = recover_diff(*stores, params, cb, seed=5, threads=threads, diagnostics=diags)
             assert got == survivors
-            assert _diag_key(diags) == [(k, 0, len(pairs)) for k in range(params.reps)]
+            assert _diag_key(diags) == _scan_diag_key(survivors)
+            assert diags[0].elapsed_ms > 0
 
 
 @pytest.mark.parametrize(
