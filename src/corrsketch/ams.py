@@ -18,12 +18,15 @@ the row totals. Both are linear in the stream, so turnstile updates may
 arrive in any order, split or cancelled. At query time the store is
 standardized so that inner products estimate correlations: it records a
 shift and a scale per row and never rewrites a row; each standardized row
-a_i (r_i - mu_i o) is formed where it is read. The all-ones sketch o that
-the shift subtracts is a fixed function of the transform, so the store's
-constructor builds it whole. A snapshot holds only the linear state, raw
-rows included, standardized or not. The rows sit in memory in snapshot
-order; a loaded store maps them from the file (copy-on-write) instead of
-reading them, and save writes a temporary file that takes the target's name.
+a_i (r_i - mu_i o), mu_i = t_i / p, is formed where it is read. The
+all-ones sketch o that the shift subtracts is a fixed function of the
+transform, so the store's constructor builds it whole. A snapshot holds
+only the linear state, standardized or not: the centered rows
+c_i = r_i - mu_i o (still linear in the stream), the totals and o. The
+rows sit in memory in snapshot order; a loaded store maps them from the
+file (copy-on-write) instead of reading them, so its rows are already
+centered and it serves a_i c_i with one scale per row. Save writes a
+temporary file that takes the target's name.
 
 Bucket and sign functions are seeded polynomials, evaluated on demand for
 a chunk of columns at a time (SketchTransform.hash_columns); a (d, p)
@@ -73,7 +76,9 @@ _CHUNK = 1 << 15
 NORM_TOLERANCE = 1e-12  # squared-norm floor (times p) below which a row is degenerate
 
 SNAPSHOT_MAGIC = b"CSKSNAP1"
-SNAPSHOT_VERSION = 2  # v1 stored every bucket behind a 61-byte header: refused
+SNAPSHOT_VERSION = 3
+# earlier formats, refused by name: re-ingesting writes the current one
+_OLD_FORMATS = {1: "every bucket stored", 2: "uncentered rows"}
 _FLAG_STANDARDIZED = 1  # standardized (served) rows: load refuses it
 _FLAG_EXACT = 4
 # magic, version, n, p, width, depth, seed, flags, ones_built; ones_built
@@ -431,18 +436,24 @@ class RowSketchStore:
     stream order when it holds _CHUNK updates and whenever ``rows`` or
     ``totals`` is read, so every reader sees all updates applied so far.
 
-    Standardizing sets ``mu`` (shift) and ``scale`` (a) per row and leaves
-    the stored rows as they are, as ``save`` writes them; ``row_sketch``,
-    ``sketch_row`` and ``inner`` serve the rows a_i (r_i - mu_i o).
+    ``_base`` is the mean already taken out of each row's cells: 0 for a
+    new store, so its cells are the sums r_i, and t_i / p at load for a
+    loaded one, whose cells are c_i = r_i - base_i o plus any later
+    updates. Unstandardized ``rows`` are these cells as stored.
+
+    Standardizing sets ``mu`` (the mean t_i / p) and ``scale`` (a) per row
+    and leaves the stored cells as they are; ``row_sketch``, ``sketch_row``
+    and ``inner`` serve the rows a_i (c_i - (mu_i - base_i) o), which is
+    a_i c_i, one scale, until an update moves some row's total.
     """
 
     def __init__(self, transform: SketchTransform, n: int):
         if n < 1:
             raise ValueError("store needs at least one row")
         cells = np.zeros((n, transform.cells))
-        self._assign(transform, cells, np.zeros(n), _ones_sketch(transform))
+        self._assign(transform, cells, np.zeros(n), _ones_sketch(transform), np.zeros(n))
 
-    def _assign(self, transform, cells, totals, ones, norms=None):
+    def _assign(self, transform, cells, totals, ones, base, norms=None):
         """Set every field from the store's parts, unstandardized; nothing is buffered.
 
         ``norms`` is ``_centered_norms`` of these rows, when known.
@@ -456,16 +467,19 @@ class RowSketchStore:
         self._pending = ([], [], [])  # row, column and value of each buffered update
         self._norms = norms  # dropped when an update lands
         self._ones = ones  # o's K stored cells
+        self._base = base  # per row, the mean already taken out of its cells
         self.standardized = False  # set by standardize: rows are served as a_i (r_i - mu_i o)
         self.mu = self.scale = None
+        self._shift = None  # mu - base once standardized, when some row's total has moved
         self.degenerate = np.zeros(n, dtype=bool)
 
     @property
     def rows(self) -> np.ndarray:
         """All rows, (depth, n, width), as queries read them (a test surface).
 
-        Unstandardized rows with p >= width are a view of the stored cells;
-        otherwise this materializes a fresh array. The query reads one
+        Unstandardized rows are the stored cells (centered, for a loaded
+        store), a view of them when p >= width; otherwise this materializes
+        a fresh array. The query reads one
         sketch row at a time through ``sketch_row``.
         """
         self._flush()
@@ -556,17 +570,21 @@ class RowSketchStore:
     def finalize_ones(self):
         """No-op: the constructor already built the whole all-ones sketch."""
 
-    def _served(self, raw, at, ones, out) -> np.ndarray:
-        """``raw`` stored rows as queries read them, copied into ``out``.
+    def _served(self, cells, at, ones, out) -> np.ndarray:
+        """Stored ``cells`` as queries read them, written to ``out``.
 
-        ``at`` indexes ``mu`` and ``scale`` to broadcast against ``raw``;
-        every block gets the same roundings, so every reader the same bits.
+        ``at`` indexes the per-row shift and scale to broadcast against
+        ``cells``; every block gets the same roundings, so every reader the
+        same bits: the shift's product and difference are
+        ``_centered_blocks``'s, which ``save`` and ``_centered_norms`` use.
         """
-        out[...] = raw
-        if self.standardized:
-            out -= self.mu[at] * ones
-            out *= self.scale[at]
-        return out
+        if not self.standardized:
+            out[...] = cells
+            return out
+        if self._shift is not None:
+            np.multiply(ones, self._shift[at], out=out)
+            cells = np.subtract(cells, out, out=out)
+        return np.multiply(cells, self.scale[at], out=out)
 
     def _row_cells(self, i: int) -> np.ndarray:
         """Row i's K cells as queries read them, in a fresh array."""
@@ -581,12 +599,7 @@ class RowSketchStore:
         """Sketch row t of every row as queries read it: its k_t cells, copied into ``out`` (n, k_t)."""
         self._flush()
         cells = slice(*self.transform.offsets[t : t + 2])
-        step = max(1, _CHUNK // out.shape[1])  # rows per cache-sized step
-        ones = self._ones[cells]
-        for i in range(0, self.n, step):
-            rows = slice(i, i + step)
-            self._served(self._cells[rows, cells], (rows, None), ones, out[rows])
-        return out
+        return self._served(self._cells[:, cells], (slice(None), None), self._ones[cells], out)
 
     def inner(self, i: int, j: int) -> float:
         """Median over sketch rows of the served rows' dot products."""
@@ -598,24 +611,28 @@ class RowSketchStore:
     def standardize(self):
         """Record the shift and scale that standardize every row; no row is written.
 
-        The shift mu_i = t_i / p uses the exact total; the scale a_i is one
+        The mean mu_i = t_i / p uses the exact total; the scale a_i is one
         over the sketch's own norm estimate, the square root of the median
-        over sketch rows of ||r_i - mu_i o||^2 (found by ``load`` when
-        no update has landed since). Rows whose squared norm falls below
-        1e-12 * p are flagged degenerate and get scale 0, so they drop out
-        of recovery. A squared norm that overflows float64 raises
+        over sketch rows of ||r_i - mu_i o||^2 (found by ``load`` when no
+        update has landed since). The cells still to subtract are
+        (mu_i - base_i) o: none for a loaded store whose totals have not
+        moved, so its rows are served with one scale each. Rows whose
+        squared norm falls below 1e-12 * p are flagged degenerate and get
+        scale 0, so they drop out of recovery. A squared norm that overflows float64 raises
         ValueError naming its row, and the store stays unstandardized.
         """
         if self.standardized:
             raise SketchStateError("store already standardized")
         mu = self.totals / self.p
+        shift = mu - self._base
+        shift = shift if shift.any() else None
         if self._norms is None:
-            self._norms = _centered_norms(self._cells, mu, self._ones, self.transform.offsets)
+            self._norms = _centered_norms(self._cells, shift, self._ones, self.transform.offsets)
         norm_sq = _middle(self._norms)
         bad = np.flatnonzero(~np.isfinite(norm_sq))
         if bad.size:
             raise ValueError(f"row {bad[0]}'s squared sketch norm overflows float64")
-        self.mu = mu
+        self.mu, self._shift = mu, shift
         self.degenerate = norm_sq <= NORM_TOLERANCE * self.p
         safe = np.where(self.degenerate, 1.0, norm_sq)
         self.scale = np.where(self.degenerate, 0.0, 1.0 / np.sqrt(safe))
@@ -633,19 +650,26 @@ class RowSketchStore:
         self._cells = self._cells.view()
         self._cells.flags.writeable = False
         out = type(self).__new__(type(self))
-        out._assign(self.transform, self._cells, self._totals.copy(), self._ones, self._norms)
+        out._assign(
+            self.transform, self._cells, self._totals.copy(), self._ones, self._base, self._norms
+        )
         out.standardize()
         return out
 
     # -- snapshot io ---------------------------------------------------
 
     def save(self, path):
-        """Write the linear state (stored rows, totals, o), standardized or not.
+        """Write the linear state (centered rows, totals, o), standardized or not.
 
-        The bytes go to a temporary file beside ``path`` that then takes
-        its name, so a store mapped from ``path`` (this one included) keeps
-        reading the old file, a reader never sees a partial snapshot, and
-        a failed write leaves ``path`` as it was.
+        Each row goes out centered, c_i = r_i - mu_i o with mu_i = t_i / p,
+        block by block through one reused buffer; a centered cell that
+        overflows float64 raises ValueError and writes nothing. For a
+        loaded store that means c_i - (mu_i - base_i) o, the cells as they
+        are until an update lands, so a load then save rewrites the same
+        bytes. The bytes go to a temporary file beside ``path`` that then
+        takes its name, so a store mapped from ``path`` (this one included)
+        keeps reading the old file, a reader never sees a partial snapshot,
+        and a failed write leaves ``path`` as it was.
         """
         t = self.transform
         header = _HEADER.pack(
@@ -660,14 +684,17 @@ class RowSketchStore:
             self.p,
         )
         self._flush()
+        shift = self._totals / self.p - self._base
         path = os.path.realpath(path)  # through a symlink to its target, as open() writes
         tmp = f"{path}.{os.urandom(8).hex()}.tmp"
         try:
             # keep the file buffered: a buffered write loops past the 2 GiB
             # at which one raw call may stop
-            with open(tmp, "xb") as fh:
+            with open(tmp, "xb") as fh, _refuse_overflow("a centered sketch cell"):
                 fh.write(header)
-                for section in (self._cells, self._totals, self._ones):
+                for _, block in _centered_blocks(self._cells, shift, self._ones):
+                    fh.write(block.astype("<f8", copy=False))
+                for section in (self._totals, self._ones):
                     fh.write(np.ascontiguousarray(section, dtype="<f8"))
             # unlink, then rename: ext4 forces the new file's data out (about
             # 1 s per GB) when a rename replaces an existing file
@@ -691,9 +718,11 @@ class RowSketchStore:
         corrupt header cannot ask for much hashing either. The totals and
         the all-ones sketch are read into memory; the rows section is mapped
         copy-on-write, not read, so updates to a loaded store stay private
-        and never reach the file. One pass over the map checks every stored
-        cell for NaN and infinity and finds the norms ``standardize`` takes
-        its scales from. Format v1 and flag 1 (served rows) are refused.
+        and never reach the file. The rows are centered already (``_base``
+        is t_i / p), so one pass over the map, an einsum per sketch row, checks
+        every stored cell for NaN and infinity and finds the norms
+        ``standardize`` takes its scales from. Formats v1 and v2 and flag 1
+        (served rows) are refused.
         """
         with open(path, "rb") as fh:
             head = fh.read(_HEADER.size)
@@ -702,9 +731,9 @@ class RowSketchStore:
             magic, version, n, p, width, depth, seed, flags, ones_built = _HEADER.unpack(head)
             if magic != SNAPSHOT_MAGIC:
                 raise SnapshotFormatError(f"bad magic {magic!r}")
-            if version == 1:
-                raise SnapshotFormatError("snapshot format v1 (every bucket stored) is no longer "
-                                          "read: re-ingest the stream")
+            if version in _OLD_FORMATS:
+                raise SnapshotFormatError(f"snapshot format v{version} ({_OLD_FORMATS[version]}) "
+                                          "is no longer read: re-ingest the stream")
             if version != SNAPSHOT_VERSION:
                 raise SnapshotFormatError(f"unsupported snapshot version {version}")
             if flags & ~(_FLAG_STANDARDIZED | _FLAG_EXACT):
@@ -744,9 +773,9 @@ class RowSketchStore:
             ones = _read_finite(fh, np.empty(cells, dtype="<f8"), "ones_sketch")
             rows = np.memmap(fh, dtype="<f8", mode="c", offset=_HEADER.size, shape=(n, cells))
         # the one pass over the rows checks them and finds what standardize needs
-        norms = _centered_norms(rows, totals / p, ones, transform.offsets, check=True)
+        norms = _centered_norms(rows, None, ones, transform.offsets, check=True)
         store = cls.__new__(cls)
-        store._assign(transform, rows, totals, ones, norms)
+        store._assign(transform, rows, totals, ones, totals / p, norms)
         return store
 
 
@@ -757,27 +786,42 @@ def _require_finite(values: np.ndarray, what: str):
         raise SnapshotFormatError(f"non-finite value in {what}")
 
 
-def _centered_norms(
-    cells, mu: np.ndarray, ones: np.ndarray, offsets: np.ndarray, check: bool = False
-) -> np.ndarray:
-    """||r_{t,i} - mu_i o_t||^2 for every row i and sketch row t, (n, depth).
+def _centered_blocks(cells, shift: np.ndarray, ones: np.ndarray):
+    """Yield (first row, c_i - shift_i o over a block of rows) for every block of ``cells``.
 
-    One pass over the (n, K) stored cells, about 4 * _CHUNK cells of rows
-    at a time, so each sketch row's einsum spans several rows; ``offsets``
-    is the transform's. With ``check``, a row whose squares are not all
-    finite is checked value by value, and one holding NaN or infinity is
-    refused, naming it; a row whose squares merely overflowed passes.
+    Blocks hold about 4 * _CHUNK cells and share one buffer, which each
+    yield overwrites; the product o * shift_i, then the difference, are
+    the roundings every reader of the served rows uses.
     """
     n, size = cells.shape
-    step = max(1, 4 * _CHUNK // size)  # rows per step
-    d = np.empty((min(step, n), size))
-    out = np.empty((n, len(offsets) - 1))
+    step = max(1, 4 * _CHUNK // size)  # rows per block
+    buf = np.empty((min(step, n), size))
     for i in range(0, n, step):
-        part = d[: min(step, n - i)]  # r_i - mu_i o over these rows
-        np.multiply(ones, mu[i : i + step, None], out=part)
-        np.subtract(cells[i : i + step], part, out=part)
+        part = buf[: min(step, n - i)]
+        np.multiply(ones, shift[i : i + step, None], out=part)
+        yield i, np.subtract(cells[i : i + step], part, out=part)
+
+
+def _centered_norms(
+    cells, shift, ones: np.ndarray, offsets: np.ndarray, check: bool = False
+) -> np.ndarray:
+    """||c_{t,i} - shift_i o_t||^2 for every row i and sketch row t, (n, depth).
+
+    One pass over the (n, K) stored cells; ``offsets`` is the transform's.
+    With ``shift`` None the cells are centered already, and each sketch
+    row takes one einsum over a plain view of them (a memmap pays a fixed
+    cost per slice); otherwise each block from ``_centered_blocks`` does.
+    With ``check``, a row whose squares are not all finite is checked value
+    by value, and one holding NaN or infinity is refused, naming it; a row
+    whose squares merely overflowed passes.
+    """
+    out = np.empty((len(cells), len(offsets) - 1))
+    blocks = [(0, np.asarray(cells))] if shift is None else _centered_blocks(cells, shift, ones)
+    for i, part in blocks:
         for t, (start, end) in enumerate(zip(offsets[:-1], offsets[1:])):
-            out[i : i + step, t] = np.einsum("ib,ib->i", part[:, start:end], part[:, start:end])
+            out[i : i + len(part), t] = np.einsum(
+                "ib,ib->i", part[:, start:end], part[:, start:end]
+            )
     if check:
         for i in np.flatnonzero(~np.isfinite(out).all(axis=1)):
             _require_finite(cells[i], f"row {i}")

@@ -16,7 +16,7 @@ fixed, so snapshots and mask tables stay stable across runs.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from typing import Optional
 
 import numpy as np
@@ -99,7 +99,9 @@ class Codebook:
 
     ``blocklen`` is the codeword length, ``msg_bits`` the message capacity
     (>= ceil(log2 n)), ``n_correctable`` the guaranteed correction radius
-    in bit flips, and ``error_fraction`` the tolerated flip fraction.
+    in bit flips, and ``error_fraction`` the tolerated flip fraction. The
+    encoder's and decoder's tables are built on first use: a query that
+    scans never encodes or decodes.
     """
 
     def __init__(self, n: int, m: int, t: int):
@@ -117,24 +119,35 @@ class Codebook:
             raise ValueError(
                 f"code capacity {self.msg_bits} bits cannot address {self.n} indices"
             )
-        # remainder of x^(blocklen-msg_bits+r) mod generator, per message bit r
+        self._bit_matrix: Optional[np.ndarray] = None
+
+    @cached_property
+    def _rem_rows(self) -> np.ndarray:
+        """Remainder of x^(blocklen-msg_bits+r) mod generator, per message bit r."""
         parity_len = self.blocklen - self.msg_bits
         rem_rows = np.zeros((self.msg_bits, parity_len), dtype=np.uint8)
         for r in range(self.msg_bits):
-            rem = _gf2_poly_mod(1 << (parity_len + r), gen)
+            rem = _gf2_poly_mod(1 << (parity_len + r), self.generator)
             rem_rows[r] = [(rem >> bit) & 1 for bit in range(parity_len)]
-        self._rem_rows = rem_rows
-        # per bit l: the syndromes alpha^(j*l), j = 1..2t, then the message value of l
-        l = np.arange(self.blocklen)
+        return rem_rows
+
+    @cached_property
+    def _decoder_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The message value of each codeword bit, and the byte table.
+
+        byte_table[q, v] is the XOR of the per-bit rows of v's set bits
+        (byte q: bits 8q.., MSB first); bit l's row holds the syndromes
+        alpha^(j*l), j = 1..2t, then the message value of l.
+        """
+        t, l = self.n_correctable, np.arange(self.blocklen)
         per_bit = np.zeros(((self.blocklen + 7) // 8 * 8, 2 * t + 1), dtype=np.int64)
         per_bit[l, :-1] = self.field.exp[np.outer(l, np.arange(1, 2 * t + 1)) % self.blocklen]
+        parity_len = self.blocklen - self.msg_bits
         per_bit[parity_len : self.blocklen, -1] = 1 << np.arange(self.msg_bits, dtype=np.int64)
-        self._weights = per_bit[l, -1]
-        # _byte_table[q, v]: XOR of the rows of v's set bits (byte q: bits 8q.., MSB first)
         bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)[..., None]
         blocks = per_bit.reshape(-1, 8, 2 * t + 1)
-        self._byte_table = np.stack([np.bitwise_xor.reduce(bits * b, axis=1) for b in blocks])
-        self._bit_matrix: Optional[np.ndarray] = None
+        byte_table = np.stack([np.bitwise_xor.reduce(bits * b, axis=1) for b in blocks])
+        return per_bit[l, -1], byte_table
 
     # -- encoding ------------------------------------------------------
 
@@ -195,16 +208,17 @@ class Codebook:
         bad = (words != 0) & (words != 1)
         if bad.any():
             raise ValueError(f"word bits must be 0 or 1, got {words[bad][0]}")
+        weights, byte_table = self._decoder_tables
         # dedupe on the packed bytes; the unused return_index makes np.unique faster
         packed = np.packbits(words.astype(np.uint8, copy=False), axis=1)
         unique, _, inverse = np.unique(packed, axis=0, return_index=True, return_inverse=True)
-        found = reduce(np.bitwise_xor, (tab[col] for tab, col in zip(self._byte_table, unique.T)))
+        found = reduce(np.bitwise_xor, (tab[col] for tab, col in zip(byte_table, unique.T)))
         synd, msgs = found[:, :-1], found[:, -1]  # (u, 2t) syndromes, (u,) message
         noisy = np.flatnonzero(synd.any(axis=1))
         ok = np.ones(len(unique), dtype=bool)
         if noisy.size:  # a clean batch skips the locator loop and its fixed per-step cost
             ok[noisy], errors = self._locate_errors(synd[noisy])
-            msgs[noisy] ^= errors @ self._weights
+            msgs[noisy] ^= errors @ weights
         out = np.where(ok & (msgs < self.n), msgs, -1)
         return out[inverse.reshape(-1)]
 

@@ -177,6 +177,17 @@ def test_from_matrix_refuses_overflowing_row_total():
         RowSketchStore.from_matrix(SketchTransform.identity(4), values)
 
 
+def test_save_refuses_an_overflowing_centered_cell(tmp_path):
+    # the identity sketch's cells are the values and o is all ones; the row
+    # mean 1.7e308 / 3 puts the middle cell's r - mu o past float64's range,
+    # so the snapshot, which holds centered cells, is not written
+    values = np.array([[1.7e308, -1.7e308, 1.7e308]])
+    store = RowSketchStore.from_matrix(SketchTransform.identity(3), values)
+    with pytest.raises(ValueError, match="^a centered sketch cell overflows float64$"):
+        store.save(tmp_path / "s.snap")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sketch_cell_overflow_is_refused():
     # one bucket: two values signed to agree sum past float64's range
     t = SketchTransform(2, 1, 1, seed=3)
@@ -191,10 +202,10 @@ def test_from_matrix_refuses_wrong_shape(tmp_path):
     for shape in [(2, 12), (2, 5), (8,)]:
         with pytest.raises(ValueError, match=rf"\(n, 8\), got shape {re.escape(str(shape))}"):
             RowSketchStore.from_matrix(t, np.ones(shape))
-    # the right width gives fixed bytes (format v2)
+    # the right width gives fixed bytes (format v3)
     RowSketchStore.from_matrix(t, np.arange(16.0).reshape(2, 8) - 5).save(tmp_path / "m.snap")
     digest = hashlib.sha256((tmp_path / "m.snap").read_bytes()).hexdigest()
-    assert digest == "2c629cbfde8c01e51b21c1325b6bced9a4c0538d294584e8501fcf870e2990a7"
+    assert digest == "89444959e2c957ea1b4e67f4ec21febe31c019dcc121704778cca866109e2a49"
 
 
 def test_rps_replay_matches_dense_sketch_bit_exact(rng):
@@ -446,6 +457,12 @@ def test_store_construction_hashes_in_chunks():
     assert np.all(np.abs(store.ones_sketch).sum(axis=1) <= 1 << 20)
 
 
+def _centered_rows(store: RowSketchStore) -> np.ndarray:
+    """Reference: a new store's rows less mu_i o, (depth, n, width), as its snapshot holds them."""
+    means = store.totals / store.p
+    return store.rows - means[:, None] * store.ones_sketch[:, None, :]
+
+
 def test_snapshot_roundtrip_bit_exact(tmp_path, rng):
     values = rng.standard_normal((5, 48))
     store = build_store(values)
@@ -453,7 +470,7 @@ def test_snapshot_roundtrip_bit_exact(tmp_path, rng):
     store.save(path)
     back = RowSketchStore.load(path)
     assert back.transform == store.transform
-    assert np.array_equal(back.rows, store.rows)
+    assert np.array_equal(back.rows, _centered_rows(store))
     assert np.array_equal(back.totals, store.totals)
     assert np.array_equal(back.ones_sketch, store.ones_sketch)
     assert not back.standardized
@@ -483,15 +500,15 @@ def test_snapshot_roundtrip_identity_transform(tmp_path, rng):
     assert back.transform.exact and back.transform == t
     buckets, signs = back.transform.hash_columns(np.arange(16))
     assert buckets.tolist() == [list(range(16))] and np.all(signs == 1.0)
-    assert np.array_equal(back.rows, store.rows)
+    assert np.array_equal(back.rows, _centered_rows(store))
 
 
-# SHA-256 of v2 snapshot files; any change here is a snapshot format change
+# SHA-256 of v3 snapshot files; any change here is a snapshot format change
 _GOLDEN_SHA256 = {
-    "ingest": "cc893fc21bbb4b865ef215c138089c3b85f08cb84189bad556d9fd815784a3ed",
-    "standardized": "16e7d334862cff33fc7f7884780858a46c394e98d4933a9a5ee1e5be523eb173",
-    "identity": "353040781a5fc5f7d4bf02af364e754758009c48ce728384c5b78bd161ff9c4c",
-    "narrow": "d32b9a31a380d467fc49e3d46e7db1318be3f32daef2262cabe13c0cca52b3e2",
+    "ingest": "5fcdcda07c4af6bd19b81662310b152db8f75e56b269f0dc0dd442f1950c418f",
+    "standardized": "28dbbbbe2cdbad44ab3177a5a7869891e338b6bcd169beab131acf837558e3d9",
+    "identity": "d81f9661474a70f111f085b042fb414090d69617d0889e98d1ca185eda0359ec",
+    "narrow": "f7b8f032597337122bfc283178d722a70d93361582a2a25bf4620abb0a58faa2",
 }
 
 
@@ -554,42 +571,45 @@ def _standardized_in_place(store: RowSketchStore) -> np.ndarray:
     return stored
 
 
-def _mapped_store(tmp_path, rng, n=7, p=48, offset=0.0):
+def _mapped_store(tmp_path, rng, n=7, p=48, offset=0.0, name="s.snap"):
+    """A snapshot's path, the store loaded from it, and the new store that saved it."""
     values = rng.standard_normal((n, p)) + offset
     values[2] = 1.5  # constant row: degenerate
     values[4] = 0.0  # empty row: degenerate
     store = RowSketchStore.from_matrix(SketchTransform(p, 16, 5, seed=9), values)
-    path = tmp_path / "s.snap"
+    path = tmp_path / name
     store.save(path)
-    return path, RowSketchStore.load(path)
+    return path, RowSketchStore.load(path), store
 
 
 def test_loaded_rows_map_the_file(tmp_path, rng):
     # the rows are a private map: updates, and a standardized copy, leave the file alone
-    path, store = _mapped_store(tmp_path, rng)
+    path, store, source = _mapped_store(tmp_path, rng)
     raw = path.read_bytes()
     assert isinstance(store.rows.base, np.memmap)
     before = np.array(store.rows)
     copy = store.standardized_copy()
     served = np.array(copy.rows)
-    store.apply(StreamUpdate(3.0, 0, 5))
+    for s in (store, source):
+        s.apply(StreamUpdate(3.0, 0, 5))
     assert not np.array_equal(store.rows, before)
     assert np.array_equal(copy.rows, served)
     store.save(tmp_path / "updated.snap")
     assert path.read_bytes() == raw
-    reference = _standardized_in_place(store)  # the norms found at load are stale now
-    store.standardize()
+    reference = _standardized_in_place(source)
+    store.standardize()  # the norms found at load are stale now
     for i in range(store.n):
-        assert np.array_equal(store.row_sketch(i), reference[i]), i
+        # the update lands on centered cells: equal to the new store's to rounding
+        np.testing.assert_allclose(store.row_sketch(i), reference[i], rtol=0, atol=1e-13)
 
 
-@pytest.mark.parametrize("chunk", [ams._CHUNK, 48])  # 48 cells: 3 rows per sketch_row step
+@pytest.mark.parametrize("chunk", [ams._CHUNK, 48])  # 48 cells: 2 rows per save block
 def test_standardize_leaves_stored_rows_unchanged(tmp_path, rng, monkeypatch, chunk):
     monkeypatch.setattr(ams, "_CHUNK", chunk)
-    path, store = _mapped_store(tmp_path, rng)
+    path, store, source = _mapped_store(tmp_path, rng)
     mapped = store.rows
     before = np.array(mapped)
-    reference = _standardized_in_place(store)
+    reference = _standardized_in_place(source)
     store.standardize()
     assert np.array_equal(mapped, before)
     assert store.degenerate.tolist() == [False, False, True, False, True, False, False]
@@ -602,10 +622,13 @@ def test_standardize_leaves_stored_rows_unchanged(tmp_path, rng, monkeypatch, ch
         assert np.array_equal(store.sketch_row(t, tile), reference[:, t])
 
 
-def _dense_sketches(t: SketchTransform, n: int, updates) -> np.ndarray:
-    """Reference: every bucket of n sketches, added one update at a time, (n, depth, width)."""
+def _dense_sketches(t: SketchTransform, n: int, updates, out=None) -> np.ndarray:
+    """Reference: every bucket of n sketches, added one update at a time, (n, depth, width).
+
+    The updates are added to ``out`` in place when it is given, to zeros otherwise.
+    """
     buckets, signs = t.hash_columns(np.arange(t.p))
-    out = np.zeros((n, t.depth, t.width))
+    out = np.zeros((n, t.depth, t.width)) if out is None else out
     for alpha, i, j in updates:
         out[i, np.arange(t.depth), buckets[:, j]] += signs[:, j] * alpha
     return out
@@ -616,7 +639,8 @@ def test_served_rows_are_zero_outside_the_occupied_buckets(tmp_path, rng, p):
     # a store holds only transform.occupied: the buckets some column hashes to,
     # and every bucket once p >= width. Every sketch is 0 elsewhere, so the
     # expanded rows equal all buckets of the sketches added one update at a
-    # time, bit for bit, and sketch_row serves each sketch row's cells
+    # time, bit for bit (centered at save, for a loaded store), and
+    # sketch_row serves each sketch row's cells
     n, width, depth = 6, 64, 5
     t = SketchTransform(p, width, depth, seed=31)
     reach = np.zeros((depth, width), dtype=bool)  # buckets a unit vector's sketch touches
@@ -631,21 +655,21 @@ def test_served_rows_are_zero_outside_the_occupied_buckets(tmp_path, rng, p):
     assert t.cells == sum(cols.size for cols in t.occupied)
     values = rng.standard_normal((n, p)) + 2.0
     rps = matrix_to_updates(DenseMatrix(values), "rps")  # from_matrix's order
-    stores = {"from_matrix": (RowSketchStore.from_matrix(t, values), rps)}
+    dense = _dense_sketches(t, n, rps)
+    stores = {"from_matrix": (RowSketchStore.from_matrix(t, values), dense)}
     for model in ("ts", "rps", "cps"):
-        updates = matrix_to_updates(DenseMatrix(values), model)
-        stores[model] = (RowSketchStore(t, n), updates)
-        for u in updates:
+        stores[model] = (RowSketchStore(t, n), dense)
+        for u in matrix_to_updates(DenseMatrix(values), model):
             stores[model][0].apply(u)
     stores["from_matrix"][0].save(tmp_path / "s.snap")
     later = matrix_to_updates(DenseMatrix(rng.standard_normal((n, p))), "ts")
     loaded = RowSketchStore.load(tmp_path / "s.snap")
     for u in later:
         loaded.apply(u)
-    stores["loaded, then applied"] = (loaded, rps + later)
     ones = _dense_sketches(t, 1, [StreamUpdate(1.0, 0, j) for j in range(p)])[0]
-    for name, (store, updates) in stores.items():
-        dense = _dense_sketches(t, n, updates)
+    centered = dense - (stores["rps"][0].totals / p)[:, None, None] * ones
+    stores["loaded, then applied"] = (loaded, _dense_sketches(t, n, later, centered))
+    for name, (store, dense) in stores.items():
         assert store.rows.transpose(1, 0, 2).tobytes() == dense.tobytes(), name
         assert store.ones_sketch.tobytes() == ones.tobytes(), name
         store.standardize()
@@ -685,8 +709,8 @@ def test_median_gram_matches_standardized_rows(tmp_path, rng, offset):
     # reference rewrite's, and the scan decides as the reference median does
     from corrsketch.recovery import _scan_hits
 
-    path, store = _mapped_store(tmp_path, rng, n=12, p=64, offset=offset)
-    reference = _standardized_in_place(store).transpose(1, 0, 2)
+    path, store, source = _mapped_store(tmp_path, rng, n=12, p=64, offset=offset)
+    reference = _standardized_in_place(source).transpose(1, 0, 2)
     expect = np.stack([rt @ rt.T for rt in reference])
     median = np.median(expect, axis=0)
     store.standardize()
@@ -706,20 +730,29 @@ def test_median_gram_matches_standardized_rows(tmp_path, rng, offset):
 
 
 def test_standardized_store_round_trips_its_linear_state(tmp_path, rng):
-    # a standardized store saves the raw rows; the reloaded store standardizes
-    # to the same served bits, takes updates, and a flag-1 file is refused
-    path, store = _mapped_store(tmp_path, rng)
-    store.standardize()
-    again = tmp_path / "std.snap"
-    store.save(again)
-    assert again.read_bytes() == path.read_bytes()
-    back = RowSketchStore.load(again)
-    assert not back.standardized
-    back.standardize()
-    assert np.array_equal(back.degenerate, store.degenerate)
-    for i in range(store.n):
-        # served bit for bit, signed zeros of the degenerate rows included
-        assert back.row_sketch(i).tobytes() == store.row_sketch(i).tobytes(), i
+    # a standardized store saves its centered rows; the reloaded store serves
+    # the same bits, rows far from zero mean (offset 1e8) included, takes
+    # updates, and a flag-1 file is refused
+    from corrsketch.recovery import _scan_hits
+
+    for offset in (0.0, 1e8):
+        path, _, store = _mapped_store(tmp_path, rng, offset=offset, name=f"{offset}.snap")
+        store.standardize()
+        again = tmp_path / "std.snap"
+        store.save(again)
+        assert again.read_bytes() == path.read_bytes()
+        back = RowSketchStore.load(again)
+        assert not back.standardized
+        back.standardize()
+        assert np.array_equal(back.degenerate, store.degenerate)
+        for name in ("mu", "scale"):
+            assert getattr(back, name).tobytes() == getattr(store, name).tobytes(), name
+        for i in range(store.n):
+            # served bit for bit, signed zeros of the degenerate rows included
+            assert back.row_sketch(i).tobytes() == store.row_sketch(i).tobytes(), (offset, i)
+        assert back.rows.tobytes() == store.rows.tobytes()
+        for phi in (0.3, 0.8):
+            assert _scan_hits((back,), phi).tobytes() == _scan_hits((store,), phi).tobytes()
     updated = RowSketchStore.load(again)
     before = np.array(updated.rows)
     updated.apply(StreamUpdate(3.0, 0, 5))
@@ -737,16 +770,47 @@ def test_standardized_store_round_trips_its_linear_state(tmp_path, rng):
         RowSketchStore.load(flag1)
 
 
+@pytest.mark.parametrize("offset", [0.0, 1e8])
+def test_updates_after_load_match_the_new_store(tmp_path, rng, offset):
+    # a loaded store's cells were centered at save, so updates land on
+    # c_i = r_i - mu_i o and its rows are served as a_i (c_i - (mu_i' - mu_i) o):
+    # equal to the new store's a_i (r_i - mu_i' o) to rounding, not bit for bit.
+    # Each served value is off by a few ulps of the largest stored value
+    # (about 1e9 at offset 1e8) times the row's scale. A re-save centers the
+    # cells again, so the reloaded store has no shift left and serves the
+    # updated store's bits
+    path, loaded, store = _mapped_store(tmp_path, rng, offset=offset)
+    later = [StreamUpdate(float(a), int(i), int(j)) for a, i, j in zip(
+        rng.standard_normal(40) * (1 + offset), rng.integers(0, 7, 40), rng.integers(0, 48, 40)
+    )]
+    for s in (loaded, store):
+        for u in later:
+            s.apply(u)
+    assert loaded.totals.tobytes() == store.totals.tobytes()
+    largest = np.abs(store.rows).max()
+    loaded.save(tmp_path / "again.snap")
+    back = RowSketchStore.load(tmp_path / "again.snap")
+    for s in (loaded, store, back):
+        s.standardize()
+    assert np.array_equal(loaded.degenerate, store.degenerate)
+    tolerance = 16 * np.finfo(float).eps * largest * store.scale.max()
+    np.testing.assert_allclose(loaded.rows, store.rows, rtol=0, atol=tolerance)
+    np.testing.assert_allclose(loaded.scale, store.scale, rtol=16 * np.finfo(float).eps)
+    assert loaded._shift is not None and back._shift is None
+    assert back.scale.tobytes() == loaded.scale.tobytes()
+    assert back.rows.tobytes() == loaded.rows.tobytes()
+
+
 def test_save_over_the_mapped_file(tmp_path, rng, monkeypatch):
     # save writes a new file and renames it into place: the store that maps the
     # old one, and any other reader of it, keeps the old bytes
-    path, store = _mapped_store(tmp_path, rng)
+    path, store, _ = _mapped_store(tmp_path, rng)
     raw = path.read_bytes()
     store.save(path)
     assert path.read_bytes() == raw
     store.standardize()
     with monkeypatch.context() as mp:  # a write that fails half way leaves the file as it was
-        # the all-ones sketch is written after the rows and totals sections
+        # the all-ones sketch centers the first block of rows, after the header is written
         failing = type("Failing", (), {"__array__": lambda *args, **kwargs: 1 / 0})
         mp.setattr(store, "_ones", failing())
         with pytest.raises(ZeroDivisionError):
@@ -793,7 +857,7 @@ def test_snapshot_rejects_malformed(tmp_path):
         RowSketchStore.load(tmp_path / "trunc.snap")
 
 
-# the v2 header: 61 bytes of fields, padded to 64 so the rows are 8-byte aligned
+# the header since v2: 61 bytes of fields, padded to 64 so the rows are 8-byte aligned
 _HEADER_FORMAT = "<8sI5QBQ3x"
 
 
@@ -834,16 +898,18 @@ def test_load_refuses_incomplete_ones_sketch(tmp_path, ones_built):
 
 
 def test_load_refuses_a_v1_snapshot(tmp_path):
-    # v1 stored every bucket behind a 61-byte header; it is refused by name
+    # v1 stored every bucket behind a 61-byte header, v2 the uncentered rows
+    # behind the padded one; each is refused by name
     path = tmp_path / "s.snap"
     RowSketchStore.from_matrix(SketchTransform(32, 16, 5, seed=4), np.eye(3, 32)).save(path)
     raw = path.read_bytes()
     parts = list(struct.unpack_from(_HEADER_FORMAT, raw))
-    parts[1] = 1
-    # p > width: every bucket is a cell, so the payload is the one v1 wrote
-    path.write_bytes(struct.pack("<8sI5QBQ", *parts) + raw[struct.calcsize(_HEADER_FORMAT):])
-    with pytest.raises(SnapshotFormatError, match="format v1 .*re-ingest the stream"):
-        RowSketchStore.load(path)
+    # p > width: every bucket is a cell, so the payload has the size v1 and v2 wrote
+    for version, header in ((1, "<8sI5QBQ"), (2, _HEADER_FORMAT)):
+        parts[1] = version
+        path.write_bytes(struct.pack(header, *parts) + raw[struct.calcsize(_HEADER_FORMAT):])
+        with pytest.raises(SnapshotFormatError, match=f"format v{version} .*re-ingest the stream"):
+            RowSketchStore.load(path)
 
 
 @pytest.mark.parametrize("extra", [-1, 1])
