@@ -599,7 +599,14 @@ class RowSketchStore:
         """Sketch row t of every row as queries read it: its k_t cells, copied into ``out`` (n, k_t)."""
         self._flush()
         cells = slice(*self.transform.offsets[t : t + 2])
-        return self._served(self._cells[:, cells], (slice(None), None), self._ones[cells], out)
+        ones = self._ones[cells]
+        # a shift takes three passes over the rows, so they go in cache-sized
+        # steps; a scale alone takes one pass over all of them
+        step = self.n if self._shift is None else max(1, _CHUNK // out.shape[1])
+        for i in range(0, self.n, step):
+            rows = slice(i, i + step)
+            self._served(self._cells[rows, cells], (rows, None), ones, out[rows])
+        return out
 
     def inner(self, i: int, j: int) -> float:
         """Median over sketch rows of the served rows' dot products."""
@@ -786,13 +793,18 @@ def _require_finite(values: np.ndarray, what: str):
         raise SnapshotFormatError(f"non-finite value in {what}")
 
 
-def _centered_blocks(cells, shift: np.ndarray, ones: np.ndarray):
+def _centered_blocks(cells, shift, ones: np.ndarray):
     """Yield (first row, c_i - shift_i o over a block of rows) for every block of ``cells``.
 
-    Blocks hold about 4 * _CHUNK cells and share one buffer, which each
-    yield overwrites; the product o * shift_i, then the difference, are
-    the roundings every reader of the served rows uses.
+    With ``shift`` None the cells are centered already: one block, a plain
+    view of them (a memmap pays a fixed cost per slice). Otherwise blocks
+    hold about 4 * _CHUNK cells and share one buffer, which each yield
+    overwrites; the product o * shift_i, then the difference, are the
+    roundings every reader of the served rows uses.
     """
+    if shift is None:
+        yield 0, np.asarray(cells)
+        return
     n, size = cells.shape
     step = max(1, 4 * _CHUNK // size)  # rows per block
     buf = np.empty((min(step, n), size))
@@ -807,17 +819,14 @@ def _centered_norms(
 ) -> np.ndarray:
     """||c_{t,i} - shift_i o_t||^2 for every row i and sketch row t, (n, depth).
 
-    One pass over the (n, K) stored cells; ``offsets`` is the transform's.
-    With ``shift`` None the cells are centered already, and each sketch
-    row takes one einsum over a plain view of them (a memmap pays a fixed
-    cost per slice); otherwise each block from ``_centered_blocks`` does.
+    One pass over the (n, K) stored cells, an einsum per sketch row for
+    each block from ``_centered_blocks``; ``offsets`` is the transform's.
     With ``check``, a row whose squares are not all finite is checked value
     by value, and one holding NaN or infinity is refused, naming it; a row
     whose squares merely overflowed passes.
     """
     out = np.empty((len(cells), len(offsets) - 1))
-    blocks = [(0, np.asarray(cells))] if shift is None else _centered_blocks(cells, shift, ones)
-    for i, part in blocks:
+    for i, part in _centered_blocks(cells, shift, ones):
         for t, (start, end) in enumerate(zip(offsets[:-1], offsets[1:])):
             out[i : i + len(part), t] = np.einsum(
                 "ib,ib->i", part[:, start:end], part[:, start:end]

@@ -119,7 +119,6 @@ class Codebook:
             raise ValueError(
                 f"code capacity {self.msg_bits} bits cannot address {self.n} indices"
             )
-        self._bit_matrix: Optional[np.ndarray] = None
 
     @cached_property
     def _rem_rows(self) -> np.ndarray:
@@ -167,16 +166,16 @@ class Codebook:
 
     def bit_matrix(self) -> np.ndarray:
         """(n, blocklen) table of codeword bits; built once, then cached."""
-        if self._bit_matrix is None:
-            msgs = np.arange(self.n, dtype=np.int64)
-            msg_bits = ((msgs[:, None] >> np.arange(self.msg_bits)[None, :]) & 1).astype(
-                np.uint8
-            )
-            parity = (msg_bits.astype(np.int64) @ self._rem_rows.astype(np.int64)) & 1
-            table = np.concatenate([parity.astype(np.uint8), msg_bits], axis=1)
-            table.setflags(write=False)
-            self._bit_matrix = table
-        return self._bit_matrix
+        return self._codewords
+
+    @cached_property
+    def _codewords(self) -> np.ndarray:
+        msgs = np.arange(self.n, dtype=np.int64)
+        msg_bits = ((msgs[:, None] >> np.arange(self.msg_bits)[None, :]) & 1).astype(np.uint8)
+        parity = (msg_bits.astype(np.int64) @ self._rem_rows.astype(np.int64)) & 1
+        table = np.concatenate([parity.astype(np.uint8), msg_bits], axis=1)
+        table.setflags(write=False)
+        return table
 
     def mask_bit(self, l: int, i: int) -> int:
         if not 0 <= l < self.blocklen:

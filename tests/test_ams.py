@@ -557,11 +557,15 @@ def test_rows_memory_in_snapshot_order(tmp_path):
         assert s.rows.transpose(1, 0, 2).flags.c_contiguous
 
 
-def _standardized_in_place(store: RowSketchStore) -> np.ndarray:
-    """Reference: the rewrite a standardize once ran on the stored rows, (n, depth, width)."""
+def _standardized_in_place(store: RowSketchStore, removed=0.0) -> np.ndarray:
+    """Reference: the rewrite a standardize once ran on the stored rows, (n, depth, width).
+
+    ``removed`` is the per-row mean already taken out of the stored cells:
+    0 for a new store, the totals at load over p for a loaded one.
+    """
     stored = np.array(store.rows.transpose(1, 0, 2))  # a copy in snapshot order
     rows = stored.transpose(1, 0, 2)  # indexed (depth, n, width), as the store's rows
-    means = store.totals / store.p
+    means = store.totals / store.p - removed
     for t in range(store.transform.depth):
         rows[t] -= np.outer(means, store.ones_sketch[t])
     norm_sq = np.median(np.einsum("tib,tib->ti", rows, rows), axis=0)
@@ -584,23 +588,26 @@ def _mapped_store(tmp_path, rng, n=7, p=48, offset=0.0, name="s.snap"):
 
 def test_loaded_rows_map_the_file(tmp_path, rng):
     # the rows are a private map: updates, and a standardized copy, leave the file alone
-    path, store, source = _mapped_store(tmp_path, rng)
+    path, store, _ = _mapped_store(tmp_path, rng)
     raw = path.read_bytes()
     assert isinstance(store.rows.base, np.memmap)
     before = np.array(store.rows)
+    removed = store.totals / store.p  # the means save took out of the cells
     copy = store.standardized_copy()
     served = np.array(copy.rows)
-    for s in (store, source):
-        s.apply(StreamUpdate(3.0, 0, 5))
+    store.apply(StreamUpdate(3.0, 0, 5))
     assert not np.array_equal(store.rows, before)
     assert np.array_equal(copy.rows, served)
     store.save(tmp_path / "updated.snap")
     assert path.read_bytes() == raw
-    reference = _standardized_in_place(source)
-    store.standardize()  # the norms found at load are stale now
+    reference = _standardized_in_place(store, removed)  # the norms found at load are stale now
+    store.standardize()
+    assert store._shift is not None
     for i in range(store.n):
-        # the update lands on centered cells: equal to the new store's to rounding
-        np.testing.assert_allclose(store.row_sketch(i), reference[i], rtol=0, atol=1e-13)
+        assert np.array_equal(store.row_sketch(i), reference[i]), i
+    tile = np.empty((store.n, store.transform.width))
+    for t in range(store.transform.depth):
+        assert np.array_equal(store.sketch_row(t, tile), reference[:, t])
 
 
 @pytest.mark.parametrize("chunk", [ams._CHUNK, 48])  # 48 cells: 2 rows per save block
@@ -810,9 +817,15 @@ def test_save_over_the_mapped_file(tmp_path, rng, monkeypatch):
     assert path.read_bytes() == raw
     store.standardize()
     with monkeypatch.context() as mp:  # a write that fails half way leaves the file as it was
-        # the all-ones sketch centers the first block of rows, after the header is written
-        failing = type("Failing", (), {"__array__": lambda *args, **kwargs: 1 / 0})
-        mp.setattr(store, "_ones", failing())
+        # it fails once every block of rows is written, before the totals
+        blocks = ams._centered_blocks
+
+        def failing(*args):
+            yield from blocks(*args)
+            raise ZeroDivisionError
+
+        mp.setattr(ams, "_CHUNK", 48)  # 2 rows per block
+        mp.setattr(ams, "_centered_blocks", failing)
         with pytest.raises(ZeroDivisionError):
             store.save(path)
     assert path.read_bytes() == raw
