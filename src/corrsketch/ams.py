@@ -18,7 +18,8 @@ the row totals. Both are linear in the stream, so turnstile updates may
 arrive in any order, split or cancelled. At query time the store is
 standardized so that inner products estimate correlations: it records a
 shift and a scale per row and never rewrites a row; each standardized row
-a_i (r_i - mu_i o), mu_i = t_i / p, is formed where it is read. The
+a_i (r_i - mu_i o), mu_i = t_i / p, is formed where it is read, and one
+routine (_centered_blocks) takes out every shift, for readers and save. The
 all-ones sketch o that the shift subtracts is a fixed function of the
 transform, so the store's constructor builds it whole. A snapshot holds
 only the linear state, standardized or not: the centered rows
@@ -79,15 +80,15 @@ SNAPSHOT_MAGIC = b"CSKSNAP1"
 SNAPSHOT_VERSION = 3
 # earlier formats, refused by name: re-ingesting writes the current one
 _OLD_FORMATS = {1: "every bucket stored", 2: "uncentered rows"}
-_FLAG_STANDARDIZED = 1  # standardized (served) rows: load refuses it
 _FLAG_EXACT = 4
 # magic, version, n, p, width, depth, seed, flags, ones_built; ones_built
 # (columns folded into the all-ones sketch) is always p. Padded to 64 bytes,
 # so the mapped rows are 8-byte aligned.
 _HEADER = struct.Struct("<8sI5QBQ3x")
-# load hashes the p columns of a p < width header only when p * depth is at
-# most this many times the cells per row the file holds; a real transform
-# occupies about p/2 or more buckets per sketch row
+# load finds the occupied buckets of a header (hashing the p columns when
+# p < width) only when depth * min(p, width) is at most this many times the
+# cells per row the file holds; a real transform occupies about p/2 or more
+# buckets per sketch row, and every bucket when p >= width
 _MAX_COLUMNS_PER_CELL = 64
 
 
@@ -261,8 +262,6 @@ class SketchTransform:
     @property
     def cells(self) -> int:
         """K, the cells a stored row holds: d * b when p >= width, found without hashing."""
-        if self.p >= self.width:
-            return self.depth * self.width
         return int(self.offsets[-1])
 
     def locate(self, buckets: np.ndarray) -> np.ndarray:
@@ -380,7 +379,7 @@ def _ones_sketch(t: SketchTransform) -> np.ndarray:
     every step. The cells are sums of +-1, exact in any order, so the
     partial sums add to the same bits whatever the worker count.
     """
-    depth, cells = t.depth, int(t.offsets[-1])  # found before any worker starts
+    depth, cells = t.depth, t.cells  # found before any worker starts
     step = max(1, _CHUNK // depth)
     starts = range(0, t.p, step)
     workers = min(_usable_cores(), len(starts))
@@ -442,9 +441,11 @@ class RowSketchStore:
     updates. Unstandardized ``rows`` are these cells as stored.
 
     Standardizing sets ``mu`` (the mean t_i / p) and ``scale`` (a) per row
-    and leaves the stored cells as they are; ``row_sketch``, ``sketch_row``
-    and ``inner`` serve the rows a_i (c_i - (mu_i - base_i) o), which is
-    a_i c_i, one scale, until an update moves some row's total.
+    and leaves the stored cells as they are; ``row_sketch``, ``sketch_row``,
+    ``inner`` and ``rows`` serve, through one reader, the rows
+    a_i (c_i - (mu_i - base_i) o), which is a_i c_i, one scale, until an
+    update moves some row's total. ``_centered_blocks`` alone takes out
+    that shift, for the reader and for ``save``.
     """
 
     def __init__(self, transform: SketchTransform, n: int):
@@ -485,7 +486,7 @@ class RowSketchStore:
         self._flush()
         cells = self._cells
         if self.standardized:
-            cells = self._served(cells, (slice(None), None), self._ones, np.empty(cells.shape))
+            cells = self._read(slice(0, self.n), None, np.empty(cells.shape))
         return self.transform.expand(cells).transpose(1, 0, 2)
 
     @property
@@ -570,26 +571,37 @@ class RowSketchStore:
     def finalize_ones(self):
         """No-op: the constructor already built the whole all-ones sketch."""
 
-    def _served(self, cells, at, ones, out) -> np.ndarray:
-        """Stored ``cells`` as queries read them, written to ``out``.
+    def _read(self, rows: slice, t: int | None, out: np.ndarray) -> np.ndarray:
+        """Sketch row t's cells (all K if t is None) of ``rows``, as queries read them, into ``out``.
 
-        ``at`` indexes the per-row shift and scale to broadcast against
-        ``cells``; every block gets the same roundings, so every reader the
-        same bits: the shift's product and difference are
-        ``_centered_blocks``'s, which ``save`` and ``_centered_norms`` use.
+        ``rows`` is a slice with its start and stop given. The one reader of
+        the served rows: once standardized, it centers through
+        ``_centered_blocks`` straight into ``out`` and scales each block in
+        place, so every reader gets the same bits; with no shift (a loaded
+        store whose totals have not moved) that is one np.multiply. A row or
+        sketch row out of range raises IndexError.
         """
+        if not 0 <= rows.start < rows.stop <= self.n:
+            bad = rows.start if rows.start < 0 else rows.stop - 1
+            raise IndexError(f"row {bad} out of range for a store of {self.n} rows")
+        depth = self.transform.depth
+        if t is not None and not 0 <= t < depth:
+            raise IndexError(f"sketch row {t} out of range for depth {depth}")
+        self._flush()
+        cells = slice(None) if t is None else slice(*self.transform.offsets[t : t + 2])
+        stored = self._cells[rows, cells]
         if not self.standardized:
-            out[...] = cells
+            out[...] = stored
             return out
-        if self._shift is not None:
-            np.multiply(ones, self._shift[at], out=out)
-            cells = np.subtract(cells, out, out=out)
-        return np.multiply(cells, self.scale[at], out=out)
+        shift = None if self._shift is None else self._shift[rows]
+        scale = self.scale[rows, None]
+        for i, block in _centered_blocks(stored, shift, self._ones[cells], out):
+            np.multiply(block, scale[i : i + len(block)], out=out[i : i + len(block)])
+        return out
 
     def _row_cells(self, i: int) -> np.ndarray:
         """Row i's K cells as queries read them, in a fresh array."""
-        self._flush()
-        return self._served(self._cells[i], i, self._ones, np.empty(self._ones.shape))
+        return self._read(slice(i, i + 1), None, np.empty((1, self._ones.size)))[0]
 
     def row_sketch(self, i: int) -> np.ndarray:
         """Row i's d x b sketch as queries read it, in a fresh array."""
@@ -597,16 +609,7 @@ class RowSketchStore:
 
     def sketch_row(self, t: int, out: np.ndarray) -> np.ndarray:
         """Sketch row t of every row as queries read it: its k_t cells, copied into ``out`` (n, k_t)."""
-        self._flush()
-        cells = slice(*self.transform.offsets[t : t + 2])
-        ones = self._ones[cells]
-        # a shift takes three passes over the rows, so they go in cache-sized
-        # steps; a scale alone takes one pass over all of them
-        step = self.n if self._shift is None else max(1, _CHUNK // out.shape[1])
-        for i in range(0, self.n, step):
-            rows = slice(i, i + step)
-            self._served(self._cells[rows, cells], (rows, None), ones, out[rows])
-        return out
+        return self._read(slice(0, self.n), t, out)
 
     def inner(self, i: int, j: int) -> float:
         """Median over sketch rows of the served rows' dot products."""
@@ -630,9 +633,7 @@ class RowSketchStore:
         """
         if self.standardized:
             raise SketchStateError("store already standardized")
-        mu = self.totals / self.p
-        shift = mu - self._base
-        shift = shift if shift.any() else None
+        mu, shift = self.totals / self.p, self._unremoved_mean()
         if self._norms is None:
             self._norms = _centered_norms(self._cells, shift, self._ones, self.transform.offsets)
         norm_sq = _middle(self._norms)
@@ -644,6 +645,11 @@ class RowSketchStore:
         safe = np.where(self.degenerate, 1.0, norm_sq)
         self.scale = np.where(self.degenerate, 0.0, 1.0 / np.sqrt(safe))
         self.standardized = True
+
+    def _unremoved_mean(self) -> np.ndarray | None:
+        """mu - base per row, the mean the stored cells still hold; None if no row's total moved."""
+        shift = self.totals / self.p - self._base
+        return shift if shift.any() else None
 
     def standardized_copy(self) -> "RowSketchStore":
         """A standardized store over the same rows; this store is unchanged.
@@ -691,7 +697,7 @@ class RowSketchStore:
             self.p,
         )
         self._flush()
-        shift = self._totals / self.p - self._base
+        shift = self._unremoved_mean()
         path = os.path.realpath(path)  # through a symlink to its target, as open() writes
         tmp = f"{path}.{os.urandom(8).hex()}.tmp"
         try:
@@ -728,8 +734,8 @@ class RowSketchStore:
         and never reach the file. The rows are centered already (``_base``
         is t_i / p), so one pass over the map, an einsum per sketch row, checks
         every stored cell for NaN and infinity and finds the norms
-        ``standardize`` takes its scales from. Formats v1 and v2 and flag 1
-        (served rows) are refused.
+        ``standardize`` takes its scales from. Formats v1 and v2 are refused
+        by name.
         """
         with open(path, "rb") as fh:
             head = fh.read(_HEADER.size)
@@ -743,11 +749,8 @@ class RowSketchStore:
                                           "is no longer read: re-ingest the stream")
             if version != SNAPSHOT_VERSION:
                 raise SnapshotFormatError(f"unsupported snapshot version {version}")
-            if flags & ~(_FLAG_STANDARDIZED | _FLAG_EXACT):
+            if flags & ~_FLAG_EXACT:
                 raise SnapshotFormatError(f"unknown snapshot flags {flags:#x}")
-            if flags & _FLAG_STANDARDIZED:
-                raise SnapshotFormatError("snapshot flag 1 (standardized rows) is no longer "
-                                          "read: re-save from the unstandardized store")
             exact = bool(flags & _FLAG_EXACT)
             if exact and (width, depth) != (p, 1):
                 raise SnapshotFormatError("exact-transform snapshot with mismatched shape")
@@ -762,10 +765,9 @@ class RowSketchStore:
                 raise SnapshotFormatError(
                     f"snapshot is {size} bytes: no whole number of cells per row for n={n}"
                 )
-            if p < width and p * depth > _MAX_COLUMNS_PER_CELL * cells:
-                raise SnapshotFormatError(
-                    f"p={p} columns in {depth} sketch rows cannot occupy {cells} cells per row"
-                )
+            if depth * min(p, width) > _MAX_COLUMNS_PER_CELL * cells:
+                raise SnapshotFormatError(f"p={p} columns in {depth} sketch rows of {width} "
+                                          f"buckets cannot occupy {cells} cells per row")
             try:
                 transform = (
                     SketchTransform.identity(p) if exact else SketchTransform(p, width, depth, seed)
@@ -793,23 +795,26 @@ def _require_finite(values: np.ndarray, what: str):
         raise SnapshotFormatError(f"non-finite value in {what}")
 
 
-def _centered_blocks(cells, shift, ones: np.ndarray):
+def _centered_blocks(cells, shift, ones: np.ndarray, out: np.ndarray | None = None):
     """Yield (first row, c_i - shift_i o over a block of rows) for every block of ``cells``.
 
-    With ``shift`` None the cells are centered already: one block, a plain
-    view of them (a memmap pays a fixed cost per slice). Otherwise blocks
-    hold about 4 * _CHUNK cells and share one buffer, which each yield
-    overwrites; the product o * shift_i, then the difference, are the
-    roundings every reader of the served rows uses.
+    The only code that takes out a shift, and so the one place that picks
+    its row blocks: the product o * shift_i, then the difference, are the
+    roundings of ``save``, ``_centered_norms`` and every served read. With
+    ``shift`` None the cells are centered already: one block, a plain view
+    of them (a memmap pays a fixed cost per slice), and ``out`` is not
+    written. Otherwise blocks hold about 4 * _CHUNK cells and land in the
+    same rows of ``out`` when it is given, or else in one buffer that each
+    yield overwrites.
     """
     if shift is None:
         yield 0, np.asarray(cells)
         return
     n, size = cells.shape
     step = max(1, 4 * _CHUNK // size)  # rows per block
-    buf = np.empty((min(step, n), size))
+    buf = np.empty((min(step, n), size)) if out is None else None
     for i in range(0, n, step):
-        part = buf[: min(step, n - i)]
+        part = out[i : i + step] if out is not None else buf[: min(step, n - i)]
         np.multiply(ones, shift[i : i + step, None], out=part)
         yield i, np.subtract(cells[i : i + step], part, out=part)
 

@@ -18,7 +18,7 @@ import os
 import sys
 
 from . import ecc, oracle, recovery
-from .ams import RowSketchStore, SketchTransform, SnapshotFormatError
+from .ams import RowSketchStore, SketchTransform
 from .bench import parse_grid, run_bench
 from .oracle import PlantedSpec, correlation, large_set, plant_dataset, residual_norm
 from .stream import (
@@ -240,15 +240,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (
-        StreamFormatError,
-        SnapshotFormatError,
-        recovery.ParameterError,
-        oracle.GenerationError,
-        ValueError,
-        OSError,
-        MemoryError,
-    ) as e:
+    except (ValueError, oracle.GenerationError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

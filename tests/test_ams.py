@@ -610,6 +610,51 @@ def test_loaded_rows_map_the_file(tmp_path, rng):
         assert np.array_equal(store.sketch_row(t, tile), reference[:, t])
 
 
+def test_shifted_reads_span_several_blocks(tmp_path, rng, monkeypatch):
+    # at _CHUNK 48 a shifted read centers 12 rows per block of one sketch row
+    # (16 cells), or 2 rows per block of whole rows (80 cells). A never-saved
+    # store and a loaded one after updates serve the rewrite of their own
+    # cells bit for bit, through every reader
+    monkeypatch.setattr(ams, "_CHUNK", 48)
+    _, loaded, new = _mapped_store(tmp_path, rng, n=40)
+    removed = loaded.totals / loaded.p  # the means save took out of the cells
+    for i in range(0, 40, 3):
+        loaded.apply(StreamUpdate(0.5 + i, i, i % 48))
+    for name, store, base in (("new", new, 0.0), ("loaded, then applied", loaded, removed)):
+        reference = _standardized_in_place(store, base)
+        store.standardize()
+        assert store._shift is not None, name
+        for i in range(store.n):
+            assert np.array_equal(store.row_sketch(i), reference[i]), (name, i)
+            for j in range(i + 1, store.n, 7):
+                assert store.inner(i, j) == inner_product(reference[i], reference[j]), (name, i, j)
+        assert np.array_equal(store.rows, reference.transpose(1, 0, 2)), name
+        tile = np.empty((store.n, store.transform.width))
+        for t in range(store.transform.depth):
+            assert np.array_equal(store.sketch_row(t, tile), reference[:, t]), (name, t)
+
+
+def test_reads_refuse_an_index_out_of_range(rng):
+    # a negative index must not wrap around to the last rows, where verify
+    # could accept the estimate it read; one past the end is refused by name
+    from corrsketch.recovery import verify_candidates
+
+    store = build_store(rng.standard_normal((5, 48)))
+    store.standardize()
+    for i, j, bad in ((-1, 0, -1), (0, 5, 5)):
+        message = f"row {bad} out of range for a store of 5 rows"
+        with pytest.raises(IndexError, match=message):
+            verify_candidates(store, [(i, j)], 0.9)
+        with pytest.raises(IndexError, match=message):
+            store.inner(i, j)
+        with pytest.raises(IndexError, match=message):
+            store.row_sketch(bad)
+    depth = store.transform.depth
+    for t in (-1, depth):
+        with pytest.raises(IndexError, match=f"sketch row {t} out of range for depth {depth}"):
+            store.sketch_row(t, np.empty((5, store.transform.width)))
+
+
 @pytest.mark.parametrize("chunk", [ams._CHUNK, 48])  # 48 cells: 2 rows per save block
 def test_standardize_leaves_stored_rows_unchanged(tmp_path, rng, monkeypatch, chunk):
     monkeypatch.setattr(ams, "_CHUNK", chunk)
@@ -739,7 +784,7 @@ def test_median_gram_matches_standardized_rows(tmp_path, rng, offset):
 def test_standardized_store_round_trips_its_linear_state(tmp_path, rng):
     # a standardized store saves its centered rows; the reloaded store serves
     # the same bits, rows far from zero mean (offset 1e8) included, takes
-    # updates, and a flag-1 file is refused
+    # updates, and flag 1 (which only the v1 format wrote) is refused as unknown
     from corrsketch.recovery import _scan_hits
 
     for offset in (0.0, 1e8):
@@ -773,7 +818,7 @@ def test_standardized_store_round_trips_its_linear_state(tmp_path, rng):
     struct.pack_into(_HEADER_FORMAT, raw, 0, *parts)
     flag1 = tmp_path / "flag1.snap"
     flag1.write_bytes(bytes(raw))
-    with pytest.raises(SnapshotFormatError, match="flag 1 .*re-save from the unstandardized"):
+    with pytest.raises(SnapshotFormatError, match="unknown snapshot flags 0x1"):
         RowSketchStore.load(flag1)
 
 
@@ -811,23 +856,27 @@ def test_updates_after_load_match_the_new_store(tmp_path, rng, offset):
 def test_save_over_the_mapped_file(tmp_path, rng, monkeypatch):
     # save writes a new file and renames it into place: the store that maps the
     # old one, and any other reader of it, keeps the old bytes
-    path, store, _ = _mapped_store(tmp_path, rng)
+    path, store, source = _mapped_store(tmp_path, rng)
     raw = path.read_bytes()
     store.save(path)
     assert path.read_bytes() == raw
-    store.standardize()
+    source.standardize()
     with monkeypatch.context() as mp:  # a write that fails half way leaves the file as it was
-        # it fails once every block of rows is written, before the totals
-        blocks = ams._centered_blocks
+        # it fails once every block of rows is written, before the totals; the
+        # new store still has its means to take out, so its rows go in 4 blocks
+        blocks, written = ams._centered_blocks, []
 
         def failing(*args):
-            yield from blocks(*args)
+            for block in blocks(*args):
+                written.append(block[0])
+                yield block
             raise ZeroDivisionError
 
         mp.setattr(ams, "_CHUNK", 48)  # 2 rows per block
         mp.setattr(ams, "_centered_blocks", failing)
         with pytest.raises(ZeroDivisionError):
-            store.save(path)
+            source.save(path)
+    assert written == [0, 2, 4, 6]
     assert path.read_bytes() == raw
     assert [f.name for f in tmp_path.iterdir()] == ["s.snap"]
     old = RowSketchStore.load(path)
@@ -939,16 +988,11 @@ def test_load_refuses_a_size_that_disagrees_with_the_occupied_cells(tmp_path, ex
 
 
 def test_load_bounds_the_hashing_by_the_file(tmp_path, monkeypatch):
-    # a header claiming p = 2^40 < width = 2^41 over a file of 80 cells per row
-    # is refused before any column is hashed
+    # a header claiming width = 2^41 buckets over a file of 80 cells per row is
+    # refused before any column is hashed (p = 2^40 < width) and before the
+    # occupied buckets are listed (p = 2^42 >= width: every bucket)
     path = tmp_path / "s.snap"
     RowSketchStore.from_matrix(SketchTransform(32, 16, 5, seed=4), np.eye(3, 32)).save(path)
-    raw = bytearray(path.read_bytes())
-    parts = list(struct.unpack_from(_HEADER_FORMAT, raw))
-    parts[3] = parts[8] = 2**40  # p and ones_built
-    parts[4] = 2**41  # width
-    struct.pack_into(_HEADER_FORMAT, raw, 0, *parts)
-    path.write_bytes(bytes(raw))
     hashed = []
     hash_columns = SketchTransform.hash_columns
 
@@ -957,8 +1001,15 @@ def test_load_bounds_the_hashing_by_the_file(tmp_path, monkeypatch):
         return hash_columns(self, cols, out)
 
     monkeypatch.setattr(SketchTransform, "hash_columns", counted)
-    with pytest.raises(SnapshotFormatError, match="cannot occupy 80 cells per row"):
-        RowSketchStore.load(path)
+    raw = bytearray(path.read_bytes())
+    parts = list(struct.unpack_from(_HEADER_FORMAT, raw))
+    for p in (2**40, 2**42):
+        parts[3] = parts[8] = p  # p and ones_built
+        parts[4] = 2**41  # width
+        struct.pack_into(_HEADER_FORMAT, raw, 0, *parts)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(SnapshotFormatError, match="cannot occupy 80 cells per row"):
+            RowSketchStore.load(path)
     assert hashed == []
 
 
