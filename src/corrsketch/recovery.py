@@ -22,8 +22,9 @@ once per query between two ways to answer:
     pairs that grouping avoids, done once: a pair (i, j), i < j, survives
     when |median over sketch rows of G_t[i, j]| >= phi/2, with
     G_t = r_t r_t^T (or G_A,t - G_B,t for a difference). Depth is odd, so
-    that holds when at least depth//2 + 1 of the G_t reach phi/2, or
-    reach -phi/2: ``_scan_hits`` counts those hits one Gram at a time.
+    that holds when at least need = depth//2 + 1 of the G_t reach phi/2,
+    or reach -phi/2: ``_scan_hits`` counts those hits one Gram at a time,
+    and stops once every pair has need hits or can no longer reach need.
     It draws no grouping, decodes no word and runs no repetition: with
     singleton groups each pair has its own bucket, and every repetition
     would read off these same pairs;
@@ -320,11 +321,15 @@ def _scan_hits(stores: tuple, phi: float, multiply=None) -> np.ndarray:
     G_t = r_t r_t^T, formed through ``multiply`` (numpy kernel by default)
     one sketch row at a time from each store's stored cells, minus the
     second store's G_t for a difference. Depth d is odd, so the median
-    reaches phi/2 exactly when at least d//2 + 1 of the G_t do, and
-    reaches -phi/2 likewise: counting hits needs no (d, n, n) stack.
+    reaches phi/2 exactly when at least need = d//2 + 1 of the G_t do, and
+    reaches -phi/2 likewise: counting hits needs no (d, n, n) stack. From
+    the need-th Gram on, the count stops once no entry is undecided, that
+    is, every entry has need hits or can no longer reach need in the
+    sketch rows left: the decisions are those of all d Grams.
     """
     multiply = np.matmul if multiply is None else multiply
     n, depth, half = stores[0].n, stores[0].transform.depth, phi / 2.0
+    need = depth // 2 + 1
     high, low = (np.zeros((n, n), np.min_scalar_type(depth)) for _ in range(2))
     hit = np.empty((n, n), bool)
     for t, rows in _row_buffers(stores[0], *[n] * len(stores)):
@@ -333,8 +338,23 @@ def _scan_hits(stores: tuple, phi: float, multiply=None) -> np.ndarray:
             gram -= multiply(other.sketch_row(t, rt), rt.T)
         high += np.greater_equal(gram, half, out=hit)
         low += np.less_equal(gram, -half, out=hit)
-    need = depth // 2 + 1
+        # need less the rows left: the fewest hits that can still make need
+        if need - 1 <= t < depth - 1 and not _undecided(high, low, need - (depth - 1 - t), need):
+            break
     return (high >= need) | (low >= need)
+
+
+def _undecided(high: np.ndarray, low: np.ndarray, reach: int, need: int) -> bool:
+    """Whether some entry's larger count, max(high, low), lies in [reach, need).
+
+    Tests 64 rows at a time, so its temporaries stay small and it ends at
+    the first block that holds such an entry.
+    """
+    for start in range(0, len(high), 64):
+        best = np.maximum(high[start : start + 64], low[start : start + 64])
+        if np.logical_and(best >= reach, best < need).any():
+            return True
+    return False
 
 
 def _contract(w: np.ndarray, cross: np.ndarray) -> np.ndarray:

@@ -312,7 +312,8 @@ def test_occupied_buckets_give_the_all_columns_products(rng, p):
 def test_recover_does_not_depend_on_the_multiply_kernel(data):
     # a seeded recover gives the same pairs and ordered counts with an
     # einsum kernel as with np.matmul, on either path; the kernel sees
-    # k_t-column operands
+    # k_t-column operands, and a scan counts the first need = depth//2 + 1
+    # sketch rows or more, in order
     path = data.draw(st.sampled_from(["scan", "grouped"]), label="path")
     width = data.draw(st.sampled_from([16, 32, 64]), label="width")
     wide = data.draw(st.booleans(), label="p >= width")
@@ -346,8 +347,9 @@ def test_recover_does_not_depend_on_the_multiply_kernel(data):
             runs.append((recover(store, params, cb, seed=seed, counts=counts), counts))
     assert runs[0] == runs[1]
     sizes = [cols.size for cols in store.transform.occupied]
-    if path == "scan":  # one r_t r_t^T per sketch row, query and store
-        assert widths == [(k, k) for k in sizes]
+    if path == "scan":  # one r_t r_t^T per sketch row counted, query and store
+        assert depth // 2 + 1 <= len(widths) <= depth
+        assert widths == [(k, k) for k in sizes[: len(widths)]]
     else:  # two products, one per side, per sketch row and repetition
         assert widths == [(k, k) for _ in range(params.reps) for k in sizes for _ in range(2)]
     assert max(sizes) <= p < width if p < width else sizes == [width] * depth
@@ -1219,12 +1221,31 @@ def test_grouped_query_matches_public_loop(n, p, width, pi):
         assert recover_diff(second, first, params, cb, seed=5, threads=threads) == diff_expect
 
 
+def _rows_counted(stack, phi):
+    """How many of the (depth, n, n) ``stack``'s sketch rows the scan counts.
+
+    It stops after the first t >= need = depth//2 + 1 rows at which every
+    entry has need hits at +phi/2 or at -phi/2, or has too few to reach
+    need in the rows left.
+    """
+    depth = len(stack)
+    need = depth // 2 + 1
+    high = np.cumsum(stack >= phi / 2, axis=0)
+    low = np.cumsum(stack <= -phi / 2, axis=0)
+    for t in range(need, depth + 1):
+        best = np.maximum(high[t - 1], low[t - 1])
+        if not ((best < need) & (best + depth - t >= need)).any():
+            return t
+    raise AssertionError("the last row decides every entry")
+
+
 @pytest.mark.parametrize("depth", [1, 3, 5, 7, 257])
 def test_scan_counts_ties_at_half_phi(depth):
     # Grams whose entries sit exactly at +-phi/2, or one ulp inside it, in
     # some sketch rows: an entry at +-phi/2 is a hit, and the counts decide
     # as the median does, for one store and for a difference; a count
-    # reaches depth, past a byte's range at depth 257
+    # reaches depth, past a byte's range at depth 257. The scan forms the
+    # Grams of the sketch rows it counts, and no more
     rng = np.random.default_rng(depth)
     n, phi = 9, 0.5
     transform = SketchTransform(16, 8, depth, seed=depth)
@@ -1242,7 +1263,8 @@ def test_scan_counts_ties_at_half_phi(depth):
         assert np.array_equal(hits, expect)
         if depth < 9:  # over 257 draws every median falls between the thresholds
             assert expect.any() and not expect.all()
-        assert next(made, None) is None  # one Gram per sketch row and store
+        rows = _rows_counted(stack, phi)
+        assert len(list(made)) == (depth - rows) * count  # one Gram per counted row and store
     at_half = np.full((depth, n, n), 0.0)
     at_half[: depth // 2 + 1, 0, 1] = 0.25  # a bare majority exactly at phi/2
     at_half[: depth // 2 + 1, 1, 0] = -0.25
@@ -1252,6 +1274,80 @@ def test_scan_counts_ties_at_half_phi(depth):
     made = iter(at_half)
     hits = recovery._scan_hits(stores[:1], phi, lambda a, b: next(made).copy())
     assert hits[0, 1] and hits[1, 0] and not hits[2, 3] and not hits[3, 2] and hits[4, 5]
+    assert next(made, None) is None  # (3, 2) could make need up to the last row
+    made = iter(np.zeros((depth, n, n)))  # no hit anywhere: decided after need rows
+    assert not recovery._scan_hits(stores[:1], phi, lambda a, b: next(made).copy()).any()
+    assert len(list(made)) == depth - (depth // 2 + 1)
+
+
+def _near_half_store(transform, n, phi, members, seed):
+    """A standardized store whose ``members`` rows share a factor: correlations near phi/2."""
+    rng = np.random.default_rng(seed)
+    a = math.sqrt(phi / 2)
+    values = rng.standard_normal((n, transform.p))
+    values[members] = a * rng.standard_normal(transform.p) + math.sqrt(1 - a * a) * values[members]
+    store = RowSketchStore.from_matrix(transform, values)
+    store.standardize()
+    return store
+
+
+@pytest.mark.parametrize("phi", [0.3, 0.5, 0.8])
+def test_early_exit_decides_as_the_full_count(phi):
+    # the reference counts the hits of all d Grams: the scan, which stops
+    # once every entry is decided, decides every entry alike, and forms the
+    # Grams of the rows the reference needs to decide them, no more. Rows
+    # 0-7 share a factor, so their Gram entries scatter around phi/2 and
+    # the scan counts on past the first need rows; with no row sharing it
+    # (the background store) it may stop at need
+    n = 40
+    transform = SketchTransform(600, 512, 13, seed=5)
+    background = _near_half_store(transform, n, phi, slice(0, 0), seed=2)
+    counted = set()
+    for store in (_near_half_store(transform, n, phi, slice(0, 8), seed=1), background):
+        for stores in ((store,), (store, background)):
+            stack = _gram_stack(stores[0]) - (_gram_stack(stores[1]) if len(stores) == 2 else 0)
+            assert np.abs(np.abs(stack) - phi / 2).min() > 1e-12  # no entry on a rounding edge
+            high, low = (stack >= phi / 2).sum(axis=0), (stack <= -phi / 2).sum(axis=0)
+            need = transform.depth // 2 + 1
+            expect = (high >= need) | (low >= need)
+            if store is not background:
+                pairs = expect[:8, :8][np.triu_indices(8, 1)]
+                assert pairs.any() and not pairs.all()  # medians on either side of phi/2
+            products = []
+
+            def multiply(a, b):
+                products.append(a.shape)
+                return a @ b
+
+            assert np.array_equal(recovery._scan_hits(stores, phi, multiply), expect)
+            rows = _rows_counted(stack, phi)
+            assert len(products) == rows * len(stores)
+            counted.add(rows)
+    assert min(counted) < transform.depth  # some scans stop early
+    assert max(counted) > transform.depth // 2 + 1  # some count past need
+
+
+def test_undecided_reads_every_row_block():
+    # the stop test reads 64 rows at a time: it finds an entry whose larger
+    # count lies in [reach, need) in any block, the last, partial one
+    # included, whether high or low holds that count, and finds none when
+    # every entry has need hits or fewer than reach
+    n, reach, need = 150, 3, 7
+    rng = np.random.default_rng(61)
+    # half the entries have need hits on one side, the others fewer than reach on both
+    decided = rng.integers(0, reach, (2, n, n)).astype(np.uint8)
+    passed = rng.random((n, n)) < 0.5
+    decided[0][passed] = need
+    decided[1][passed] = rng.integers(0, need + 1, passed.sum())
+    decided = np.where(rng.random((n, n)) < 0.5, decided, decided[::-1])
+    assert not recovery._undecided(*decided, reach, need)
+    for i in (0, 63, 64, 127, 128, 149):
+        for side in (0, 1):
+            for count in (reach, need - 1):
+                counts = decided.copy()
+                counts[:, i, (7 * i) % n] = 0
+                counts[side, i, (7 * i) % n] = count
+                assert recovery._undecided(*counts, reach, need), (i, side, count)
 
 
 def test_scan_holds_no_gram_stack():
