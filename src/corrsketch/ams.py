@@ -26,8 +26,9 @@ only the linear state, standardized or not: the centered rows
 c_i = r_i - mu_i o (still linear in the stream), the totals and o. The
 rows sit in memory in snapshot order; a loaded store maps them from the
 file (copy-on-write) instead of reading them, so its rows are already
-centered and it serves a_i c_i with one scale per row. Save writes a
-temporary file that takes the target's name.
+centered: ``centered_row``, which the scan multiplies, is a view of the
+map, and the served rows a_i c_i take one scale. Save writes a temporary
+file that takes the target's name.
 
 Bucket and sign functions are seeded polynomials, evaluated on demand for
 a chunk of columns at a time (SketchTransform.hash_columns); a (d, p)
@@ -441,11 +442,12 @@ class RowSketchStore:
     updates. Unstandardized ``rows`` are these cells as stored.
 
     Standardizing sets ``mu`` (the mean t_i / p) and ``scale`` (a) per row
-    and leaves the stored cells as they are; ``row_sketch``, ``sketch_row``,
-    ``inner`` and ``rows`` serve, through one reader, the rows
-    a_i (c_i - (mu_i - base_i) o), which is a_i c_i, one scale, until an
-    update moves some row's total. ``_centered_blocks`` alone takes out
-    that shift, for the reader and for ``save``.
+    and leaves the stored cells as they are. ``centered_row`` reads
+    c_i - (mu_i - base_i) o before scaling: until an update moves some
+    row's total that is c_i, a view of the stored cells with no copy.
+    ``row_sketch``, ``sketch_row``, ``inner`` and ``rows`` serve, through
+    one reader, those rows times a_i, one multiply. ``_centered_blocks``
+    alone takes out the shift, for the readers and for ``save``.
     """
 
     def __init__(self, transform: SketchTransform, n: int):
@@ -571,15 +573,13 @@ class RowSketchStore:
     def finalize_ones(self):
         """No-op: the constructor already built the whole all-ones sketch."""
 
-    def _read(self, rows: slice, t: int | None, out: np.ndarray) -> np.ndarray:
-        """Sketch row t's cells (all K if t is None) of ``rows``, as queries read them, into ``out``.
+    def _centered(self, rows: slice, t: int | None, out: np.ndarray) -> np.ndarray:
+        """Sketch row t's cells (all K if t is None) of ``rows``, the shift taken out, unscaled.
 
-        ``rows`` is a slice with its start and stop given. The one reader of
-        the served rows: once standardized, it centers through
-        ``_centered_blocks`` straight into ``out`` and scales each block in
-        place, so every reader gets the same bits; with no shift (a loaded
-        store whose totals have not moved) that is one np.multiply. A row or
-        sketch row out of range raises IndexError.
+        ``rows`` is a slice with its start and stop given. With no shift left
+        this is a view of the stored cells; otherwise ``_centered_blocks``
+        writes them into ``out``. A row or sketch row out of range raises
+        IndexError.
         """
         if not 0 <= rows.start < rows.stop <= self.n:
             bad = rows.start if rows.start < 0 else rows.stop - 1
@@ -590,14 +590,19 @@ class RowSketchStore:
         self._flush()
         cells = slice(None) if t is None else slice(*self.transform.offsets[t : t + 2])
         stored = self._cells[rows, cells]
-        if not self.standardized:
-            out[...] = stored
-            return out
-        shift = None if self._shift is None else self._shift[rows]
-        scale = self.scale[rows, None]
-        for i, block in _centered_blocks(stored, shift, self._ones[cells], out):
-            np.multiply(block, scale[i : i + len(block)], out=out[i : i + len(block)])
+        if self._shift is None:
+            return stored
+        for _ in _centered_blocks(stored, self._shift[rows], self._ones[cells], out):
+            pass
         return out
+
+    def _read(self, rows: slice, t: int | None, out: np.ndarray) -> np.ndarray:
+        """The one reader: ``_centered`` times each row's scale in ``out``; unstandardized, a copy."""
+        centered = self._centered(rows, t, out)
+        if not self.standardized:
+            out[...] = centered
+            return out
+        return np.multiply(centered, self.scale[rows, None], out=out)
 
     def _row_cells(self, i: int) -> np.ndarray:
         """Row i's K cells as queries read them, in a fresh array."""
@@ -610,6 +615,10 @@ class RowSketchStore:
     def sketch_row(self, t: int, out: np.ndarray) -> np.ndarray:
         """Sketch row t of every row as queries read it: its k_t cells, copied into ``out`` (n, k_t)."""
         return self._read(slice(0, self.n), t, out)
+
+    def centered_row(self, t: int, out: np.ndarray) -> np.ndarray:
+        """``sketch_row`` before scaling: a view of the stored cells if no shift is left, else out."""
+        return self._centered(slice(0, self.n), t, out)
 
     def inner(self, i: int, j: int) -> float:
         """Median over sketch rows of the served rows' dot products."""
@@ -628,18 +637,20 @@ class RowSketchStore:
         (mu_i - base_i) o: none for a loaded store whose totals have not
         moved, so its rows are served with one scale each. Rows whose
         squared norm falls below 1e-12 * p are flagged degenerate and get
-        scale 0, so they drop out of recovery. A squared norm that overflows float64 raises
-        ValueError naming its row, and the store stays unstandardized.
+        scale 0, so they drop out of recovery. A squared norm that overflows
+        float64 in any sketch row, not only the median, raises ValueError
+        naming its row (the scan's unscaled Grams would hold it), and the
+        store stays unstandardized.
         """
         if self.standardized:
             raise SketchStateError("store already standardized")
         mu, shift = self.totals / self.p, self._unremoved_mean()
         if self._norms is None:
             self._norms = _centered_norms(self._cells, shift, self._ones, self.transform.offsets)
-        norm_sq = _middle(self._norms)
-        bad = np.flatnonzero(~np.isfinite(norm_sq))
+        bad = np.flatnonzero(~np.isfinite(self._norms).all(axis=1))
         if bad.size:
             raise ValueError(f"row {bad[0]}'s squared sketch norm overflows float64")
+        norm_sq = _middle(self._norms)
         self.mu, self._shift = mu, shift
         self.degenerate = norm_sq <= NORM_TOLERANCE * self.p
         safe = np.where(self.degenerate, 1.0, norm_sq)

@@ -21,10 +21,11 @@ once per query between two ways to answer:
     more than the repetitions' products. It is the search through all
     pairs that grouping avoids, done once: a pair (i, j), i < j, survives
     when |median over sketch rows of G_t[i, j]| >= phi/2, with
-    G_t = r_t r_t^T (or G_A,t - G_B,t for a difference). Depth is odd, so
-    that holds when at least need = depth//2 + 1 of the G_t reach phi/2,
-    or reach -phi/2: ``_scan_hits`` counts those hits one Gram at a time,
-    and stops once every pair has need hits or can no longer reach need.
+    G_t = diag(a) c_t c_t^T diag(a), the Gram of the served rows a_i c_i
+    (or G_A,t - G_B,t for a difference). Depth is odd, so that holds when
+    at least need = depth//2 + 1 of the G_t reach phi/2, or reach -phi/2:
+    ``_scan_hits`` counts those hits one Gram at a time, and stops once
+    every pair has need hits or can no longer reach need.
     It draws no grouping, decodes no word and runs no repetition: with
     singleton groups each pair has its own bucket, and every repetition
     would read off these same pairs;
@@ -36,9 +37,12 @@ once per query between two ways to answer:
     difference subtracts the second store's buckets and skips the
     baseline.
 
-Both read sketch row t's k_t <= min(p, b) stored cells, one contiguous
-slice of every row (``RowSketchStore.sketch_row``), into a reused buffer,
-so no query holds a copy of the rows, and a scan holds one Gram at a time.
+Both read sketch row t's k_t <= min(p, b) stored cells, one slice of
+every row, so no query holds a copy of the rows. Grouping reads the
+served rows (``RowSketchStore.sketch_row``) into a reused buffer. The
+scan multiplies the centered cells unscaled (``centered_row``), for a
+loaded store the mapped cells themselves with no copy, then scales each
+Gram by the row and column scales; it holds one Gram buffer per store.
 ``approximate`` builds every pi from the rows, singleton groups included.
 The multiply is injectable. Survivors can be re-checked against the
 direct pairwise estimates (``verify_candidates``), or, for a difference,
@@ -318,30 +322,42 @@ def query_path(n: int, pi: int, gamma: int, depth: int, cells: int) -> str:
 def _scan_hits(stores: tuple, phi: float, multiply=None) -> np.ndarray:
     """Whether |median over sketch rows of G_t[i, j]| >= phi/2, (n, n) bool.
 
-    G_t = r_t r_t^T, formed through ``multiply`` (numpy kernel by default)
-    one sketch row at a time from each store's stored cells, minus the
-    second store's G_t for a difference. Depth d is odd, so the median
-    reaches phi/2 exactly when at least need = d//2 + 1 of the G_t do, and
-    reaches -phi/2 likewise: counting hits needs no (d, n, n) stack. From
-    the need-th Gram on, the count stops once no entry is undecided, that
-    is, every entry has need hits or can no longer reach need in the
-    sketch rows left: the decisions are those of all d Grams.
+    G_t = diag(a) c_t c_t^T diag(a), one sketch row at a time: c_t c_t^T
+    is formed through ``multiply`` from each store's centered cells
+    (``centered_row``: for a loaded store, the mapped cells themselves),
+    then scaled in place by the row scales a_i and column scales a_j; a
+    difference subtracts the second store's G_t. The default kernel writes
+    into one Gram buffer per store, reused across sketch rows; an injected
+    one returns its own array. Depth d is odd, so the median reaches phi/2
+    exactly when at least need = d//2 + 1 of the G_t do, and reaches
+    -phi/2 likewise: counting hits needs no (d, n, n) stack. From the
+    need-th Gram on, the count stops once no entry is undecided, that is,
+    every entry has need hits or can no longer reach need in the sketch
+    rows left: the decisions are those of all d Grams.
     """
-    multiply = np.matmul if multiply is None else multiply
     n, depth, half = stores[0].n, stores[0].transform.depth, phi / 2.0
     need = depth // 2 + 1
     high, low = (np.zeros((n, n), np.min_scalar_type(depth)) for _ in range(2))
     hit = np.empty((n, n), bool)
+    bufs = [np.empty((n, n)) if multiply is None else None for _ in stores]
+
+    def scaled_gram(store, t, rt, buf):
+        c = store.centered_row(t, rt)
+        gram = np.matmul(c, c.T, out=buf) if multiply is None else multiply(c, c.T)
+        gram *= store.scale[:, None]
+        gram *= store.scale
+        return gram
+
     for t, rows in _row_buffers(stores[0], *[n] * len(stores)):
-        gram = multiply(stores[0].sketch_row(t, rows[0]), rows[0].T)
-        for other, rt in zip(stores[1:], rows[1:]):
-            gram -= multiply(other.sketch_row(t, rt), rt.T)
+        gram = scaled_gram(stores[0], t, rows[0], bufs[0])
+        for other, rt, buf in zip(stores[1:], rows[1:], bufs[1:]):
+            gram -= scaled_gram(other, t, rt, buf)
         high += np.greater_equal(gram, half, out=hit)
         low += np.less_equal(gram, -half, out=hit)
         # need less the rows left: the fewest hits that can still make need
         if need - 1 <= t < depth - 1 and not _undecided(high, low, need - (depth - 1 - t), need):
             break
-    return (high >= need) | (low >= need)
+    return np.greater_equal(np.maximum(high, low, out=high), need, out=hit)
 
 
 def _undecided(high: np.ndarray, low: np.ndarray, reach: int, need: int) -> bool:

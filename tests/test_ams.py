@@ -341,6 +341,24 @@ def test_standardize_refuses_an_overflowing_squared_norm():
     assert not store.standardized and store.scale is None
 
 
+def test_standardize_refuses_a_squared_norm_that_overflows_in_one_sketch_row():
+    # row 0's columns 0 and 1 share a bucket and a sign in sketch row 1 only:
+    # its squared norm overflows there and not in the other two, so the
+    # median is finite, yet the scan's unscaled Gram of sketch row 1 would
+    # hold an infinity; the row is refused all the same
+    values = np.zeros((3, 8))
+    values[0, :2] = 7.7e153
+    values[1], values[2] = np.arange(8.0), np.arange(8.0)[::-1] ** 2
+    store = RowSketchStore.from_matrix(SketchTransform(8, 4, 3, seed=7), values)
+    centered = store.rows[:, 0] - store.totals[0] / 8 * store.ones_sketch
+    with np.errstate(over="ignore"):
+        norms = (centered * centered).sum(axis=1)
+    assert np.isinf(norms).tolist() == [False, True, False]
+    with pytest.raises(ValueError, match="^row 0's squared sketch norm overflows float64$"):
+        store.standardize()
+    assert not store.standardized and store.scale is None
+
+
 def test_no_updates_after_standardize(rng):
     store = build_store(rng.standard_normal((2, 32)))
     store.standardize()

@@ -15,6 +15,7 @@ from conftest import build_store, integer_matrix
 from corrsketch import ecc, oracle, recovery
 from corrsketch.ams import RowSketchStore, SketchStateError, SketchTransform, seed_stream
 from corrsketch.cartesian import CartesianTransform, cart_exact
+from corrsketch.stream import StreamUpdate
 from corrsketch.recovery import (
     FeasibilityError,
     ParameterError,
@@ -833,7 +834,8 @@ def test_scan_pairs_equal_decoded_singleton_buckets(data):
 def test_scan_reads_the_upper_triangle():
     # the scan reads each pair (i, j) at G[i, j], i < j: with an injected
     # asymmetric Gram, an entry above the diagonal decides its pair alone,
-    # and one below it is never read
+    # and one below it is never read. Unit scales make the injected product
+    # the Gram the scan thresholds
     n, reps = 6, 3
     gram = np.zeros((n, n))
     gram[1, 4] = 0.9  # above the diagonal only
@@ -843,6 +845,7 @@ def test_scan_reads_the_upper_triangle():
         SketchTransform(16, 8, 1, seed=4), np.random.default_rng(4).standard_normal((n, 16))
     )
     store.standardize()
+    store.scale = np.ones(n)
     cb = ecc.for_index_space(n)
     params = practical(n, 0.8, cb, groups=n, reps=reps)
     scan = functools.partial(recovery._scan_hits, multiply=lambda a, b: gram.copy())
@@ -1245,13 +1248,15 @@ def test_scan_counts_ties_at_half_phi(depth):
     # some sketch rows: an entry at +-phi/2 is a hit, and the counts decide
     # as the median does, for one store and for a difference; a count
     # reaches depth, past a byte's range at depth 257. The scan forms the
-    # Grams of the sketch rows it counts, and no more
+    # Grams of the sketch rows it counts, and no more. Unit scales make each
+    # injected product the Gram the scan thresholds, bit for bit
     rng = np.random.default_rng(depth)
     n, phi = 9, 0.5
     transform = SketchTransform(16, 8, depth, seed=depth)
     stores = [RowSketchStore.from_matrix(transform, rng.standard_normal((n, 16))) for _ in "ab"]
     for store in stores:
         store.standardize()
+        store.scale = np.ones(n)
     inside = np.nextafter(0.25, 0.0)
     edges = np.array([0.25, -0.25, inside, -inside, 0.0, 0.5, -0.5, 1.0])
     for count in (1, 2):
@@ -1374,3 +1379,114 @@ def test_scan_holds_no_gram_stack():
             finally:
                 tracemalloc.stop()
             assert peak < stack_bytes, peak / stack_bytes
+
+
+def test_scan_holds_one_gram_per_store():
+    # a one-store scan reuses one Gram buffer across sketch rows: at n = 256
+    # it peaks under 16 n^2 bytes, the Gram (8 n^2), the two hit counts
+    # (2 n^2), the hit mask (n^2), the row buffer (8 n k_t = 2 n^2 at
+    # k_t = 64) and NumPy's fixed-size ufunc buffers; a second live Gram
+    # would pass the bound
+    rng = np.random.default_rng(53)
+    n = 256
+    transform = SketchTransform(1024, 64, 13, seed=54)
+    store = RowSketchStore.from_matrix(transform, rng.standard_normal((n, 1024)))
+    store.standardize()
+    tracemalloc.start()
+    try:
+        recovery._scan_hits((store,), 0.8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * n * n, peak / (n * n)
+
+
+def _served_stores(tmp_path, kind, phi):
+    """Two standardized stores, n = 40: built from a matrix, loaded, or updated after load.
+
+    Rows 0-7 of the first share a factor, so their Gram entries scatter
+    around phi/2. Only a loaded store whose totals have not moved has no
+    shift left to take out.
+    """
+    transform = SketchTransform(600, 512, 13, seed=5)
+    stores = []
+    for seed, members in ((1, slice(0, 8)), (2, slice(0, 0))):
+        store = _near_half_store(transform, 40, phi, members, seed)
+        if kind != "built":
+            store.save(tmp_path / f"{seed}.snap")
+            store = RowSketchStore.load(tmp_path / f"{seed}.snap")
+            if kind == "updated":
+                store.apply(StreamUpdate(2.5, 3, 7))
+                store.apply(StreamUpdate(-1.0, 30, 599))
+            store.standardize()
+        stores.append(store)
+    return stores
+
+
+@pytest.mark.parametrize("kind", ["built", "loaded", "updated"])
+def test_scan_multiplies_the_centered_cells(tmp_path, kind):
+    # the scan hands multiply each sketch row's centered cells, unscaled:
+    # for a loaded store the mapped cells themselves, copied nowhere; for a
+    # store with a shift (built from a matrix, or updated after load) the
+    # buffer the shift was taken out into. Scaled, they are the served rows
+    stores = _served_stores(tmp_path, kind, 0.5)
+    for count in (1, 2):
+        handed = []
+
+        def multiply(a, b):
+            assert np.shares_memory(a, b) and np.array_equal(b, a.T)
+            handed.append((a, a.copy()))  # a shifted store reuses its buffer
+            return a @ b
+
+        recovery._scan_hits(tuple(stores[:count]), 0.5, multiply)
+        assert len(handed) >= count * (stores[0].transform.depth // 2 + 1)
+        for k, (a, cells) in enumerate(handed):
+            store, t = stores[k % count], k // count
+            assert np.shares_memory(a, store._cells) == (kind == "loaded"), (kind, k)
+            served = store.sketch_row(t, np.empty(a.shape))
+            assert np.array_equal(cells * store.scale[:, None], served)
+
+
+@pytest.mark.parametrize("kind", ["loaded", "updated"])
+@pytest.mark.parametrize("phi", [0.3, 0.8])
+def test_scan_decides_as_the_served_rows_grams(tmp_path, kind, phi):
+    # the scan scales each unscaled Gram, a_i a_j c_i.c_j, where a reference
+    # multiplies the served rows, (a_i c_i).(a_j c_j): the roundings differ,
+    # so with no entry within 1e-12 of +-phi/2 the decisions are the same,
+    # for one store and a difference (test_early_exit_decides_as_the_full_count
+    # checks stores built from a matrix)
+    stores = _served_stores(tmp_path, kind, phi)
+    need = stores[0].transform.depth // 2 + 1
+    for count in (1, 2):
+        stack = _gram_stack(stores[0]) - (_gram_stack(stores[1]) if count == 2 else 0.0)
+        assert np.abs(np.abs(stack) - phi / 2).min() > 1e-12
+        expect = ((stack >= phi / 2).sum(axis=0) >= need) | ((stack <= -phi / 2).sum(axis=0) >= need)
+        assert expect.any() and not expect.all()
+        assert np.array_equal(recovery._scan_hits(tuple(stores[:count]), phi), expect)
+
+
+@pytest.mark.parametrize("kind", ["built", "loaded"])
+def test_scaled_gram_is_within_a_rounding_bound_of_the_served_rows_gram(tmp_path, kind):
+    # the scan thresholds G_t = fl(fl(c c^T) a_i) a_j; the served rows' Gram
+    # rounds a_i c_i first. Each is within gamma_{k+2} a_i a_j sum_b |c_ib c_jb|
+    # of the exact a_i a_j c_i.c_j, in any summation order (k = k_t,
+    # gamma_m = m u / (1 - m u), u = 2^-53), so they differ per entry by at
+    # most 2 gamma_{k+2} ||a_i c_i|| ||a_j c_j||: only an entry that close
+    # to +-phi/2 can be decided otherwise
+    stores = _served_stores(tmp_path, kind, 0.5)
+    made = []
+
+    def multiply(a, b):
+        made.append(a @ b)  # scaled in place by the scan: the Gram it thresholds
+        return made[-1]
+
+    recovery._scan_hits(stores[:1], 0.5, multiply)
+    u, store, differ = 2.0**-53, stores[0], 0
+    for t, (gram, k) in enumerate(zip(made, np.diff(store.transform.offsets))):
+        rt = store.sketch_row(t, np.empty((store.n, k)))
+        norms = np.sqrt(np.einsum("ib,ib->i", rt, rt))
+        gamma = (k + 2) * u / (1 - (k + 2) * u)
+        gap = np.abs(gram - rt @ rt.T)
+        assert (gap <= 2 * gamma * np.outer(norms, norms)).all(), t
+        differ += np.count_nonzero(gap)
+    assert differ  # the roundings are not the same
