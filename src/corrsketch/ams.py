@@ -16,19 +16,19 @@ once per transform to find them.
 The RowSketchStore keeps one sketch per row of the observation matrix plus
 the row totals. Both are linear in the stream, so turnstile updates may
 arrive in any order, split or cancelled. At query time the store is
-standardized so that inner products estimate correlations: it records a
-shift and a scale per row and never rewrites a row; each standardized row
-a_i (r_i - mu_i o), mu_i = t_i / p, is formed where it is read, and one
-routine (_centered_blocks) takes out every shift, for readers and save. The
-all-ones sketch o that the shift subtracts is a fixed function of the
-transform, so the store's constructor builds it whole. A snapshot holds
-only the linear state, standardized or not: the centered rows
-c_i = r_i - mu_i o (still linear in the stream), the totals and o. The
-rows sit in memory in snapshot order; a loaded store maps them from the
-file (copy-on-write) instead of reading them, so its rows are already
-centered: ``centered_row``, which the scan multiplies, is a view of the
-map, and the served rows a_i c_i take one scale. Save writes a temporary
-file that takes the target's name.
+standardized so that inner products estimate correlations: it centers
+the stored cells once, in place, to c_i = r_i - mu_i o, mu_i = t_i / p,
+and records a scale a_i per row, so a standardized row a_i c_i is its
+stored cells times one scale. One routine (_centered_blocks) takes out
+every mean, for standardize and save. The all-ones sketch o is a fixed
+function of the transform, so the store's constructor builds it whole. A
+snapshot holds only the linear state, standardized or not: the centered
+rows c_i (still linear in the stream), the totals and o. The rows sit in
+memory in snapshot order; a loaded store maps them from the file
+(copy-on-write) instead of reading them, so they are centered already and
+standardize writes no cell until an update moves a total.
+``centered_row``, which the scan multiplies, is a view of the stored
+cells. Save writes a temporary file that takes the target's name.
 
 Bucket and sign functions are seeded polynomials, evaluated on demand for
 a chunk of columns at a time (SketchTransform.hash_columns); a (d, p)
@@ -441,13 +441,12 @@ class RowSketchStore:
     loaded one, whose cells are c_i = r_i - base_i o plus any later
     updates. Unstandardized ``rows`` are these cells as stored.
 
-    Standardizing sets ``mu`` (the mean t_i / p) and ``scale`` (a) per row
-    and leaves the stored cells as they are. ``centered_row`` reads
-    c_i - (mu_i - base_i) o before scaling: until an update moves some
-    row's total that is c_i, a view of the stored cells with no copy.
+    Standardizing takes (mu_i - base_i) o out of the cells of every row
+    whose total has moved, in place, so that every row's cells are c_i and
+    ``_base`` is ``mu`` (the mean t_i / p); then it sets ``scale`` (a) per
+    row. ``centered_row`` is a view of the stored cells, with no copy.
     ``row_sketch``, ``sketch_row``, ``inner`` and ``rows`` serve, through
-    one reader, those rows times a_i, one multiply. ``_centered_blocks``
-    alone takes out the shift, for the readers and for ``save``.
+    one reader, those cells times a_i, one multiply.
     """
 
     def __init__(self, transform: SketchTransform, n: int):
@@ -473,7 +472,6 @@ class RowSketchStore:
         self._base = base  # per row, the mean already taken out of its cells
         self.standardized = False  # set by standardize: rows are served as a_i (r_i - mu_i o)
         self.mu = self.scale = None
-        self._shift = None  # mu - base once standardized, when some row's total has moved
         self.degenerate = np.zeros(n, dtype=bool)
 
     @property
@@ -573,13 +571,12 @@ class RowSketchStore:
     def finalize_ones(self):
         """No-op: the constructor already built the whole all-ones sketch."""
 
-    def _centered(self, rows: slice, t: int | None, out: np.ndarray) -> np.ndarray:
-        """Sketch row t's cells (all K if t is None) of ``rows``, the shift taken out, unscaled.
+    def _centered(self, rows: slice, t: int | None) -> np.ndarray:
+        """Sketch row t's stored cells (all K if t is None) of ``rows``: a view, unscaled.
 
-        ``rows`` is a slice with its start and stop given. With no shift left
-        this is a view of the stored cells; otherwise ``_centered_blocks``
-        writes them into ``out``. A row or sketch row out of range raises
-        IndexError.
+        ``rows`` is a slice with its start and stop given. Once the store is
+        standardized the cells are centered. A row or sketch row out of
+        range raises IndexError.
         """
         if not 0 <= rows.start < rows.stop <= self.n:
             bad = rows.start if rows.start < 0 else rows.stop - 1
@@ -589,20 +586,12 @@ class RowSketchStore:
             raise IndexError(f"sketch row {t} out of range for depth {depth}")
         self._flush()
         cells = slice(None) if t is None else slice(*self.transform.offsets[t : t + 2])
-        stored = self._cells[rows, cells]
-        if self._shift is None:
-            return stored
-        for _ in _centered_blocks(stored, self._shift[rows], self._ones[cells], out):
-            pass
-        return out
+        return self._cells[rows, cells]
 
     def _read(self, rows: slice, t: int | None, out: np.ndarray) -> np.ndarray:
         """The one reader: ``_centered`` times each row's scale in ``out``; unstandardized, a copy."""
-        centered = self._centered(rows, t, out)
-        if not self.standardized:
-            out[...] = centered
-            return out
-        return np.multiply(centered, self.scale[rows, None], out=out)
+        scale = self.scale[rows, None] if self.standardized else 1.0
+        return np.multiply(self._centered(rows, t), scale, out=out)
 
     def _row_cells(self, i: int) -> np.ndarray:
         """Row i's K cells as queries read them, in a fresh array."""
@@ -616,9 +605,9 @@ class RowSketchStore:
         """Sketch row t of every row as queries read it: its k_t cells, copied into ``out`` (n, k_t)."""
         return self._read(slice(0, self.n), t, out)
 
-    def centered_row(self, t: int, out: np.ndarray) -> np.ndarray:
-        """``sketch_row`` before scaling: a view of the stored cells if no shift is left, else out."""
-        return self._centered(slice(0, self.n), t, out)
+    def centered_row(self, t: int) -> np.ndarray:
+        """``sketch_row`` before scaling: a view of the stored cells, (n, k_t)."""
+        return self._centered(slice(0, self.n), t)
 
     def inner(self, i: int, j: int) -> float:
         """Median over sketch rows of the served rows' dot products."""
@@ -628,30 +617,38 @@ class RowSketchStore:
         return float(_middle(np.array(dots)))
 
     def standardize(self):
-        """Record the shift and scale that standardize every row; no row is written.
+        """Center the stored cells once, in place, and record each row's scale.
 
-        The mean mu_i = t_i / p uses the exact total; the scale a_i is one
-        over the sketch's own norm estimate, the square root of the median
-        over sketch rows of ||r_i - mu_i o||^2 (found by ``load`` when no
-        update has landed since). The cells still to subtract are
-        (mu_i - base_i) o: none for a loaded store whose totals have not
-        moved, so its rows are served with one scale each. Rows whose
+        The mean mu_i = t_i / p uses the exact total. A row whose total has
+        moved loses (mu_i - base_i) o, through ``_centered_blocks``; only
+        blocks that hold such a row are written, none for an unmoved loaded
+        store. A centered cell that overflows float64 raises ValueError,
+        each row's cells and ``_base`` still agreeing. The scale a_i is one
+        over the square root of the median over sketch rows of ||c_i||^2
+        (found by ``load`` when no update has landed since). Rows whose
         squared norm falls below 1e-12 * p are flagged degenerate and get
         scale 0, so they drop out of recovery. A squared norm that overflows
         float64 in any sketch row, not only the median, raises ValueError
-        naming its row (the scan's unscaled Grams would hold it), and the
-        store stays unstandardized.
+        naming its row (the scan's unscaled Grams would hold it). After
+        either error the store stays unstandardized.
         """
         if self.standardized:
             raise SketchStateError("store already standardized")
         mu, shift = self.totals / self.p, self._unremoved_mean()
+        if shift is not None:  # then no norms are known: an update dropped them
+            with _refuse_overflow("a centered sketch cell"):
+                for i, block in _centered_blocks(self._cells, shift, self._ones):
+                    rows = slice(i, i + len(block))
+                    if shift[rows].any():
+                        self._cells[rows] = block
+                        self._base[rows] = mu[rows]
         if self._norms is None:
-            self._norms = _centered_norms(self._cells, shift, self._ones, self.transform.offsets)
+            self._norms = _centered_norms(self._cells, self.transform.offsets)
         bad = np.flatnonzero(~np.isfinite(self._norms).all(axis=1))
         if bad.size:
             raise ValueError(f"row {bad[0]}'s squared sketch norm overflows float64")
         norm_sq = _middle(self._norms)
-        self.mu, self._shift = mu, shift
+        self.mu = mu
         self.degenerate = norm_sq <= NORM_TOLERANCE * self.p
         safe = np.where(self.degenerate, 1.0, norm_sq)
         self.scale = np.where(self.degenerate, 0.0, 1.0 / np.sqrt(safe))
@@ -665,17 +662,22 @@ class RowSketchStore:
     def standardized_copy(self) -> "RowSketchStore":
         """A standardized store over the same rows; this store is unchanged.
 
-        The rows are shared, not copied: this store's view of them turns
-        read-only, and its next update copies them first.
+        Centered cells (a loaded store whose totals have not moved) are
+        shared: this store's view of them turns read-only, and its next
+        update copies them first. Otherwise the copy centers its own array.
         """
         if self.standardized:
             raise SketchStateError("store already standardized")
         self._flush()
-        self._cells = self._cells.view()
-        self._cells.flags.writeable = False
+        if self._unremoved_mean() is None:
+            self._cells = self._cells.view()
+            self._cells.flags.writeable = False
+            cells = self._cells
+        else:
+            cells = np.array(self._cells)
         out = type(self).__new__(type(self))
         out._assign(
-            self.transform, self._cells, self._totals.copy(), self._ones, self._base, self._norms
+            self.transform, cells, self._totals.copy(), self._ones, self._base.copy(), self._norms
         )
         out.standardize()
         return out
@@ -690,10 +692,11 @@ class RowSketchStore:
         overflows float64 raises ValueError and writes nothing. For a
         loaded store that means c_i - (mu_i - base_i) o, the cells as they
         are until an update lands, so a load then save rewrites the same
-        bytes. The bytes go to a temporary file beside ``path`` that then
-        takes its name, so a store mapped from ``path`` (this one included)
-        keeps reading the old file, a reader never sees a partial snapshot,
-        and a failed write leaves ``path`` as it was.
+        bytes; a standardized store's cells are c_i already. The bytes go
+        to a temporary file beside ``path`` that then takes its name, so a
+        store mapped from ``path`` (this one included) keeps reading the old
+        file, a reader never sees a partial snapshot, and a failed write
+        leaves ``path`` as it was.
         """
         t = self.transform
         header = _HEADER.pack(
@@ -793,7 +796,7 @@ class RowSketchStore:
             ones = _read_finite(fh, np.empty(cells, dtype="<f8"), "ones_sketch")
             rows = np.memmap(fh, dtype="<f8", mode="c", offset=_HEADER.size, shape=(n, cells))
         # the one pass over the rows checks them and finds what standardize needs
-        norms = _centered_norms(rows, None, ones, transform.offsets, check=True)
+        norms = _centered_norms(rows, transform.offsets, check=True)
         store = cls.__new__(cls)
         store._assign(transform, rows, totals, ones, totals / p, norms)
         return store
@@ -806,47 +809,41 @@ def _require_finite(values: np.ndarray, what: str):
         raise SnapshotFormatError(f"non-finite value in {what}")
 
 
-def _centered_blocks(cells, shift, ones: np.ndarray, out: np.ndarray | None = None):
+def _centered_blocks(cells, shift, ones: np.ndarray):
     """Yield (first row, c_i - shift_i o over a block of rows) for every block of ``cells``.
 
-    The only code that takes out a shift, and so the one place that picks
+    The only code that takes out a mean, and so the one place that picks
     its row blocks: the product o * shift_i, then the difference, are the
-    roundings of ``save``, ``_centered_norms`` and every served read. With
-    ``shift`` None the cells are centered already: one block, a plain view
-    of them (a memmap pays a fixed cost per slice), and ``out`` is not
-    written. Otherwise blocks hold about 4 * _CHUNK cells and land in the
-    same rows of ``out`` when it is given, or else in one buffer that each
-    yield overwrites.
+    roundings of ``save`` and ``standardize``. With ``shift`` None the
+    cells are centered already: one block, a plain view of them (a memmap
+    pays a fixed cost per slice). Otherwise blocks hold about 4 * _CHUNK
+    cells, in one buffer that each yield overwrites.
     """
     if shift is None:
         yield 0, np.asarray(cells)
         return
     n, size = cells.shape
     step = max(1, 4 * _CHUNK // size)  # rows per block
-    buf = np.empty((min(step, n), size)) if out is None else None
+    buf = np.empty((min(step, n), size))
     for i in range(0, n, step):
-        part = out[i : i + step] if out is not None else buf[: min(step, n - i)]
+        part = buf[: min(step, n - i)]
         np.multiply(ones, shift[i : i + step, None], out=part)
         yield i, np.subtract(cells[i : i + step], part, out=part)
 
 
-def _centered_norms(
-    cells, shift, ones: np.ndarray, offsets: np.ndarray, check: bool = False
-) -> np.ndarray:
-    """||c_{t,i} - shift_i o_t||^2 for every row i and sketch row t, (n, depth).
+def _centered_norms(cells, offsets: np.ndarray, check: bool = False) -> np.ndarray:
+    """||c_{t,i}||^2 for every row i and sketch row t of centered cells, (n, depth).
 
-    One pass over the (n, K) stored cells, an einsum per sketch row for
-    each block from ``_centered_blocks``; ``offsets`` is the transform's.
-    With ``check``, a row whose squares are not all finite is checked value
-    by value, and one holding NaN or infinity is refused, naming it; a row
-    whose squares merely overflowed passes.
+    One pass over the (n, K) stored cells, an einsum per sketch row;
+    ``offsets`` is the transform's. With ``check``, a row whose squares
+    are not all finite is checked value by value, and one holding NaN or
+    infinity is refused, naming it; a row whose squares merely overflowed
+    passes.
     """
-    out = np.empty((len(cells), len(offsets) - 1))
-    for i, part in _centered_blocks(cells, shift, ones):
-        for t, (start, end) in enumerate(zip(offsets[:-1], offsets[1:])):
-            out[i : i + len(part), t] = np.einsum(
-                "ib,ib->i", part[:, start:end], part[:, start:end]
-            )
+    part = np.asarray(cells)
+    out = np.empty((len(part), len(offsets) - 1))
+    for t, (start, end) in enumerate(zip(offsets[:-1], offsets[1:])):
+        out[:, t] = np.einsum("ib,ib->i", part[:, start:end], part[:, start:end])
     if check:
         for i in np.flatnonzero(~np.isfinite(out).all(axis=1)):
             _require_finite(cells[i], f"row {i}")

@@ -40,9 +40,9 @@ once per query between two ways to answer:
 Both read sketch row t's k_t <= min(p, b) stored cells, one slice of
 every row, so no query holds a copy of the rows. Grouping reads the
 served rows (``RowSketchStore.sketch_row``) into a reused buffer. The
-scan multiplies the centered cells unscaled (``centered_row``), for a
-loaded store the mapped cells themselves with no copy, then scales each
-Gram by the row and column scales; it holds one Gram buffer per store.
+scan multiplies the centered cells themselves (``centered_row``, a view,
+of the map for a loaded store), then scales each Gram by the row and
+column scales; it holds one Gram buffer per store and no row buffer.
 ``approximate`` builds every pi from the rows, singleton groups included.
 The multiply is injectable. Survivors can be re-checked against the
 direct pairwise estimates (``verify_candidates``), or, for a difference,
@@ -324,8 +324,8 @@ def _scan_hits(stores: tuple, phi: float, multiply=None) -> np.ndarray:
 
     G_t = diag(a) c_t c_t^T diag(a), one sketch row at a time: c_t c_t^T
     is formed through ``multiply`` from each store's centered cells
-    (``centered_row``: for a loaded store, the mapped cells themselves),
-    then scaled in place by the row scales a_i and column scales a_j; a
+    (``centered_row``, a view of the stored cells with no copy), then
+    scaled in place by the row scales a_i and column scales a_j; a
     difference subtracts the second store's G_t. The default kernel writes
     into one Gram buffer per store, reused across sketch rows; an injected
     one returns its own array. Depth d is odd, so the median reaches phi/2
@@ -341,17 +341,17 @@ def _scan_hits(stores: tuple, phi: float, multiply=None) -> np.ndarray:
     hit = np.empty((n, n), bool)
     bufs = [np.empty((n, n)) if multiply is None else None for _ in stores]
 
-    def scaled_gram(store, t, rt, buf):
-        c = store.centered_row(t, rt)
+    def scaled_gram(store, t, buf):
+        c = store.centered_row(t)
         gram = np.matmul(c, c.T, out=buf) if multiply is None else multiply(c, c.T)
         gram *= store.scale[:, None]
         gram *= store.scale
         return gram
 
-    for t, rows in _row_buffers(stores[0], *[n] * len(stores)):
-        gram = scaled_gram(stores[0], t, rows[0], bufs[0])
-        for other, rt, buf in zip(stores[1:], rows[1:], bufs[1:]):
-            gram -= scaled_gram(other, t, rt, buf)
+    for t in range(depth):
+        gram = scaled_gram(stores[0], t, bufs[0])
+        for other, buf in zip(stores[1:], bufs[1:]):
+            gram -= scaled_gram(other, t, buf)
         high += np.greater_equal(gram, half, out=hit)
         low += np.less_equal(gram, -half, out=hit)
         # need less the rows left: the fewest hits that can still make need

@@ -1,4 +1,5 @@
 import hashlib
+import os
 import re
 import struct
 import tracemalloc
@@ -619,8 +620,10 @@ def test_loaded_rows_map_the_file(tmp_path, rng):
     store.save(tmp_path / "updated.snap")
     assert path.read_bytes() == raw
     reference = _standardized_in_place(store, removed)  # the norms found at load are stale now
+    assert store._unremoved_mean() is not None
     store.standardize()
-    assert store._shift is not None
+    # the moved row was centered in place: every row's cells are c_i now
+    assert store._unremoved_mean() is None and store._base.tobytes() == store.mu.tobytes()
     for i in range(store.n):
         assert np.array_equal(store.row_sketch(i), reference[i]), i
     tile = np.empty((store.n, store.transform.width))
@@ -629,10 +632,9 @@ def test_loaded_rows_map_the_file(tmp_path, rng):
 
 
 def test_shifted_reads_span_several_blocks(tmp_path, rng, monkeypatch):
-    # at _CHUNK 48 a shifted read centers 12 rows per block of one sketch row
-    # (16 cells), or 2 rows per block of whole rows (80 cells). A never-saved
-    # store and a loaded one after updates serve the rewrite of their own
-    # cells bit for bit, through every reader
+    # at _CHUNK 48 standardize centers the cells 2 rows per block of whole
+    # rows (80 cells). A never-saved store and a loaded one after updates
+    # serve the rewrite of their own cells bit for bit, through every reader
     monkeypatch.setattr(ams, "_CHUNK", 48)
     _, loaded, new = _mapped_store(tmp_path, rng, n=40)
     removed = loaded.totals / loaded.p  # the means save took out of the cells
@@ -640,8 +642,9 @@ def test_shifted_reads_span_several_blocks(tmp_path, rng, monkeypatch):
         loaded.apply(StreamUpdate(0.5 + i, i, i % 48))
     for name, store, base in (("new", new, 0.0), ("loaded, then applied", loaded, removed)):
         reference = _standardized_in_place(store, base)
+        assert store._unremoved_mean() is not None, name
         store.standardize()
-        assert store._shift is not None, name
+        assert store._unremoved_mean() is None, name
         for i in range(store.n):
             assert np.array_equal(store.row_sketch(i), reference[i]), (name, i)
             for j in range(i + 1, store.n, 7):
@@ -690,6 +693,104 @@ def test_standardize_leaves_stored_rows_unchanged(tmp_path, rng, monkeypatch, ch
     tile = np.empty((store.n, store.transform.width))
     for t in range(store.transform.depth):
         assert np.array_equal(store.sketch_row(t, tile), reference[:, t])
+
+
+def test_centered_row_is_a_view_of_the_stored_cells(tmp_path, rng):
+    # standardize centers the cells once, so every standardized store serves
+    # centered_row as a view of its own cells, and sketch_row is that view
+    # times the scales: built from a matrix, loaded, loaded then updated, and
+    # the standardized copy of each
+    path, loaded, built = _mapped_store(tmp_path, rng)
+    updated = RowSketchStore.load(path)
+    updated.apply(StreamUpdate(2.0, 3, 7))
+    stores = {"built": built, "loaded": loaded, "updated": updated}
+    stores.update({f"{name} copy": store.standardized_copy() for name, store in stores.items()})
+    for name, store in stores.items():
+        if not store.standardized:
+            store.standardize()
+        assert store._unremoved_mean() is None, name
+        for t, k in enumerate(np.diff(store.transform.offsets)):
+            cells = store.centered_row(t)
+            assert cells.shape == (store.n, k) and np.shares_memory(cells, store._cells), (name, t)
+            served = store.sketch_row(t, np.empty((store.n, k)))
+            assert served.tobytes() == (cells * store.scale[:, None]).tobytes(), (name, t)
+
+
+def test_standardized_copy_writes_nothing_its_source_holds(tmp_path, rng):
+    # a store with means left to take out: the copy centers its own cells and
+    # base, and the source keeps its rows, its base and its writable cells.
+    # Centered cells (a loaded store whose totals have not moved) are shared,
+    # read-only in the source until its next update copies them
+    path, loaded, built = _mapped_store(tmp_path, rng)
+    for source in (built, RowSketchStore.load(path)):
+        if source is not built:
+            source.apply(StreamUpdate(2.0, 3, 7))
+        rows, base = np.array(source.rows), source._base.copy()
+        copy = source.standardized_copy()
+        assert not np.shares_memory(copy._cells, source._cells)
+        assert not np.shares_memory(copy._base, source._base)
+        assert source._cells.flags.writeable
+        assert source.rows.tobytes() == rows.tobytes() and source._base.tobytes() == base.tobytes()
+    copy = loaded.standardized_copy()
+    assert np.shares_memory(copy._cells, loaded._cells) and not loaded._cells.flags.writeable
+    served = np.array(copy.rows)
+    loaded.apply(StreamUpdate(2.0, 3, 7))
+    loaded.standardize()
+    assert not np.shares_memory(copy._cells, loaded._cells)
+    assert copy.rows.tobytes() == served.tobytes()
+
+
+def test_standardize_overflow_leaves_rows_and_base_consistent(monkeypatch):
+    # identity sketch, one row per block: row 0 is centered, row 1's centered
+    # middle cell overflows, and row 2 is left as it was; each row's cells are
+    # still its values less base_i o, so a later save or standardize agrees
+    monkeypatch.setattr(ams, "_CHUNK", 1)
+    values = np.array([[1.0, 2.0, 3.0], [1.7e308, -1.7e308, 1.7e308], [4.0, 0.0, 2.0]])
+    store = RowSketchStore.from_matrix(SketchTransform.identity(3), values)
+    with pytest.raises(ValueError, match="^a centered sketch cell overflows float64$"):
+        store.standardize()
+    assert not store.standardized and store.scale is None
+    assert store._base.tolist() == [2.0, 0.0, 0.0]
+    assert store.rows[0].tolist() == [[-1.0, 0.0, 1.0], values[1].tolist(), values[2].tolist()]
+    with pytest.raises(ValueError, match="^a centered sketch cell overflows float64$"):
+        store.standardized_copy()
+    assert store._base.tolist() == [2.0, 0.0, 0.0]
+
+
+def _private_dirty(path) -> int:
+    """Bytes of this process's private dirty pages in its mappings of ``path``."""
+    target, total, inside = os.path.realpath(path), 0, False
+    with open("/proc/self/smaps") as fh:
+        for line in fh:
+            fields = line.split()
+            if re.match(r"[0-9a-f]+-[0-9a-f]+ ", line):
+                inside = len(fields) >= 6 and fields[5] == target
+            elif inside and fields[0] == "Private_Dirty:":
+                total += int(fields[1]) * 1024
+    return total
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/smaps"), reason="needs Linux /proc/self/smaps")
+def test_standardize_after_one_update_dirties_one_block(tmp_path, rng):
+    # a loaded store maps its rows copy-on-write: an update dirties the pages
+    # of the row it lands on, and standardize then writes only the block of
+    # rows that holds it, not the file. 256 rows of 5,120 cells: 25 rows per
+    # block of about 1 MB, in a 10.5 MB file
+    t = SketchTransform(1024, 1024, 5, seed=3)
+    path = tmp_path / "s.snap"
+    RowSketchStore.from_matrix(t, rng.standard_normal((256, 1024)) + 1.0).save(path)
+    with open(path, "rb") as fh:  # pages of a file not yet written back count as dirty too
+        os.fsync(fh.fileno())
+    store = RowSketchStore.load(path)
+    store.apply(StreamUpdate(2.0, 100, 7))
+    store.totals  # adds the update: its row's pages turn dirty here
+    before = _private_dirty(path)
+    assert before > 0
+    store.standardize()
+    grown = _private_dirty(path) - before
+    rows = max(1, 4 * ams._CHUNK // t.cells)
+    assert 0 < grown <= 8 * rows * t.cells + 2 * 4096, grown
+    assert grown < path.stat().st_size / 4
 
 
 def _dense_sketches(t: SketchTransform, n: int, updates, out=None) -> np.ndarray:
@@ -843,12 +944,13 @@ def test_standardized_store_round_trips_its_linear_state(tmp_path, rng):
 @pytest.mark.parametrize("offset", [0.0, 1e8])
 def test_updates_after_load_match_the_new_store(tmp_path, rng, offset):
     # a loaded store's cells were centered at save, so updates land on
-    # c_i = r_i - mu_i o and its rows are served as a_i (c_i - (mu_i' - mu_i) o):
-    # equal to the new store's a_i (r_i - mu_i' o) to rounding, not bit for bit.
-    # Each served value is off by a few ulps of the largest stored value
-    # (about 1e9 at offset 1e8) times the row's scale. A re-save centers the
-    # cells again, so the reloaded store has no shift left and serves the
-    # updated store's bits
+    # c_i = r_i - mu_i o, standardize takes (mu_i' - mu_i) o out of them and
+    # its rows are served as a_i (c_i - (mu_i' - mu_i) o): equal to the new
+    # store's a_i (r_i - mu_i' o) to rounding, not bit for bit. Each served
+    # value is off by a few ulps of the largest stored value (about 1e9 at
+    # offset 1e8) times the row's scale. A re-save centers the cells as
+    # standardize does, so the reloaded store has no mean left to take out
+    # and serves the updated store's bits
     path, loaded, store = _mapped_store(tmp_path, rng, offset=offset)
     later = [StreamUpdate(float(a), int(i), int(j)) for a, i, j in zip(
         rng.standard_normal(40) * (1 + offset), rng.integers(0, 7, 40), rng.integers(0, 48, 40)
@@ -860,13 +962,14 @@ def test_updates_after_load_match_the_new_store(tmp_path, rng, offset):
     largest = np.abs(store.rows).max()
     loaded.save(tmp_path / "again.snap")
     back = RowSketchStore.load(tmp_path / "again.snap")
+    assert loaded._unremoved_mean() is not None and back._unremoved_mean() is None
     for s in (loaded, store, back):
         s.standardize()
     assert np.array_equal(loaded.degenerate, store.degenerate)
     tolerance = 16 * np.finfo(float).eps * largest * store.scale.max()
     np.testing.assert_allclose(loaded.rows, store.rows, rtol=0, atol=tolerance)
     np.testing.assert_allclose(loaded.scale, store.scale, rtol=16 * np.finfo(float).eps)
-    assert loaded._shift is not None and back._shift is None
+    assert back._cells.tobytes() == loaded._cells.tobytes()
     assert back.scale.tobytes() == loaded.scale.tobytes()
     assert back.rows.tobytes() == loaded.rows.tobytes()
 
@@ -878,10 +981,10 @@ def test_save_over_the_mapped_file(tmp_path, rng, monkeypatch):
     raw = path.read_bytes()
     store.save(path)
     assert path.read_bytes() == raw
-    source.standardize()
     with monkeypatch.context() as mp:  # a write that fails half way leaves the file as it was
         # it fails once every block of rows is written, before the totals; the
-        # new store still has its means to take out, so its rows go in 4 blocks
+        # new store, never standardized, still has its means to take out, so
+        # its rows go in 4 blocks
         blocks, written = ams._centered_blocks, []
 
         def failing(*args):
@@ -1104,3 +1207,39 @@ def test_norm_estimate_concentrates(rng):
         s = t.sketch_vector(x)
         hits += abs(inner_product(s, s) - 1.0) <= 0.2
     assert hits / trials >= 0.95
+
+
+def test_refusals_name_their_cause(tmp_path):
+    # each raise below names what it refuses; none of them had a test
+    t = SketchTransform(32, 16, 5, seed=4)
+    with pytest.raises(ValueError, match="^p must be positive$"):
+        SketchTransform(0, 16, 5, seed=4)
+    with pytest.raises(ValueError, match=r"^delta must be in \(0, 1\)$"):
+        accuracy_depth(1.5)
+    with pytest.raises(ValueError, match="^store needs at least one row$"):
+        RowSketchStore(t, 0)
+    store = RowSketchStore(t, 3)
+    for i, j in ((3, 0), (0, 32), (-1, 0)):
+        with pytest.raises(IndexError, match=rf"^update \({i}, {j}\) out of range for 3x32$"):
+            store.apply(StreamUpdate(1.0, i, j))
+    store.apply(StreamUpdate(1.0, 0, 0))
+    store.standardize()
+    with pytest.raises(SketchStateError, match="^store already standardized$"):
+        store.standardized_copy()
+    even = np.ones((2, 4))
+    with pytest.raises(ValueError, match="^sketches need an odd number of rows, got 2$"):
+        inner_product(even, even)
+    path = tmp_path / "s.snap"
+    RowSketchStore.from_matrix(t, np.eye(3, 32)).save(path)
+    raw = bytearray(path.read_bytes())
+    magic = tmp_path / "magic.snap"
+    magic.write_bytes(b"CSKSNAP0" + raw[8:])
+    with pytest.raises(SnapshotFormatError, match=r"^bad magic b'CSKSNAP0'$"):
+        RowSketchStore.load(magic)
+    parts = list(struct.unpack_from(_HEADER_FORMAT, raw))
+    parts[7] = 4  # the exact flag on a 5 x 16 sketch, not (p, 1)
+    struct.pack_into(_HEADER_FORMAT, raw, 0, *parts)
+    exact = tmp_path / "exact.snap"
+    exact.write_bytes(bytes(raw))
+    with pytest.raises(SnapshotFormatError, match="^exact-transform snapshot with mismatched shape$"):
+        RowSketchStore.load(exact)

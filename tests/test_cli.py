@@ -1,4 +1,5 @@
 import json
+import re
 import time
 import warnings
 
@@ -619,3 +620,42 @@ def test_parse_grid_sets_every_key():
         parse_grid("p=8;q=1")
     with pytest.raises(ValueError, match="key=value"):
         parse_grid("p=8;n")
+
+
+@pytest.mark.filterwarnings("ignore:guarantee constraint violated", "ignore:verification is vacuous")
+def test_commands_without_a_seed_echo_the_seed_they_drew(tmp_path, capsys):
+    # gen, ingest and query without --seed print seed=<v> on stderr; run again
+    # with --seed <v>, each prints the same stdout and writes the same bytes
+    def drawn(err):
+        seeds = re.findall(r"^seed=(\d+)$", err, re.M)
+        assert len(seeds) == 1, err
+        return seeds[0]
+
+    stream, snap = tmp_path / "s.stream", tmp_path / "s.snap"
+    commands = {
+        "gen": (("gen", "--n", "16", "--p", "64", "--plant", "2,9,0.9", "--out", str(stream)),
+                (stream, tmp_path / "s.stream.truth")),
+        "ingest": (("ingest", "--model", "rps", "--input", str(stream), "--out", str(snap),
+                    "--epsilon", "0.2", "--delta", "0.2"), (snap,)),
+        # pi 4 < n groups, so the query seed draws the groupings
+        "query": (("query", "--snapshot", str(snap), "--phi", "0.7", "--k", "2", "--R", "1.0",
+                   "--pi", "4", "--gamma", "3"), ()),
+    }
+    for name, (argv, files) in commands.items():
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, (name, err)
+        seed = drawn(err)
+        written = [f.read_bytes() for f in files]
+        code, again, err = run_cli(capsys, *argv, "--seed", seed)
+        assert code == 0 and "seed=" not in err, (name, err)
+        assert again == out, name
+        assert [f.read_bytes() for f in files] == written, name
+
+
+def test_gen_refuses_a_plant_without_rho(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["gen", "--n", "8", "--p", "16", "--plant", "1,2", "--out", str(tmp_path / "g")])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --plant: --plant wants 'i,j,rho', got '1,2'" in err
+    assert list(tmp_path.iterdir()) == []

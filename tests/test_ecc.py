@@ -228,3 +228,15 @@ def test_decode_is_bounded_distance(design, seed):
     edges = np.stack([np.zeros(cb.blocklen, np.uint8), np.ones(cb.blocklen, np.uint8)])
     words = np.concatenate([words, noise, edges])
     assert np.array_equal(cb.decode_words(words), _nearest_within_radius(cb, words))
+
+
+def test_codebook_refusals_name_their_cause():
+    with pytest.raises(ValueError, match="^index space must have at least 2 values$"):
+        ecc.Codebook(1, 4, 3)
+    cb = ecc.for_index_space(4)
+    with pytest.raises(ValueError, match=r"^expected \(m, 15\) words, got \(15,\)$"):
+        cb.decode_words(np.zeros(cb.blocklen, dtype=np.uint8))
+    # the largest design carries 47 message bits, so 2^47 + 1 indices fit none
+    n = 2**47 + 1
+    with pytest.raises(ValueError, match=f"^no configured blocklength can address {n} indices$"):
+        ecc.for_index_space(n)

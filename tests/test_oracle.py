@@ -183,3 +183,15 @@ def test_residual_norm_monotone_and_large_set_nested(seed):
     norms = [oracle.residual_norm(c, k) for k in range(0, 10)]
     assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
     assert oracle.large_set(c, 0.7) <= oracle.large_set(c, 0.3)
+
+
+def test_oracle_refusals_name_their_cause():
+    with pytest.raises(ValueError, match="^k must be nonnegative$"):
+        oracle.residual_norm(oracle.correlation(DenseMatrix(np.eye(3, 4))), -1)
+    # one column: the centered row is 0, so nothing can be planted against it
+    with pytest.raises(oracle.GenerationError, match="^row 0 is constant; cannot plant against it$"):
+        oracle.plant_dataset(oracle.PlantedSpec(2, 1, [(0, 1, 0.5)]))
+    # two columns: every centered noise draw is parallel to row 0, so none is left
+    # once row 0's direction is taken out
+    with pytest.raises(oracle.GenerationError, match="^could not draw noise orthogonal to row 0$"):
+        oracle.plant_dataset(oracle.PlantedSpec(2, 2, [(0, 1, 0.5)]))

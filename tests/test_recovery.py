@@ -1405,8 +1405,8 @@ def _served_stores(tmp_path, kind, phi):
     """Two standardized stores, n = 40: built from a matrix, loaded, or updated after load.
 
     Rows 0-7 of the first share a factor, so their Gram entries scatter
-    around phi/2. Only a loaded store whose totals have not moved has no
-    shift left to take out.
+    around phi/2. Standardize centers a built or updated store's cells in
+    place; a loaded store's were centered at save.
     """
     transform = SketchTransform(600, 512, 13, seed=5)
     stores = []
@@ -1425,24 +1425,24 @@ def _served_stores(tmp_path, kind, phi):
 
 @pytest.mark.parametrize("kind", ["built", "loaded", "updated"])
 def test_scan_multiplies_the_centered_cells(tmp_path, kind):
-    # the scan hands multiply each sketch row's centered cells, unscaled:
-    # for a loaded store the mapped cells themselves, copied nowhere; for a
-    # store with a shift (built from a matrix, or updated after load) the
-    # buffer the shift was taken out into. Scaled, they are the served rows
+    # the scan hands multiply each sketch row's centered cells, unscaled: the
+    # stored cells themselves, copied nowhere, whether standardize centered
+    # them (built from a matrix, or updated after load) or save did (loaded).
+    # Scaled, they are the served rows
     stores = _served_stores(tmp_path, kind, 0.5)
     for count in (1, 2):
         handed = []
 
         def multiply(a, b):
             assert np.shares_memory(a, b) and np.array_equal(b, a.T)
-            handed.append((a, a.copy()))  # a shifted store reuses its buffer
+            handed.append((a, a.copy()))
             return a @ b
 
         recovery._scan_hits(tuple(stores[:count]), 0.5, multiply)
         assert len(handed) >= count * (stores[0].transform.depth // 2 + 1)
         for k, (a, cells) in enumerate(handed):
             store, t = stores[k % count], k // count
-            assert np.shares_memory(a, store._cells) == (kind == "loaded"), (kind, k)
+            assert np.shares_memory(a, store._cells), (kind, k)
             served = store.sketch_row(t, np.empty(a.shape))
             assert np.array_equal(cells * store.scale[:, None], served)
 
@@ -1490,3 +1490,16 @@ def test_scaled_gram_is_within_a_rounding_bound_of_the_served_rows_gram(tmp_path
         assert (gap <= 2 * gamma * np.outer(norms, norms)).all(), t
         differ += np.count_nonzero(gap)
     assert differ  # the roundings are not the same
+
+
+def test_recovery_refusals_name_their_cause(rng):
+    store = build_store(rng.standard_normal((4, 32)))
+    with pytest.raises(SketchStateError, match="^verification requires a standardized store$"):
+        verify_candidates(store, [(0, 1)], 0.5)
+    store.standardize()
+    other = RowSketchStore.from_matrix(store.transform, rng.standard_normal((5, 32)))
+    other.standardize()
+    cb = ecc.for_index_space(5)
+    params = recovery.QueryParams(0.5, 4, 0.0, 0.0, 1, "practical")
+    with pytest.raises(ValueError, match="^snapshot stores have different row counts$"):
+        recover_diff(store, other, params, cb, seed=1)

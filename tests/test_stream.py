@@ -342,3 +342,19 @@ def test_clean_stream_parses_each_block_once(variant):
         with pytest.raises(StreamFormatError, match="line 10: non-finite"):
             list(updates)
         assert calls == [4, 5, 1, 1, 1, 1]  # the failed block again, to its bad line
+
+
+def test_stream_refusals_name_their_cause():
+    with pytest.raises(ValueError, match="^turnstile streams have no fixed length$"):
+        StreamModel("ts", 3, 5).length
+    with pytest.raises(ValueError, match="^dense matrix must be 2-dimensional$"):
+        DenseMatrix(np.ones(4))
+    with pytest.raises(ValueError, match="^dense matrix entries must be finite$"):
+        DenseMatrix(np.array([[1.0, np.inf]]))
+    for text in ("", "# only a comment\n\n"):
+        with pytest.raises(StreamFormatError, match=r"^empty stream file \(missing header\)$"):
+            iter_stream(io.StringIO(text))
+    with pytest.raises(StreamFormatError, match="^line 1: stream model requires n >= 2 and p >= 2$"):
+        iter_stream(io.StringIO("ts 1 2\n"))
+    with pytest.raises(ValueError, match="^unknown stream model 'xx'$"):
+        matrix_to_updates(DenseMatrix(np.eye(2)), "xx")
