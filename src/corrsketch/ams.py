@@ -20,13 +20,14 @@ standardized so that inner products estimate correlations: it centers
 the stored cells once, in place, to c_i = r_i - mu_i o, mu_i = t_i / p,
 and records a scale a_i per row, so a standardized row a_i c_i is its
 stored cells times one scale. One routine (_centered_blocks) takes out
-every mean, for standardize and save. The all-ones sketch o is a fixed
-function of the transform, so the store's constructor builds it whole. A
-snapshot holds only the linear state, standardized or not: the centered
-rows c_i (still linear in the stream), the totals and o. The rows sit in
-memory in snapshot order; a loaded store maps them from the file
-(copy-on-write) instead of reading them, so they are centered already and
-standardize writes no cell until an update moves a total.
+every mean, for standardize and save, and centers only the row blocks
+that hold a moved total. The all-ones sketch o is a fixed function of the
+transform, so the store's constructor builds it whole. A snapshot holds
+only the linear state, standardized or not: the centered rows c_i (still
+linear in the stream), the totals and o. The rows sit in memory in
+snapshot order; a loaded store maps them from the file (copy-on-write)
+instead of reading them, so they are centered, and their norms found, at
+load: standardize redoes both only for the rows updates landed on since.
 ``centered_row``, which the scan multiplies, is a view of the stored
 cells. Save writes a temporary file that takes the target's name.
 
@@ -458,7 +459,7 @@ class RowSketchStore:
     def _assign(self, transform, cells, totals, ones, base, norms=None):
         """Set every field from the store's parts, unstandardized; nothing is buffered.
 
-        ``norms`` is ``_centered_norms`` of these rows, when known.
+        ``norms`` is ``_centered_norms`` of these rows, when known, for this store alone.
         """
         n = len(totals)
         self.transform = transform
@@ -467,7 +468,7 @@ class RowSketchStore:
         self._cells = cells
         self._totals = totals
         self._pending = ([], [], [])  # row, column and value of each buffered update
-        self._norms = norms  # dropped when an update lands
+        self._norms = norms  # per row and sketch row; NaN once an update lands on the row
         self._ones = ones  # o's K stored cells
         self._base = base  # per row, the mean already taken out of its cells
         self.standardized = False  # set by standardize: rows are served as a_i (r_i - mu_i o)
@@ -563,7 +564,8 @@ class RowSketchStore:
         """Add cells (row, column, value) to the sketches and totals, in the order given."""
         if not self._cells.flags.writeable:  # shared with a standardized copy
             self._cells = np.array(self._cells)
-        self._norms = None
+        if self._norms is not None:  # the rows updated now need their norms again
+            self._norms[rows] = np.nan
         _add_cells(self.transform, self._cells, rows, cols, alpha)
         with _refuse_overflow("a row total"):
             np.add.at(self._totals, rows, alpha)
@@ -621,11 +623,12 @@ class RowSketchStore:
 
         The mean mu_i = t_i / p uses the exact total. A row whose total has
         moved loses (mu_i - base_i) o, through ``_centered_blocks``; only
-        blocks that hold such a row are written, none for an unmoved loaded
-        store. A centered cell that overflows float64 raises ValueError,
-        each row's cells and ``_base`` still agreeing. The scale a_i is one
-        over the square root of the median over sketch rows of ||c_i||^2
-        (found by ``load`` when no update has landed since). Rows whose
+        blocks that hold such a row are formed and written, none for an
+        unmoved loaded store. A centered cell that overflows float64 raises
+        ValueError, each row's cells and ``_base`` still agreeing. The scale
+        a_i is one over the square root of the median over sketch rows of
+        ||c_i||^2, taken for every row of a new store, and for a loaded one
+        (whose norms ``load`` found) only for rows updated since. Rows whose
         squared norm falls below 1e-12 * p are flagged degenerate and get
         scale 0, so they drop out of recovery. A squared norm that overflows
         float64 in any sketch row, not only the median, raises ValueError
@@ -635,15 +638,18 @@ class RowSketchStore:
         if self.standardized:
             raise SketchStateError("store already standardized")
         mu, shift = self.totals / self.p, self._unremoved_mean()
-        if shift is not None:  # then no norms are known: an update dropped them
+        if shift is not None:
             with _refuse_overflow("a centered sketch cell"):
                 for i, block in _centered_blocks(self._cells, shift, self._ones):
                     rows = slice(i, i + len(block))
-                    if shift[rows].any():
+                    if shift[rows].any():  # else block is a view of these cells
                         self._cells[rows] = block
                         self._base[rows] = mu[rows]
         if self._norms is None:
             self._norms = _centered_norms(self._cells, self.transform.offsets)
+        stale = np.isnan(self._norms[:, 0])
+        if stale.any():
+            self._norms[stale] = _centered_norms(self._cells[stale], self.transform.offsets)
         bad = np.flatnonzero(~np.isfinite(self._norms).all(axis=1))
         if bad.size:
             raise ValueError(f"row {bad[0]}'s squared sketch norm overflows float64")
@@ -676,9 +682,8 @@ class RowSketchStore:
         else:
             cells = np.array(self._cells)
         out = type(self).__new__(type(self))
-        out._assign(
-            self.transform, cells, self._totals.copy(), self._ones, self._base.copy(), self._norms
-        )
+        norms = None if self._norms is None else self._norms.copy()
+        out._assign(self.transform, cells, self._totals.copy(), self._ones, self._base.copy(), norms)
         out.standardize()
         return out
 
@@ -688,15 +693,14 @@ class RowSketchStore:
         """Write the linear state (centered rows, totals, o), standardized or not.
 
         Each row goes out centered, c_i = r_i - mu_i o with mu_i = t_i / p,
-        block by block through one reused buffer; a centered cell that
+        block by block through ``_centered_blocks``; a centered cell that
         overflows float64 raises ValueError and writes nothing. For a
-        loaded store that means c_i - (mu_i - base_i) o, the cells as they
-        are until an update lands, so a load then save rewrites the same
-        bytes; a standardized store's cells are c_i already. The bytes go
-        to a temporary file beside ``path`` that then takes its name, so a
-        store mapped from ``path`` (this one included) keeps reading the old
-        file, a reader never sees a partial snapshot, and a failed write
-        leaves ``path`` as it was.
+        loaded store that means c_i - (mu_i - base_i) o: a block with no
+        moved total goes out as stored, so a load then save rewrites the
+        same bytes. The bytes go to a temporary file beside ``path`` that
+        then takes its name, so a store mapped from ``path`` (this one
+        included) keeps reading the old file, a reader never sees a partial
+        snapshot, and a failed write leaves ``path`` as it was.
         """
         t = self.transform
         header = _HEADER.pack(
@@ -710,8 +714,7 @@ class RowSketchStore:
             _FLAG_EXACT if t.exact else 0,
             self.p,
         )
-        self._flush()
-        shift = self._unremoved_mean()
+        shift = self.totals / self.p - self._base
         path = os.path.realpath(path)  # through a symlink to its target, as open() writes
         tmp = f"{path}.{os.urandom(8).hex()}.tmp"
         try:
@@ -809,26 +812,25 @@ def _require_finite(values: np.ndarray, what: str):
         raise SnapshotFormatError(f"non-finite value in {what}")
 
 
-def _centered_blocks(cells, shift, ones: np.ndarray):
+def _centered_blocks(cells, shift: np.ndarray, ones: np.ndarray):
     """Yield (first row, c_i - shift_i o over a block of rows) for every block of ``cells``.
 
     The only code that takes out a mean, and so the one place that picks
     its row blocks: the product o * shift_i, then the difference, are the
-    roundings of ``save`` and ``standardize``. With ``shift`` None the
-    cells are centered already: one block, a plain view of them (a memmap
-    pays a fixed cost per slice). Otherwise blocks hold about 4 * _CHUNK
-    cells, in one buffer that each yield overwrites.
+    roundings of ``save`` and ``standardize``. Blocks hold about 4 * _CHUNK
+    cells. A block with no moved row (every shift_i 0) is a plain view of
+    the cells; any other is centered in one buffer that each yield
+    overwrites.
     """
-    if shift is None:
-        yield 0, np.asarray(cells)
-        return
     n, size = cells.shape
     step = max(1, 4 * _CHUNK // size)  # rows per block
     buf = np.empty((min(step, n), size))
     for i in range(0, n, step):
-        part = buf[: min(step, n - i)]
-        np.multiply(ones, shift[i : i + step, None], out=part)
-        yield i, np.subtract(cells[i : i + step], part, out=part)
+        block, moved = cells[i : i + step], shift[i : i + step, None]
+        if moved.any():
+            part = np.multiply(ones, moved, out=buf[: len(block)])
+            block = np.subtract(block, part, out=part)
+        yield i, block
 
 
 def _centered_norms(cells, offsets: np.ndarray, check: bool = False) -> np.ndarray:

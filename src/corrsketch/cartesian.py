@@ -34,23 +34,18 @@ class CartesianTransform:
         self.n_padded = pi * ((n + pi - 1) // pi)
         self.block = self.n_padded // pi
         draws = seed_stream(self.seed)
-        rng1 = np.random.default_rng(next(draws))
-        rng2 = np.random.default_rng(next(draws))
-        # a uniform shuffle cut into equal blocks is a uniform balanced partition
-        perm1 = rng1.permutation(self.n_padded)
-        perm2 = rng2.permutation(self.n_padded)
-        self.p1 = np.empty(self.n_padded, dtype=np.int64)
-        self.p2 = np.empty(self.n_padded, dtype=np.int64)
-        self.p1[perm1] = np.arange(self.n_padded) // self.block
-        self.p2[perm2] = np.arange(self.n_padded) // self.block
+        rngs = [np.random.default_rng(next(draws)) for _ in range(2)]  # both before any sign
         x = _field_points(self.n_padded)
-        coeffs1 = [next(draws) % ((1 << 31) - 1) for _ in range(4)]
-        coeffs2 = [next(draws) % ((1 << 31) - 1) for _ in range(4)]
-        self.s1 = 1.0 - 2.0 * (_poly_values(coeffs1, x) & np.uint64(1)).astype(np.float64)
-        self.s2 = 1.0 - 2.0 * (_poly_values(coeffs2, x) & np.uint64(1)).astype(np.float64)
-        # index order sorted by group, for reshape-based group sums
-        self.order1 = np.argsort(self.p1, kind="stable")
-        self.order2 = np.argsort(self.p2, kind="stable")
+        sides = []
+        for rng in rngs:
+            # a uniform shuffle cut into equal blocks is a uniform balanced partition
+            group = np.empty(self.n_padded, dtype=np.int64)
+            group[rng.permutation(self.n_padded)] = np.arange(self.n_padded) // self.block
+            coeffs = [next(draws) % ((1 << 31) - 1) for _ in range(4)]
+            signs = 1.0 - 2.0 * (_poly_values(coeffs, x) & np.uint64(1)).astype(np.float64)
+            # index order sorted by group, for reshape-based group sums
+            sides.append((group, signs, np.argsort(group, kind="stable")))
+        (self.p1, self.s1, self.order1), (self.p2, self.s2, self.order2) = sides
 
 
 def cart_exact(t: CartesianTransform, a: np.ndarray) -> np.ndarray:

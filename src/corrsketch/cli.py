@@ -34,14 +34,15 @@ ORACLE_CELL_GUARD = 10**8
 
 
 def _resolve_seed(seed):
-    """Explicit seed, or a fresh one that the caller must echo to output."""
-    if seed is not None:
-        return int(seed), False
-    return int.from_bytes(os.urandom(8), "little"), True
+    """Explicit seed, or a fresh one, echoed to stderr as it is drawn."""
+    if seed is None:
+        seed = int.from_bytes(os.urandom(8), "little")
+        print(f"seed={seed}", file=sys.stderr)
+    return int(seed)
 
 
 def cmd_ingest(args) -> int:
-    seed, generated = _resolve_seed(args.seed)
+    seed = _resolve_seed(args.seed)
     with open(args.input, "r", encoding="utf-8") as fh:
         model, updates = iter_stream(fh)
         if args.model != model.variant:
@@ -54,8 +55,6 @@ def cmd_ingest(args) -> int:
             store.apply(u)
     store.save(args.out)
     size = os.path.getsize(args.out)
-    if generated:
-        print(f"seed={seed}", file=sys.stderr)
     print(
         f"n={model.n} p={model.p} b={transform.width} d={transform.depth} "
         f"seed={seed} bytes={size}"
@@ -64,7 +63,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_query(args) -> int:
-    seed, generated = _resolve_seed(args.seed)
+    seed = _resolve_seed(args.seed)
     # refuse bad settings before paying for the snapshot load, and whatever phi is;
     # strict mode refuses a given --pi or --gamma by name
     overrides = dict(groups=args.pi, reps=args.gamma)
@@ -103,8 +102,6 @@ def cmd_query(args) -> int:
         rows.sort(key=lambda r: (-abs(r[2]), r[0], r[1]))
         for diag in diagnostics:
             print(diag, file=sys.stderr)
-        if generated:
-            print(f"seed={seed}", file=sys.stderr)
         path = recovery.query_path(
             store.n, params.groups, params.reps, store.transform.depth, store.transform.cells
         )
@@ -156,7 +153,7 @@ def _parse_plant(text: str) -> tuple[int, int, float]:
 
 
 def cmd_gen(args) -> int:
-    seed, generated = _resolve_seed(args.seed)
+    seed = _resolve_seed(args.seed)
     spec = PlantedSpec(args.n, args.p, list(args.plant or []), seed=seed)
     m, truth = plant_dataset(spec)
     model = StreamModel("rps", args.n, args.p)
@@ -166,8 +163,6 @@ def cmd_gen(args) -> int:
         fh.write(f"# planted ground truth n={args.n} p={args.p} seed={seed}\n")
         for i, j, realized in truth:
             fh.write(f"{i} {j} {realized!r}\n")
-    if generated:
-        print(f"seed={seed}", file=sys.stderr)
     print(f"wrote {args.out} and {truth_path} ({len(truth)} planted pairs, seed={seed})")
     return 0
 

@@ -263,15 +263,17 @@ class Codebook:
 
 
 @lru_cache(maxsize=32)
-def _codebook_cached(n: int) -> Codebook:
+def for_index_space(n: int) -> Codebook:
+    """Smallest configured BCH blocklength whose capacity covers [n]: one Codebook per n.
+
+    Cached by n, so every caller at one n shares its tables; an n of
+    another integer type (np.int64) is looked up as an int.
+    """
+    if type(n) is not int:  # lru_cache keys np.int64(n) apart from n
+        return for_index_space(int(n))
     for m, t in _DESIGNS:
         try:
             return Codebook(n, m, t)  # raises when capacity < index bits
         except ValueError:
             continue
     raise ValueError(f"no configured blocklength can address {n} indices")
-
-
-def for_index_space(n: int) -> Codebook:
-    """Smallest configured BCH blocklength whose capacity covers [n]."""
-    return _codebook_cached(int(n))

@@ -264,26 +264,15 @@ def _masks(cart: CartesianTransform, cb: Codebook, n: int) -> np.ndarray:
     return masks.reshape(2, cart.pi, cart.block, cb.codeword_len)
 
 
-def _row_buffers(store: RowSketchStore, *rows):
-    """Per sketch row t: t and a (r, k_t) view per r in ``rows``, k_t its stored cells.
-
-    Each view reads one buffer, allocated once at the largest k_t.
-    """
-    sizes = np.diff(store.transform.offsets).tolist()
-    flats = [np.empty(r * max(sizes)) for r in rows]
-    for t, k in enumerate(sizes):
-        yield t, [flat[: r * k].reshape(r, k) for flat, r in zip(flats, rows)]
-
-
 def _group_products(store: RowSketchStore, cart: CartesianTransform, multiply=None):
     """The row-vs-group inner products of a standardized store, (2, n_padded, depth, pi).
 
     cross[0, h*block + r, t, g] = <r_t^(i), right-group g of sketch row t>
     for the r-th index i of row-group h; cross[1] reads each column
     group's indices against the left groups. Each sketch row's stored
-    cells are read and grouped in reused buffers, and its products,
-    through ``multiply`` (numpy kernel by default), go straight into group
-    order.
+    cells are read and grouped in three buffers, each allocated once at
+    the largest k_t, and its products, through ``multiply`` (numpy kernel
+    by default), go straight into group order.
     """
     multiply = np.matmul if multiply is None else multiply
     depth, n_pad = store.transform.depth, cart.n_padded
@@ -292,7 +281,10 @@ def _group_products(store: RowSketchStore, cart: CartesianTransform, multiply=No
     # each side lists its indices in its own group order, against the other's groups
     sides = ((cart.order1, cart.s2, cart.order2), (cart.order2, cart.s1, cart.order1))
     # per sketch row: its rows, one grouping's signed rows in group order, and the group sums
-    for t, (rt, signed, group) in _row_buffers(store, n_pad, n_pad, cart.pi):
+    heights, sizes = (n_pad, n_pad, cart.pi), np.diff(store.transform.offsets).tolist()
+    flats = [np.empty(r * max(sizes)) for r in heights]
+    for t, k_t in enumerate(sizes):
+        rt, signed, group = (flat[: r * k_t].reshape(r, k_t) for flat, r in zip(flats, heights))
         store.sketch_row(t, rt[: store.n])
         rt[store.n :] = 0.0  # phantom rows
         for k, (own, s, order) in enumerate(sides):

@@ -720,7 +720,8 @@ def test_standardized_copy_writes_nothing_its_source_holds(tmp_path, rng):
     # a store with means left to take out: the copy centers its own cells and
     # base, and the source keeps its rows, its base and its writable cells.
     # Centered cells (a loaded store whose totals have not moved) are shared,
-    # read-only in the source until its next update copies them
+    # read-only in the source until its next update copies them; the norms
+    # found at load are not, since an update marks the source's stale
     path, loaded, built = _mapped_store(tmp_path, rng)
     for source in (built, RowSketchStore.load(path)):
         if source is not built:
@@ -733,6 +734,7 @@ def test_standardized_copy_writes_nothing_its_source_holds(tmp_path, rng):
         assert source.rows.tobytes() == rows.tobytes() and source._base.tobytes() == base.tobytes()
     copy = loaded.standardized_copy()
     assert np.shares_memory(copy._cells, loaded._cells) and not loaded._cells.flags.writeable
+    assert not np.shares_memory(copy._norms, loaded._norms)
     served = np.array(copy.rows)
     loaded.apply(StreamUpdate(2.0, 3, 7))
     loaded.standardize()
@@ -792,6 +794,55 @@ def test_standardize_after_one_update_dirties_one_block(tmp_path, rng):
     assert 0 < grown <= 8 * rows * t.cells + 2 * 4096, grown
     assert grown < path.stat().st_size / 4
 
+
+def test_only_blocks_with_a_moved_row_are_centered(rng, monkeypatch):
+    # 16 cells a row at _CHUNK 8: blocks of 2 rows. Only row 5's total moved,
+    # so only the block at row 4 is centered, in the buffer; every other
+    # block is the stored cells themselves
+    monkeypatch.setattr(ams, "_CHUNK", 8)
+    cells, ones, shift = rng.standard_normal((7, 16)), rng.standard_normal(16), np.zeros(7)
+    shift[5] = 0.25
+    starts = []
+    for i, block in ams._centered_blocks(cells, shift, ones):
+        starts.append(i)
+        rows = slice(i, i + len(block))
+        assert np.shares_memory(block, cells) == (i != 4), i
+        assert block.tobytes() == (cells[rows] - ones * shift[rows, None]).tobytes(), i
+    assert starts == [0, 2, 4, 6]
+
+
+def test_standardize_after_one_update_takes_one_rows_norms(tmp_path, rng, monkeypatch):
+    # a loaded store found every row's norms at load; after one update,
+    # standardize centers only the block holding that row (2 rows per block
+    # at _CHUNK 48) and takes only its norms again. The scales, means and
+    # degenerate flags are those of the same store saved and loaded, which
+    # takes every row's norms at load
+    monkeypatch.setattr(ams, "_CHUNK", 48)
+    path, store, _ = _mapped_store(tmp_path, rng)
+    store.apply(StreamUpdate(2.0, 3, 7))
+    store.save(tmp_path / "again.snap")
+    back = RowSketchStore.load(tmp_path / "again.snap")
+    formed, normed = [], []
+    blocks, norms = ams._centered_blocks, ams._centered_norms
+
+    def spy_blocks(cells, *args):
+        for i, block in blocks(cells, *args):
+            if not np.shares_memory(block, cells):
+                formed.append(i)
+            yield i, block
+
+    def spy_norms(cells, *args, **kwargs):
+        normed.append(len(cells))
+        return norms(cells, *args, **kwargs)
+
+    monkeypatch.setattr(ams, "_centered_blocks", spy_blocks)
+    monkeypatch.setattr(ams, "_centered_norms", spy_norms)
+    store.standardize()
+    assert formed == [2] and normed == [1]
+    back.standardize()
+    assert normed == [1]  # back's norms were all found at load
+    for field in ("scale", "mu", "degenerate"):
+        assert getattr(store, field).tobytes() == getattr(back, field).tobytes(), field
 
 def _dense_sketches(t: SketchTransform, n: int, updates, out=None) -> np.ndarray:
     """Reference: every bucket of n sketches, added one update at a time, (n, depth, width).

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -107,6 +109,24 @@ def test_transform_determinism():
     b = CartesianTransform(32, 4, seed=99)
     assert np.array_equal(a.p1, b.p1) and np.array_equal(a.s2, b.s2)
 
+
+
+@pytest.mark.parametrize("n, pi, seed, digest", [
+    (128, 8, 3, "1d0b663edfceccf482cf87ed6127769f5a838ed0508d0f3a9ecdec83fe134f71"),
+    # pi does not divide n, and the seed takes the top bit
+    (100, 7, 2**63 + 5, "3a645bb4277ab3a36c579f16865078db71cd6a8a51bf22dcc556312c7de32d86"),
+    (37, 37, 0, "9bed866de5ba67ab597de50e08f86df75398c85e3bd872bad222af40910c67eb"),
+    (1000, 33, 2**64 - 1, "9be78b67d122833794280c1e080b8ef82fc6b164aada7789db511c4b6d79c82e"),
+])
+def test_transform_draws_keep_their_order(n, pi, seed, digest):
+    # both generator seeds are drawn first, then each side's four sign
+    # coefficients: any other order changes the groupings a seed names
+    t = CartesianTransform(n, pi, seed)
+    h = hashlib.sha256()
+    for part, kind in ((t.p1, "<i8"), (t.p2, "<i8"), (t.s1, "<f8"), (t.s2, "<f8"),
+                       (t.order1, "<i8"), (t.order2, "<i8")):
+        h.update(np.asarray(part, dtype=kind).tobytes())
+    assert h.hexdigest() == digest
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**32 - 1))

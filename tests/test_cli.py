@@ -652,6 +652,19 @@ def test_commands_without_a_seed_echo_the_seed_they_drew(tmp_path, capsys):
         assert [f.read_bytes() for f in files] == written, name
 
 
+def test_a_failing_run_still_names_its_drawn_seed(tmp_path, capsys):
+    # the seed is echoed as it is drawn, before the stream is read: an ingest
+    # that overflows exits 2 and writes no snapshot, but its seed is on stderr
+    stream = tmp_path / "over.stream"
+    stream.write_text("ts 2 4\n1e308 0 0\n1e308 0 1\n")
+    code, out, err = run_cli(
+        capsys, "ingest", "--model", "ts", "--input", str(stream),
+        "--out", str(tmp_path / "over.snap"), "--epsilon", "0.5", "--delta", "0.5",
+    )
+    assert code == 2 and out == ""
+    assert re.match(r"seed=\d+\nerror: .*overflows float64\n$", err), err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["over.stream"]
+
 def test_gen_refuses_a_plant_without_rho(tmp_path, capsys):
     with pytest.raises(SystemExit) as exit_info:
         cli.main(["gen", "--n", "8", "--p", "16", "--plant", "1,2", "--out", str(tmp_path / "g")])

@@ -240,3 +240,9 @@ def test_codebook_refusals_name_their_cause():
     n = 2**47 + 1
     with pytest.raises(ValueError, match=f"^no configured blocklength can address {n} indices$"):
         ecc.for_index_space(n)
+
+
+def test_for_index_space_shares_one_codebook_per_n():
+    # a NumPy integer n (a header field, an array length) finds the same cached codebook
+    for n in (4, 100, 4096):
+        assert ecc.for_index_space(np.int64(n)) is ecc.for_index_space(n)
