@@ -17,7 +17,7 @@ from .ams import (
     SnapshotFormatError,
     inner_product,
 )
-from .cartesian import CartesianTransform, cart_exact
+from .cartesian import CartesianTransform
 from .ecc import Codebook, for_index_space
 from .oracle import (
     CorrelationMatrix,

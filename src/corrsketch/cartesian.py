@@ -48,19 +48,6 @@ class CartesianTransform:
         (self.p1, self.s1, self.order1), (self.p2, self.s2, self.order2) = sides
 
 
-def cart_exact(t: CartesianTransform, a: np.ndarray) -> np.ndarray:
-    """Exact pi x pi sketch of a dense n x n matrix. Test oracle; O(n^2)."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.shape != (t.n, t.n):
-        raise ValueError(f"expected {t.n}x{t.n} matrix, got {a.shape}")
-    signed = a * t.s1[: t.n, None] * t.s2[None, : t.n]
-    rows = np.zeros((t.pi, t.n))
-    np.add.at(rows, t.p1[: t.n], signed)
-    out = np.zeros((t.pi, t.pi))
-    np.add.at(out.T, t.p2[: t.n], rows.T)
-    return out
-
-
 def masked_diag_stack(t: CartesianTransform, cb: Codebook) -> np.ndarray:
     """Exact sketches of the diagonal 0/1 masks, one per codeword bit: (codeword_len, pi, pi)."""
     bits = cb.bit_matrix()[: t.n].astype(np.float64)  # (n, codeword_len)

@@ -126,12 +126,8 @@ def cmd_oracle(args) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
         model, updates = iter_stream(fh)  # the guard reads the header alone
         if model.n * model.p > ORACLE_CELL_GUARD:
-            print(
-                f"error: {model.n}x{model.p} matrix exceeds the oracle size guard "
-                f"({ORACLE_CELL_GUARD} cells)",
-                file=sys.stderr,
-            )
-            return 2
+            raise ValueError(f"{model.n}x{model.p} matrix exceeds the oracle size guard "
+                             f"({ORACLE_CELL_GUARD} cells)")
         m = replay(model, updates)
     c = correlation(m)
     pairs = {(min(i, j), max(i, j)) for i, j in large_set(c, args.phi)}

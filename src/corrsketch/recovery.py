@@ -82,9 +82,9 @@ def require_count(name: str, value: int | None):
         raise ParameterError(f"{name} must be at least 1, got {value}")
 
 
-def require_phi(phi: float):
-    """Refuse a NaN or nonpositive phi; above 1 a report is merely empty."""
-    if not phi > 0:
+def require_phi(phi: float, most: float = math.inf):
+    """Refuse a NaN phi or one outside (0, most]; above 1 a report is merely empty."""
+    if not 0 < phi <= most:
         raise ParameterError(f"phi must be in (0, 1], got {phi}")
 
 
@@ -130,19 +130,6 @@ def _guarantee_bounds(n, phi, groups, lam):
     """
     eps = min(0.5, phi * groups * math.sqrt(lam) / (828.0 * n))
     return eps, lam / (54.0 * (2.0 + 12.0 * n / groups))
-
-
-def _constraint_violations(n, phi, k, residual_bound, groups, epsilon, delta, lam):
-    out = []
-    max_eps, max_delta = _guarantee_bounds(n, phi, groups, lam)
-    if delta > max_delta:
-        out.append("delta exceeds lambda/(54(2+12n/pi))")
-    if epsilon > max_eps:
-        out.append("epsilon exceeds min(1/2, phi*pi*sqrt(lambda)/(828n))")
-    need = min_group_count(n, phi, k, residual_bound, lam)
-    if groups < need:
-        out.append(f"pi below max(18k, 18R/(phi*sqrt(lambda))) = {need}")
-    return out
 
 
 def check_settings(
@@ -199,8 +186,7 @@ def select_parameters(
     defaults ``groups`` to the guarantee bound and ``reps`` to 16, and
     warns when a guarantee constraint is violated.
     """
-    if not 0 < phi <= 1:
-        raise ParameterError(f"phi must be in (0, 1], got {phi}")
+    require_phi(phi, 1.0)
     check_settings(k, residual_bound, theta, mode, groups=groups, reps=reps,
                    epsilon=epsilon, delta=delta)
     lam = codebook.error_fraction
@@ -225,8 +211,13 @@ def select_parameters(
     gamma = reps if reps is not None else 16
     eps = 0.0 if epsilon is None else epsilon
     dlt = 0.0 if delta is None else delta
-    for msg in _constraint_violations(n, phi, k, residual_bound, pi, eps, dlt, lam):
-        warnings.warn(f"guarantee constraint violated: {msg}", stacklevel=2)
+    max_eps, max_delta = _guarantee_bounds(n, phi, pi, lam)
+    need = min_group_count(n, phi, k, residual_bound, lam)
+    for violated, msg in ((dlt > max_delta, "delta exceeds lambda/(54(2+12n/pi))"),
+                          (eps > max_eps, "epsilon exceeds min(1/2, phi*pi*sqrt(lambda)/(828n))"),
+                          (pi < need, f"pi below max(18k, 18R/(phi*sqrt(lambda))) = {need}")):
+        if violated:
+            warnings.warn(f"guarantee constraint violated: {msg}", stacklevel=2)
     return QueryParams(phi, pi, eps, dlt, gamma, "practical")
 
 
@@ -242,6 +233,14 @@ class RepetitionDiagnostics:
             f"rep={self.index} decode_failures={self.decode_failures} "
             f"candidates={self.candidates} elapsed_ms={self.elapsed_ms:.1f}"
         )
+
+
+def _require_pair(stores: tuple):
+    for other in stores[1:]:
+        if other.transform != stores[0].transform:
+            raise ValueError("snapshot stores use different sketch transforms")
+        if other.n != stores[0].n:
+            raise ValueError("snapshot stores have different row counts")
 
 
 def _require_codebook(cb: Codebook, n: int):
@@ -458,6 +457,7 @@ def recovery_step(
     Emits (i, j) for every group pair where both bit strings decode to
     distinct indices; decode failures and diagonal hits emit nothing.
     """
+    require_phi(phi)
     return _recovery_step_counted(buckets, cart, cb, phi, subtract_baseline=subtract_baseline)[0]
 
 
@@ -479,11 +479,13 @@ def _vote(
     schedule: results are merged in repetition order. With ``verify``,
     survivors are re-checked by ``verify_candidates``.
     """
+    _require_pair(stores)
     if not all(s.standardized for s in stores):
         raise SketchStateError("recovery requires standardized stores")
     n = stores[0].n
     _require_codebook(cb, n)
     require_count("threads", threads)
+    require_phi(params.phi)
     transform = stores[0].transform
     if query_path(n, params.groups, params.reps, transform.depth, transform.cells) == "scan":
         t0 = time.perf_counter()
@@ -553,13 +555,17 @@ def verify_candidates(
 ) -> list[tuple[int, int, float, bool]]:
     """Direct estimate for each candidate; accept when |est| >= phi - 4 eps.
 
-    With ``other``, the estimate is the change ``store.inner - other.inner``,
-    and each of its two terms is within 4 eps, so the margin is 8 eps.
-    Warns when the threshold is <= 0: it then accepts every candidate.
+    With ``other``, which must share ``store``'s transform and row count,
+    the estimate is the change ``store.inner - other.inner``; each of its
+    two terms is within 4 eps, so the margin is 8 eps. A NaN or nonpositive
+    phi is refused; a positive one whose threshold is <= 0 warns, as every
+    candidate then passes.
     """
     stores = (store,) if other is None else (store, other)
+    _require_pair(stores)
     if not all(s.standardized for s in stores):
         raise SketchStateError("verification requires a standardized store")
+    require_phi(phi)
     eps = store.transform.epsilon
     margin = 4 * len(stores)
     threshold = phi - margin * eps
@@ -599,10 +605,7 @@ def recover_diff(
     recovers from their difference. The unit diagonals cancel in the
     difference, so no baseline is subtracted. Survivors are (optionally)
     re-checked against the change in the direct pairwise estimates,
-    accepted when it is >= phi - 8 eps.
+    accepted when it is >= phi - 8 eps. Stores of different transforms
+    or row counts are refused by name first.
     """
-    if store_a.transform != store_b.transform:
-        raise ValueError("snapshot stores use different sketch transforms")
-    if store_a.n != store_b.n:
-        raise ValueError("snapshot stores have different row counts")
     return _vote((store_a, store_b), cb, params, seed, threads, diagnostics, verify=verify)

@@ -250,27 +250,18 @@ def replay(model: StreamModel, updates: Iterable[StreamUpdate]) -> DenseMatrix:
 
 
 def matrix_to_updates(m: DenseMatrix, variant: str) -> list[StreamUpdate]:
-    """Serialize a dense matrix as an update stream in the given model order."""
-    if variant == "rps":
-        return [
-            StreamUpdate(float(m.values[i, j]), i, j)
-            for i in range(m.n)
-            for j in range(m.p)
-        ]
-    if variant == "cps":
-        return [
-            StreamUpdate(float(m.values[i, j]), i, j)
-            for j in range(m.p)
-            for i in range(m.n)
-        ]
-    if variant == "ts":
-        return [
-            StreamUpdate(float(m.values[i, j]), i, j)
-            for i in range(m.n)
-            for j in range(m.p)
-            if m.values[i, j] != 0.0
-        ]
-    raise ValueError(f"unknown stream model {variant!r}")
+    """Serialize a dense matrix as an update stream in the given model order.
+
+    Each is one row-major walk: over every cell (rps), every cell of the
+    transpose, column by column (cps), or the nonzero cells, -0.0 being zero (ts).
+    """
+    if variant not in MODELS:
+        raise ValueError(f"unknown stream model {variant!r}")
+    values = m.values.T if variant == "cps" else m.values
+    major, minor = np.nonzero(values) if variant == "ts" else np.indices(values.shape).reshape(2, -1)
+    rows, cols = (minor, major) if variant == "cps" else (major, minor)
+    cells = zip(values[major, minor].tolist(), rows.tolist(), cols.tolist())
+    return list(map(tuple.__new__, itertools.repeat(StreamUpdate), cells))
 
 
 def write_stream(fh: TextIO, model: StreamModel, updates: Iterable[StreamUpdate]):

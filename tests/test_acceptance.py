@@ -170,7 +170,7 @@ def test_acceptance_05_cartesian_variance():
     rng = np.random.default_rng(11)
     a = rng.standard_normal((n, n))
     np.fill_diagonal(a, 0.0)
-    from corrsketch.cartesian import cart_exact
+    from conftest import cart_exact
 
     samples = np.stack(
         [cart_exact(CartesianTransform(n, pi, seed=s), a) for s in range(trials)]

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import cart_exact
 from corrsketch import ecc
-from corrsketch.cartesian import CartesianTransform, cart_exact, masked_diag_stack
+from corrsketch.cartesian import CartesianTransform, masked_diag_stack
 
 
 def test_single_group_collapses_everything():

@@ -529,8 +529,9 @@ def test_oracle_above_one_lists_no_pair(capsys, planted_stream):
 def test_oracle_size_guard(tmp_path, capsys):
     stream = tmp_path / "huge.stream"
     stream.write_text("ts 20000 20000\n")
-    code, _, err = run_cli(capsys, "oracle", "--input", str(stream), "--phi", "0.5", "--k", "0")
-    assert code == 2 and "size guard" in err
+    code, out, err = run_cli(capsys, "oracle", "--input", str(stream), "--phi", "0.5", "--k", "0")
+    assert code == 2 and out == ""
+    assert err == "error: 20000x20000 matrix exceeds the oracle size guard (100000000 cells)\n"
 
 
 def test_oracle_size_guard_reads_only_the_header(tmp_path, capsys):
@@ -565,6 +566,19 @@ def test_bench_smoke(tmp_path, capsys):
     assert lines[0] == "n,p,pi,sketch_bytes,ingest_s,query_s"
     assert len(lines) == 3
     assert "query_time_exponent" in out and "sketch_bytes_exponent" in out
+
+
+def test_bench_single_point_has_no_exponent(tmp_path, capsys):
+    # one n gives no slope to fit: both exponents print nan, and the run succeeds
+    out_csv = tmp_path / "bench.csv"
+    code, out, _ = run_cli(
+        capsys, "bench", "--grid",
+        "n=16;p=32;phi=0.8;k=1;R=0.0;epsilon=0.5;delta=0.5;gamma=2;seed=2",
+        "--out", str(out_csv),
+    )
+    assert code == 0
+    assert len(out_csv.read_text().splitlines()) == 2
+    assert out.splitlines()[-2:] == ["query_time_exponent nan", "sketch_bytes_exponent nan"]
 
 
 def test_bench_ingest_clock_covers_the_last_flush(monkeypatch):

@@ -11,14 +11,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import build_store, integer_matrix
+from conftest import build_store, cart_exact, integer_matrix
 from corrsketch import ecc, oracle, recovery
 from corrsketch.ams import RowSketchStore, SketchStateError, SketchTransform, seed_stream
-from corrsketch.cartesian import CartesianTransform, cart_exact
+from corrsketch.cartesian import CartesianTransform
 from corrsketch.stream import StreamUpdate
 from corrsketch.recovery import (
     FeasibilityError,
     ParameterError,
+    QueryParams,
     _recovery_step_counted,
     approximate,
     approximate_per_row,
@@ -86,6 +87,21 @@ def test_select_parameters_practical_warns_on_violations():
         select_parameters(
             1024, 0.5, 4, 2.0, 0.0, cb, "practical", groups=64, reps=4, epsilon=0.1, delta=0.1
         )
+
+
+def test_select_parameters_practical_warnings_keep_their_order_and_caller():
+    # all three constraints broken at once: delta, then epsilon, then pi, and
+    # each warning points at the line that called select_parameters
+    cb = ecc.for_index_space(64)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        select_parameters(64, 0.5, 3, 2.0, 0.0, cb, groups=2, reps=2, epsilon=0.3, delta=0.3)
+    assert [str(w.message) for w in caught] == [
+        "guarantee constraint violated: delta exceeds lambda/(54(2+12n/pi))",
+        "guarantee constraint violated: epsilon exceeds min(1/2, phi*pi*sqrt(lambda)/(828n))",
+        "guarantee constraint violated: pi below max(18k, 18R/(phi*sqrt(lambda))) = 180",
+    ]
+    assert {(w.category, w.filename) for w in caught} == {(UserWarning, __file__)}
 
 
 def test_select_parameters_practical_quiet_when_satisfied():
@@ -414,6 +430,15 @@ def test_recovery_step_drops_indices_outside_the_store():
         assert recovery_step(buckets, cart, cb, phi, subtract_baseline=False) == expect
 
 
+def test_recovery_step_refuses_nan_phi():
+    # every comparison with a NaN threshold is false: unrefused, it would find no pair
+    cart, cb = CartesianTransform(8, 4, seed=1), ecc.for_index_space(8)
+    buckets = np.zeros((2, cb.codeword_len, 4, 4))
+    for phi in (math.nan, 0.0):
+        with pytest.raises(ParameterError, match=rf"^phi must be in \(0, 1\], got {phi}$"):
+            recovery_step(buckets, cart, cb, phi)
+
+
 def test_recovery_step_shape_check():
     cb = ecc.for_index_space(8)
     cart = CartesianTransform(8, 2, seed=19)
@@ -630,6 +655,31 @@ def test_verify_candidates_warns_when_vacuous():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         verify_candidates(store, [(0, 1)], phi=2.1)
+
+
+@pytest.mark.parametrize("phi", [math.nan, 0.0, -0.5])
+def test_verify_candidates_refuses_nan_or_nonpositive_phi(phi):
+    # unrefused, a NaN phi would reject the planted pair and phi <= 0 would
+    # accept every candidate; a difference is refused likewise
+    store, _ = _planted_store()
+    message = rf"^phi must be in \(0, 1\], got {phi}$"
+    with pytest.raises(ParameterError, match=message):
+        verify_candidates(store, [(3, 17)], phi)
+    with pytest.raises(ParameterError, match=message):
+        verify_candidates(store, [(3, 17)], phi, store)
+
+
+@pytest.mark.parametrize("groups, reps", [(64, 2), (8, 1)])
+def test_recover_refuses_nan_phi(groups, reps):
+    # unrefused, a NaN phi would return an empty set on either path
+    store, _ = _planted_store()
+    cb = ecc.for_index_space(store.n)
+    params = QueryParams(math.nan, groups, 0.05, 0.1, reps, "practical")
+    assert _path(store.n, groups, reps, store.transform) == ("scan" if groups == 64 else "grouped")
+    for run in (lambda: recover(store, params, cb, seed=3),
+                lambda: recover_diff(store, store, params, cb, seed=3)):
+        with pytest.raises(ParameterError, match=r"^phi must be in \(0, 1\], got nan$"):
+            run()
 
 
 @pytest.mark.parametrize("epsilon", [0.05, 0.1])  # width 1,600 > p = 1,024, and 400 < p
@@ -1093,6 +1143,31 @@ def test_recover_diff_rejects_mismatched_transforms(rng):
     params = practical(8, 0.5, cb, groups=4, reps=2)
     with pytest.raises(ValueError, match="transforms"):
         recover_diff(a, b, params, cb, seed=1)
+
+
+def test_a_pair_of_stores_is_refused_by_name_everywhere(rng):
+    # a width-2,000 store differenced against a width-40 store of the same
+    # matrix reads noise as change, though every change is 0; verify_candidates
+    # and recover_diff refuse the pair with one check
+    values = rng.standard_normal((40, 256))
+    fine = RowSketchStore.from_matrix(SketchTransform(256, 2000, 5, seed=3), values)
+    coarse = RowSketchStore.from_matrix(SketchTransform(256, 40, 5, seed=3), values)
+    fewer = RowSketchStore.from_matrix(fine.transform, values[:30])
+    for store in (fine, coarse, fewer):
+        store.standardize()
+    pairs = [(i, j) for i in range(40) for j in range(i + 1, 40)]
+    transforms = "^snapshot stores use different sketch transforms$"
+    rows = "^snapshot stores have different row counts$"
+    for other, message in ((coarse, transforms), (fewer, rows)):
+        with pytest.raises(ValueError, match=message):
+            verify_candidates(fine, pairs, 0.142, other)
+    # recover_diff checks the pair before the standardized check
+    raw = RowSketchStore.from_matrix(coarse.transform, values)
+    cb = ecc.for_index_space(40)
+    for groups, reps in ((40, 2), (4, 1)):
+        params = practical(40, 0.5, cb, groups=groups, reps=reps)
+        with pytest.raises(ValueError, match=transforms):
+            recover_diff(fine, raw, params, cb, seed=1)
 
 
 # -- the counting scan and the rule that picks it ------------------------------

@@ -358,3 +358,36 @@ def test_stream_refusals_name_their_cause():
         iter_stream(io.StringIO("ts 1 2\n"))
     with pytest.raises(ValueError, match="^unknown stream model 'xx'$"):
         matrix_to_updates(DenseMatrix(np.eye(2)), "xx")
+
+
+def _reference_updates(m: DenseMatrix, variant: str) -> list:
+    """The reference order: one comprehension per model, cell by cell."""
+    if variant == "rps":
+        return [StreamUpdate(float(m.values[i, j]), i, j) for i in range(m.n) for j in range(m.p)]
+    if variant == "cps":
+        return [StreamUpdate(float(m.values[i, j]), i, j) for j in range(m.p) for i in range(m.n)]
+    return [
+        StreamUpdate(float(m.values[i, j]), i, j)
+        for i in range(m.n)
+        for j in range(m.p)
+        if m.values[i, j] != 0.0
+    ]
+
+
+@pytest.mark.parametrize("variant", MODELS)
+def test_matrix_to_updates_keeps_each_models_order(variant):
+    # same cells in the same order, with the same value bits (-0.0 kept in
+    # rps and cps, dropped with the zeros in ts) and Python float, int, int
+    signed_zeros = np.array([[0.0, -0.0, 1.5, 0.0], [2.0, 0.0, -3.25, -0.0], [0.0, 7.0, 0.0, 1e-300]])
+    sparse = np.random.default_rng(8).standard_normal((5, 9))
+    sparse[np.random.default_rng(9).random((5, 9)) < 0.5] = 0.0
+    for values in (signed_zeros, np.zeros((3, 4)), sparse):
+        m = DenseMatrix(values)
+        got, expect = matrix_to_updates(m, variant), _reference_updates(m, variant)
+        assert type(got) is list
+        assert [(repr(u.alpha), u.i, u.j) for u in got] == [
+            (repr(u.alpha), u.i, u.j) for u in expect
+        ]
+        assert all(type(u) is StreamUpdate for u in got)
+        assert {tuple(map(type, u)) for u in got} <= {(float, int, int)}
+    assert matrix_to_updates(DenseMatrix(np.zeros((3, 4))), "ts") == []
